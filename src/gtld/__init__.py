@@ -1,8 +1,8 @@
 """Generalized transmuted lifetime distributions.
 
 A lifetime family with CDF (1+lam)*u^theta - lam*u^(2*theta),
-u = 1 - exp(-beta*G(x)), over a pluggable increasing transform G.  Eight
-built-in sub-families, the full catalog of distributional properties, six
+u = 1 - exp(-beta*G(x)), where the increasing transform G selects one of
+eight sub-families.  The full catalog of distributional properties, six
 estimation methods, a Monte Carlo comparison harness, and goodness-of-fit
 model selection.
 """

@@ -16,7 +16,7 @@ from scipy import optimize
 
 from . import _kernels
 from .model import ParamVector, model_from_params, param_names
-from .transforms import SUBFAMILY_SHAPES
+from .transforms import FAMILIES, SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
 METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
 
@@ -41,6 +41,16 @@ class FitResult:
     n_starts: int = 1
 
 
+def _decode(z, k_shape: int):
+    """Optimizer coordinates -> (shape values, beta, theta, lam).
+
+    The log coordinates are clipped to +-700 so exp neither overflows nor
+    underflows to 0: every z decodes to a valid parameter vector.
+    """
+    vals = np.exp(np.minimum(np.maximum(z[:-1], -700.0), 700.0)).tolist()
+    return vals[:k_shape], vals[k_shape], vals[k_shape + 1], math.tanh(z[-1])
+
+
 @dataclass(frozen=True)
 class TransformedParams:
     """Unconstrained image of a ParamVector for a given sub-family.
@@ -63,27 +73,14 @@ class TransformedParams:
 
     def to_params(self) -> ParamVector:
         names = SUBFAMILY_SHAPES[self.family]
-        vals = np.exp(self.z[:-1])
-        lam = math.tanh(self.z[-1])
-        shape = {n: float(v) for n, v in zip(names, vals)}
-        k = len(names)
-        return ParamVector(
-            beta=float(vals[k]), theta=float(vals[k + 1]), lam=lam, shape=shape
-        )
-
-
-def _resolve(family: str, params: ParamVector):
-    fam = _kernels.FAMILY_IDS[family]
-    names = SUBFAMILY_SHAPES[family]
-    s = [params.shape[n] for n in names] + [0.0, 0.0]
-    return fam, s[0], s[1]
+        shape, beta, theta, lam = _decode(self.z, len(names))
+        return ParamVector(beta=beta, theta=theta, lam=lam, shape=dict(zip(names, shape)))
 
 
 def _objective_value(method: str, params: ParamVector, sample, family: str):
-    fam, s1, s2 = _resolve(family, params)
+    args = model_from_params(family, params).kernel_args
     xs = np.sort(np.asarray(sample, dtype=float))
-    mid = _kernels.METHOD_IDS[method]
-    return _kernels.objective(mid, fam, s1, s2, params.beta, params.theta, params.lam, xs)
+    return _kernels.objective(_kernels.METHOD_IDS[method], *args, xs)
 
 
 def neg_log_likelihood(params: ParamVector, sample, family: str) -> float:
@@ -119,18 +116,8 @@ def rtad_objective(params: ParamVector, sample, family: str) -> float:
 def default_init(sample, family: str) -> ParamVector:
     """Moment-style starting point: theta=1, lambda=0, beta from the median."""
     xs = np.asarray(sample, dtype=float)
-    med = float(np.median(xs))
-    shape: dict[str, float] = {}
-    if family == "gtmw":
-        shape = {"alpha": 1.0, "gamma": 0.1}
-    elif family == "gtp1":
-        shape = {"alpha": 0.9 * float(np.min(xs))}
-    elif SUBFAMILY_SHAPES[family]:
-        shape = {"alpha": 1.0}
-    from .transforms import make_transform
-
-    tr = make_transform(family, **shape)
-    g_med = float(tr.eval(np.array([med]))[0])
+    shape = dict(zip(SUBFAMILY_SHAPES[family], FAMILIES[family].start(xs)))
+    g_med = float(make_transform(family, **shape).eval(np.median(xs)))
     beta = math.log(2.0) / g_med if g_med > 0 else 1.0
     return ParamVector(beta=beta, theta=1.0, lam=0.0, shape=shape)
 
@@ -169,23 +156,19 @@ def fit(
         raise ValueError("sample is empty")
 
     mid = _kernels.METHOD_IDS[method]
+    fam = _kernels.FAMILY_IDS[family]
     min_x = float(xs[0])
     is_gtp1 = family == "gtp1"
     k_shape = len(SUBFAMILY_SHAPES[family])
 
     def fun(z):
-        vals = np.exp(np.minimum(z[:-1], 700.0))
-        lam = math.tanh(z[-1])
-        s1 = vals[0] if k_shape >= 1 else 0.0
-        s2 = vals[1] if k_shape >= 2 else 0.0
-        beta, theta = vals[k_shape], vals[k_shape + 1]
+        shape, beta, theta, lam = _decode(z, k_shape)
+        s1, s2 = kernel_shapes(shape)
         if is_gtp1:
             violation = s1 - min_x
             if violation >= 0.0:
                 return 1e10 * (violation + 1e-6) ** 2 + 1e6
-        val, _ = _kernels.objective(
-            mid, _kernels.FAMILY_IDS[family], s1, s2, beta, theta, lam, xs
-        )
+        val, _ = _kernels.objective(mid, fam, s1, s2, beta, theta, lam, xs)
         return val
 
     start0 = init if init is not None else default_init(xs, family)
@@ -208,13 +191,15 @@ def fit(
         # "precision loss" at a stationary point is convergence for our
         # purposes: the finite-difference gradient noise floor sits near
         # the BFGS tolerance.
-        return bool(res.success) or (
-            res.status == 2
-            and float(np.max(np.abs(res.jac))) < 1e-4 * max(1.0, abs(res.fun))
+        return bool(
+            res.success
+            or (
+                res.status == 2
+                and float(np.max(np.abs(res.jac))) < 1e-4 * max(1.0, abs(res.fun))
+            )
         )
 
     best = None
-    any_converged = False
     for z_init in starts:
         try:
             res = _bfgs(z_init)
@@ -244,7 +229,6 @@ def fit(
             # prefer converged starts; among equals, the lower objective
             if (cand[0], -cand[1]) > (best[0], -best[1]):
                 best = cand
-        any_converged = any_converged or res.success
     if best is None:
         raise FitError(f"all {len(starts)} starts failed for {family}/{method}")
 
@@ -339,8 +323,6 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
     """
     if not -1.0 < lam < 0.0:
         raise ValueError("the theta bracket applies only for lambda in (-1, 0)")
-    from .transforms import make_transform
-
     tr = make_transform(family, **dict(shape))
     xs = np.asarray(sample, dtype=float)
     y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))
@@ -353,8 +335,6 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
 
 def theta_score(sample, family: str, shape, beta: float, lam: float, theta: float):
     """Profile score dl/dtheta with (shape, beta, lambda) held fixed."""
-    from .transforms import make_transform
-
     tr = make_transform(family, **dict(shape))
     xs = np.asarray(sample, dtype=float)
     y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))

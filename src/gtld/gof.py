@@ -139,11 +139,11 @@ def _ad_errfix(n: int, x: float) -> float:
 
 def ad_statistic(sample, model: GtldModel):
     """A^2 statistic and p-value via adinf + finite-n correction."""
-    F = _fitted_cdf(sample, model)
-    n = F.size
+    xs = np.sort(np.asarray(sample, dtype=float))
+    n = xs.size
     i = np.arange(1, n + 1)
-    Fc = np.maximum(F, _LOG_CLAMP)
-    Sc = np.maximum(1.0 - F, _LOG_CLAMP)
+    Fc = np.maximum(model.cdf(xs), _LOG_CLAMP)
+    Sc = np.maximum(model.survival(xs), _LOG_CLAMP)
     a2 = -n - float(np.sum((2.0 * i - 1.0) * (np.log(Fc) + np.log(Sc[::-1])))) / n
     cdf_val = _adinf(a2)
     cdf_val = min(max(cdf_val + _ad_errfix(n, cdf_val), 0.0), 1.0)

@@ -1,10 +1,11 @@
 """The distribution family itself: CDF/PDF/SF/hazard, quantile, sampling.
 
 The CDF is F(x) = (1+lam)*v - lam*v^2 with v = u^theta and
-u = 1 - exp(-beta*G(x)); G is supplied by an :class:`InnerTransform`.
-The survival function uses the exact factorization
-1 - (1+lam)*v + lam*v^2 = (1-v)*(1-lam*v), with 1-v evaluated through
-expm1/log1p so the deep right tail keeps relative accuracy.
+u = 1 - exp(-beta*G(x)); G is selected by an :class:`InnerTransform`.
+F, the survival function and log f are evaluated by the kernels
+(``_kernels``), which work in log u; the survival function uses the exact
+factorization 1 - (1+lam)*v + lam*v^2 = (1-v)*(1-lam*v), with 1-v
+evaluated through expm1 so the deep right tail keeps relative accuracy.
 """
 
 from __future__ import annotations
@@ -14,20 +15,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .transforms import SUBFAMILY_SHAPES, InnerTransform, make_transform
 
 _V_CLIP = 1.0 - 1e-16  # clamp on v = A^(1/theta) before log1p at p -> 1
-_LOG2 = 0.6931471805599453
-
-
-def _log1mexp(a):
-    """log(1 - e^{-a}) for a >= 0, on the cancellation-safe branch each side."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            a < _LOG2,
-            np.log(-np.expm1(-np.minimum(a, _LOG2))),
-            np.log1p(-np.exp(-np.maximum(a, _LOG2))),
-        )
 
 
 class SupportError(ValueError):
@@ -80,6 +71,13 @@ class GtldModel:
 
     transform: InnerTransform
     params: ParamVector
+    # (family id, s1, s2, beta, theta, lam): the kernels' leading arguments
+    kernel_args: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tr, p = self.transform, self.params
+        args = (tr.family_id, *tr.kernel_shapes, p.beta, p.theta, p.lam)
+        object.__setattr__(self, "kernel_args", args)
 
     @property
     def support_low(self) -> float:
@@ -87,72 +85,57 @@ class GtldModel:
 
     # -- distribution functions ------------------------------------------
 
-    def _check_support(self, x, closure=True):
+    def _check_support(self, x):
         xv = np.asarray(x, dtype=float)
         low = self.transform.support_low
-        bad = xv < low if closure else xv <= low
-        if np.any(bad):
+        if (xv < low).any():
             raise SupportError(
                 f"argument below the support infimum {low} of {self.transform.name}"
             )
         return xv
 
-    def _log_u(self, xv):
-        a = self.params.beta * np.maximum(self.transform.eval(xv), 0.0)
-        return _log1mexp(a)
-
     def cdf(self, x):
-        xv = self._check_support(x)
-        p = self.params
-        with np.errstate(invalid="ignore"):
-            v = np.exp(p.theta * self._log_u(xv))
-        out = v * ((1.0 + p.lam) - p.lam * v)
+        out = _kernels.cdf_arr(*self.kernel_args, self._check_support(x))
         return out if np.ndim(x) else float(out)
 
     def survival(self, x):
-        xv = self._check_support(x)
-        p = self.params
-        log_u = self._log_u(xv)
-        with np.errstate(invalid="ignore"):
-            v = np.exp(p.theta * log_u)
-            one_minus_v = -np.expm1(p.theta * log_u)
-        out = one_minus_v * (1.0 - p.lam * v)
+        out = _kernels.sf_arr(*self.kernel_args, self._check_support(x))
         return out if np.ndim(x) else float(out)
 
-    def logpdf(self, x):
-        xv = self._check_support(x)
+    def _logpdf(self, xv):
+        out = _kernels.logpdf_arr(*self.kernel_args, xv)
+        if np.isnan(out).any():
+            out = self._fill_nan(xv, out)
+        return out
+
+    def _fill_nan(self, xv, out):
+        """Replace the kernel's NaNs: one-sided limits where G(x) <= 0, else -inf.
+
+        Where u = 0 the kernel's terms are inf - inf or 0*inf.  The limits
+        follow theta: f -> beta*G'*(1+lam) for theta = 1, 0 for theta > 1,
+        inf for theta < 1 wherever G' > 0.  log G' is itself 0*inf for the
+        power transforms at alpha = 1, where its limit is log(alpha) = 0.
+        """
         p = self.params
-        with np.errstate(divide="ignore", invalid="ignore"):
-            G = np.maximum(self.transform.eval(xv), 0.0)
-            gp = self.transform.deriv(xv)
-            log_u = _log1mexp(p.beta * G)
-            v = np.exp(p.theta * log_u)
-            out = (
-                np.log(p.theta * p.beta)
-                + np.log(gp)
-                - p.beta * G
-                + (p.theta - 1.0) * log_u
-                + np.log((1.0 + p.lam) - 2.0 * p.lam * v)
-            )
-        out = np.where(np.isnan(out), -np.inf, out)
+        G, log_gp = self.transform._parts(xv)
+        log_gp = np.where(np.isnan(log_gp), 0.0, log_gp)
+        if p.theta == 1.0:
+            with np.errstate(divide="ignore"):
+                edge = np.log(p.beta * (1.0 + p.lam)) + log_gp
+        elif p.theta > 1.0:
+            edge = np.full_like(log_gp, -np.inf)
+        else:
+            edge = np.where(log_gp > -np.inf, np.inf, -np.inf)
+        nan = np.isnan(out)
+        return np.where(nan & (G <= 0.0), edge, np.where(nan, -np.inf, out))
+
+    def logpdf(self, x):
+        out = self._logpdf(self._check_support(x))
         return out if np.ndim(x) else float(out)
 
     def pdf(self, x):
-        xv = self._check_support(x)
-        p = self.params
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(self.logpdf(xv))
-        # one-sided limit at the support edge where u = 0
-        at_edge = np.asarray(self.transform.eval(xv)) <= 0.0
-        if np.any(at_edge):
-            gp = np.asarray(self.transform.deriv(xv), dtype=float)
-            if p.theta == 1.0:
-                edge = p.beta * gp * (1.0 + p.lam)
-            elif p.theta > 1.0:
-                edge = np.zeros_like(gp)
-            else:
-                edge = np.where(gp > 0, np.inf, 0.0)
-            out = np.where(at_edge, edge, out)
+        with np.errstate(over="ignore"):
+            out = np.exp(self._logpdf(self._check_support(x)))
         return out if np.ndim(x) else float(out)
 
     def hazard(self, x):

@@ -86,29 +86,6 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     return float(_special.gammainc(s, x)) * math.gamma(s)
 
 
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Gamma(s, x), the complement of ``lower_incomplete_gamma``."""
-    if s <= 0:
-        raise ValueError(f"upper_incomplete_gamma requires s > 0, got {s}")
-    if x < 0:
-        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got {x}")
-    return float(_special.gammaincc(s, x)) * math.gamma(s)
-
-
-def gen_binom(a: float, k: int) -> float:
-    """Generalized binomial coefficient C(a, k) for real a, integer k >= 0.
-
-    Uses the multiplicative recurrence C(a,k) = C(a,k-1)*(a-k+1)/k, which is
-    exact for integer a and never touches a Gamma pole for non-integer a.
-    """
-    if k < 0:
-        raise ValueError("gen_binom requires k >= 0")
-    c = 1.0
-    for i in range(1, k + 1):
-        c *= (a - i + 1) / i
-    return c
-
-
 def integrate(
     f: Callable[[float], float],
     lower: float,
@@ -152,7 +129,6 @@ def _quad(f, a, b, spec):
         full_output=1,
     )
     val, err = out[0], out[1]
-    ier = 0 if len(out) < 4 else out[2].get("ier", 0) if isinstance(out[2], dict) else 0
     # quad signals trouble through a 4th element (message); treat presence as failure
     ok = len(out) == 3
     return val, err, ok

@@ -16,7 +16,6 @@ and requiring decay faster than 1/x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +33,6 @@ class DivergenceError(ArithmeticError):
 
 class EntropyDomainError(ArithmeticError):
     """q-entropy needs integral(f^q) < 1; raised when it is not."""
-
-
-@dataclass(frozen=True)
-class MomentRequest:
-    order: int
-    kind: str = "raw"  # raw | incomplete | residual | reversed_residual
-    at: float | None = None  # z for incomplete, t for (reversed) residual
-    method: str = "quadrature"  # quadrature | series
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("moment order must be >= 1")
-        if self.kind not in ("raw", "incomplete", "residual", "reversed_residual"):
-            raise ValueError(f"unknown moment kind {self.kind!r}")
-        if self.kind != "raw" and self.at is None:
-            raise ValueError(f"{self.kind} moments need the 'at' field")
-
-
-@dataclass(frozen=True)
-class EntropyRequest:
-    kind: str  # renyi | q_entropy
-    order: float
-
-    def __post_init__(self):
-        if self.kind not in ("renyi", "q_entropy"):
-            raise ValueError(f"unknown entropy kind {self.kind!r}")
-        if not self.order > 0 or self.order == 1:
-            raise ValueError("entropy order must be positive and != 1")
 
 
 def _integrate(f, lo, hi, spec=None):

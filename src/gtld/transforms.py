@@ -1,65 +1,26 @@
 """The eight built-in inner transforms G(x) and their closed-form CDFs.
 
 Each sub-family of the distribution is determined by a strictly increasing
-function G with G(support_low+) = 0 and G(x) -> inf.  ``make_transform``
-builds the concrete transform from its lowercase string id; library users
-can also construct :class:`InnerTransform` directly to plug in their own G.
+function G with G(support_low+) = 0 and G(x) -> inf.  G and log G' are
+evaluated only by the kernels (``_kernels``); :data:`FAMILIES` holds what
+else differs between sub-families, one row each, and ``make_transform``
+builds a sub-family's :class:`InnerTransform` from its lowercase string id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-# id -> (required shape parameter names, kernel family id)
-SUBFAMILY_SHAPES: dict[str, tuple[str, ...]] = {
-    "gte": (),
-    "gtr": (),
-    "gtw": ("alpha",),
-    "gtmw": ("alpha", "gamma"),
-    "gtwe": ("alpha",),
-    "gtb12": ("alpha",),
-    "gtl": ("alpha",),
-    "gtp1": ("alpha",),
-}
-
-SUBFAMILY_IDS = tuple(SUBFAMILY_SHAPES)
+from . import _kernels
+from ._kernels import _ref
 
 
-@dataclass(frozen=True)
-class InnerTransform:
-    """A sub-family's G with derivative, inverse, and support.
-
-    Invariants: G strictly increasing on (support_low, inf),
-    G(support_low+) = 0, G -> inf; ``inverse`` is the functional inverse of
-    ``eval``.  ``edge_order`` is the power k with G(x) ~ c*(x-support_low)^k
-    near the lower endpoint (used for integrability screening).
-    """
-
-    name: str
-    eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    support_low: float = 0.0
-    shape_params: Mapping[str, float] = field(default_factory=dict)
-    edge_order: float = 1.0
-    family_id: int = -1  # kernel dispatch id; -1 for user-defined transforms
-
-
-def _shape_args(sub_id: str, shape: Mapping[str, float]) -> tuple[float, float]:
-    """Kernel shape slots (s1, s2) for a built-in sub-family."""
-    names = SUBFAMILY_SHAPES[sub_id]
-    vals = [float(shape[n]) for n in names]
-    while len(vals) < 2:
-        vals.append(0.0)
-    return vals[0], vals[1]
-
-
-def _gtmw_inverse(alpha: float, gamma: float) -> Callable:
-    """Numeric inverse of G(x) = x^alpha * exp(gamma*x).
+def _gtmw_inverse_scalar(y: float, alpha: float, gamma: float) -> float:
+    """Inverse of G(x) = x^alpha * exp(gamma*x) at one point.
 
     Doubling bracket + bisection, then Newton polish; G is strictly
     increasing so the bracket always exists.
@@ -68,42 +29,145 @@ def _gtmw_inverse(alpha: float, gamma: float) -> Callable:
     def g(x):
         return x**alpha * math.exp(gamma * x)
 
-    def inv_scalar(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        hi = 1.0
-        while g(hi) < y:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        for _ in range(8):
-            gx = g(x)
-            gp = x ** (alpha - 1.0) * math.exp(gamma * x) * (alpha + gamma * x)
-            step = (gx - y) / gp
-            x_new = x - step
-            if x_new <= lo or x_new >= hi:
-                break
-            x = x_new
-            if abs(step) <= 1e-15 * max(x, 1.0):
-                break
-        return x
+    if y <= 0.0:
+        return 0.0
+    hi = 1.0
+    while g(hi) < y:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(8):
+        gx = g(x)
+        gp = x ** (alpha - 1.0) * math.exp(gamma * x) * (alpha + gamma * x)
+        step = (gx - y) / gp
+        x_new = x - step
+        if x_new <= lo or x_new >= hi:
+            break
+        x = x_new
+        if abs(step) <= 1e-15 * max(x, 1.0):
+            break
+    return x
 
-    return np.vectorize(inv_scalar, otypes=[np.float64])
+
+_gtmw_inverse = np.vectorize(_gtmw_inverse_scalar, otypes=[np.float64])
+
+
+class Family(NamedTuple):
+    """What a sub-family adds to its kernel G, as functions of the shapes (s1, s2).
+
+    ``edge_order`` is the power k with G(x) ~ c*(x - support_low)^k near the
+    lower endpoint (used for integrability screening); ``start`` gives the
+    shape values ``fit`` starts from, given the sample.
+    """
+
+    shapes: tuple[str, ...]
+    inverse: Callable  # (y, s1, s2) -> x with G(x) = y
+    edge_order: Callable  # (s1, s2) -> k
+    support_low: Callable  # (s1, s2) -> lower end of the support
+    start: Callable  # sample -> shape values
+
+
+def _alpha(s1, s2):
+    return s1
+
+
+def _one(s1, s2):
+    return 1.0
+
+
+def _zero(s1, s2):
+    return 0.0
+
+
+def _unit_alpha(xs):
+    return (1.0,)
+
+
+# "alpha" is a power for gtw/gtmw/gtwe/gtb12, the Lomax inner scale for gtl
+# and the Pareto lower bound for gtp1, whose support is (alpha, inf)
+FAMILIES: dict[str, Family] = {
+    "gte": Family((), lambda y, a, g: y + 0.0, _one, _zero, lambda xs: ()),
+    "gtr": Family(
+        (), lambda y, a, g: np.sqrt(2.0 * y), lambda a, g: 2.0, _zero, lambda xs: ()
+    ),
+    "gtw": Family(
+        ("alpha",), lambda y, a, g: y ** (1.0 / a), _alpha, _zero, _unit_alpha
+    ),
+    "gtmw": Family(
+        ("alpha", "gamma"), _gtmw_inverse, _alpha, _zero, lambda xs: (1.0, 0.1)
+    ),
+    "gtwe": Family(
+        ("alpha",), lambda y, a, g: np.log1p(y) ** (1.0 / a), _alpha, _zero, _unit_alpha
+    ),
+    "gtb12": Family(
+        ("alpha",), lambda y, a, g: np.expm1(y) ** (1.0 / a), _alpha, _zero, _unit_alpha
+    ),
+    "gtl": Family(("alpha",), lambda y, a, g: a * np.expm1(y), _one, _zero, _unit_alpha),
+    "gtp1": Family(
+        ("alpha",), lambda y, a, g: a * np.exp(y), _one, _alpha,
+        lambda xs: (0.9 * float(np.min(xs)),),
+    ),
+}
+
+SUBFAMILY_SHAPES: dict[str, tuple[str, ...]] = {k: f.shapes for k, f in FAMILIES.items()}
+
+SUBFAMILY_IDS = tuple(FAMILIES)
+
+
+def kernel_shapes(values) -> tuple[float, float]:
+    """The kernels' shape slots (s1, s2): shape values in table order, zero-padded."""
+    s1, s2 = (*values, 0.0, 0.0)[:2]
+    return s1, s2
+
+
+@dataclass(frozen=True)
+class InnerTransform:
+    """A built-in sub-family's G with derivative, inverse, and support.
+
+    Invariants: G strictly increasing on (support_low, inf),
+    G(support_low+) = 0, G -> inf; ``inverse`` is the functional inverse of
+    ``eval``.  ``family_id`` and ``kernel_shapes`` are the kernel arguments
+    that select G.
+    """
+
+    name: str
+    shape_params: Mapping[str, float]
+    family_id: int
+    kernel_shapes: tuple[float, float]
+    support_low: float
+    edge_order: float
+
+    def _parts(self, x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _ref._g_parts(
+                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float)
+            )
+
+    def eval(self, x):
+        """G(x)."""
+        return self._parts(x)[0]
+
+    def deriv(self, x):
+        """G'(x), as exp of the kernel's log G'."""
+        return np.exp(self._parts(x)[1])
+
+    def inverse(self, y):
+        return FAMILIES[self.name].inverse(np.asarray(y, dtype=float), *self.kernel_shapes)
 
 
 def make_transform(sub_id: str, **shape: float) -> InnerTransform:
     """Build one of the eight built-in transforms from its string id."""
-    if sub_id not in SUBFAMILY_SHAPES:
+    if sub_id not in FAMILIES:
         raise ValueError(
             f"unknown sub-family {sub_id!r}; expected one of {SUBFAMILY_IDS}"
         )
-    required = SUBFAMILY_SHAPES[sub_id]
+    required = FAMILIES[sub_id].shapes
     missing = [n for n in required if n not in shape]
     if missing:
         raise ValueError(f"{sub_id} requires shape parameter(s) {missing}")
@@ -114,90 +178,16 @@ def make_transform(sub_id: str, **shape: float) -> InnerTransform:
         if not val > 0:
             raise ValueError(f"shape parameter {name} must be positive, got {val}")
 
+    row = FAMILIES[sub_id]
     shape = {n: float(shape[n]) for n in required}
-    from . import _kernels
-
-    common = dict(
+    s = kernel_shapes(shape.values())
+    return InnerTransform(
         name=sub_id,
         shape_params=shape,
         family_id=_kernels.FAMILY_IDS[sub_id],
-    )
-
-    if sub_id == "gte":
-        return InnerTransform(
-            eval=lambda x: np.asarray(x, dtype=float) + 0.0,
-            deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            inverse=lambda y: np.asarray(y, dtype=float) + 0.0,
-            edge_order=1.0,
-            **common,
-        )
-    if sub_id == "gtr":
-        return InnerTransform(
-            eval=lambda x: 0.5 * np.square(np.asarray(x, dtype=float)),
-            deriv=lambda x: np.asarray(x, dtype=float) + 0.0,
-            inverse=lambda y: np.sqrt(2.0 * np.asarray(y, dtype=float)),
-            edge_order=2.0,
-            **common,
-        )
-
-    a = shape["alpha"]
-    if sub_id == "gtw":
-        return InnerTransform(
-            eval=lambda x: np.asarray(x, dtype=float) ** a,
-            deriv=lambda x: a * np.asarray(x, dtype=float) ** (a - 1.0),
-            inverse=lambda y: np.asarray(y, dtype=float) ** (1.0 / a),
-            edge_order=a,
-            **common,
-        )
-    if sub_id == "gtmw":
-        g = shape["gamma"]
-        return InnerTransform(
-            eval=lambda x: np.asarray(x, dtype=float) ** a
-            * np.exp(g * np.asarray(x, dtype=float)),
-            deriv=lambda x: np.asarray(x, dtype=float) ** (a - 1.0)
-            * np.exp(g * np.asarray(x, dtype=float))
-            * (a + g * np.asarray(x, dtype=float)),
-            inverse=_gtmw_inverse(a, g),
-            edge_order=a,
-            **common,
-        )
-    if sub_id == "gtwe":
-        return InnerTransform(
-            eval=lambda x: np.expm1(np.asarray(x, dtype=float) ** a),
-            deriv=lambda x: a
-            * np.asarray(x, dtype=float) ** (a - 1.0)
-            * np.exp(np.asarray(x, dtype=float) ** a),
-            inverse=lambda y: np.log1p(np.asarray(y, dtype=float)) ** (1.0 / a),
-            edge_order=a,
-            **common,
-        )
-    if sub_id == "gtb12":
-        return InnerTransform(
-            eval=lambda x: np.log1p(np.asarray(x, dtype=float) ** a),
-            deriv=lambda x: a
-            * np.asarray(x, dtype=float) ** (a - 1.0)
-            / (1.0 + np.asarray(x, dtype=float) ** a),
-            inverse=lambda y: np.expm1(np.asarray(y, dtype=float)) ** (1.0 / a),
-            edge_order=a,
-            **common,
-        )
-    if sub_id == "gtl":
-        # here "alpha" is the Lomax inner scale, not a power
-        return InnerTransform(
-            eval=lambda x: np.log1p(np.asarray(x, dtype=float) / a),
-            deriv=lambda x: 1.0 / (a + np.asarray(x, dtype=float)),
-            inverse=lambda y: a * np.expm1(np.asarray(y, dtype=float)),
-            edge_order=1.0,
-            **common,
-        )
-    # gtp1: "alpha" is the Pareto lower bound; support is (alpha, inf)
-    return InnerTransform(
-        eval=lambda x: np.log(np.asarray(x, dtype=float) / a),
-        deriv=lambda x: 1.0 / np.asarray(x, dtype=float),
-        inverse=lambda y: a * np.exp(np.asarray(y, dtype=float)),
-        support_low=a,
-        edge_order=1.0,
-        **common,
+        kernel_shapes=s,
+        support_low=row.support_low(*s),
+        edge_order=row.edge_order(*s),
     )
 
 
@@ -207,7 +197,7 @@ def closed_form_cdf(sub_id: str, params, x):
     Differential-test counterpart of the generic cdf; both must agree to
     machine-level tolerance.
     """
-    if sub_id not in SUBFAMILY_SHAPES:
+    if sub_id not in FAMILIES:
         raise ValueError(f"unknown sub-family {sub_id!r}")
     x = np.asarray(x, dtype=float)
     b, t, lam = params.beta, params.theta, params.lam
@@ -221,7 +211,8 @@ def closed_form_cdf(sub_id: str, params, x):
     elif sub_id == "gtmw":
         u = -np.expm1(-b * x ** sh["alpha"] * np.exp(sh["gamma"] * x))
     elif sub_id == "gtwe":
-        u = -np.expm1(-b * np.expm1(x ** sh["alpha"]))
+        with np.errstate(over="ignore"):  # G = inf is the right limit
+            u = -np.expm1(-b * np.expm1(x ** sh["alpha"]))
     elif sub_id == "gtb12":
         u = 1.0 - (1.0 + x ** sh["alpha"]) ** (-b)
     elif sub_id == "gtl":

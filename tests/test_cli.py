@@ -61,6 +61,16 @@ class TestFit:
         assert code == 1
         assert "error" in err
 
+    def test_gauge_gtwe_report_is_json(self, capsys):
+        # convergence through the optimizer's precision-loss branch
+        code, out, _ = run_cli(
+            capsys, "fit", "--data", "gauge", "--family", "gtwe", "--method", "ml"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        jsonschema.validate(payload, _schema("fit_report.schema.json"))
+
     def test_bad_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "fit", "--data", "gauge", "--family", "gte",

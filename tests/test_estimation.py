@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from gtld import estimation
+from gtld.datasets import load_values
 from gtld.estimation import (
     METHODS,
     TransformedParams,
@@ -148,6 +149,13 @@ class TestFit:
         init = ParamVector(beta=1.2, theta=1.5, lam=0.3, shape={})
         res = fit(gte_sample, "gte", method="ml", init=init, n_starts=1)
         assert res.converged
+
+    def test_gtmw_cvm_on_gauge(self):
+        # the optimizer drives log(gamma) below -745, where exp underflows to 0
+        res = fit(load_values("gauge"), "gtmw", method="cvm", seed=0)
+        assert isinstance(res, estimation.FitResult)
+        assert res.estimates.shape["gamma"] > 0.0
+        assert math.isfinite(res.objective_value)
 
     def test_scale_equivariance_gtw(self):
         m = make_model("gtw", beta=2.0, theta=1.0, lam=0.0, alpha=1.5)

@@ -6,6 +6,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from gtld import numerics
 from gtld.model import (
     GtldModel,
     ParamVector,
@@ -14,6 +15,8 @@ from gtld.model import (
     model_from_params,
     param_names,
 )
+
+from gtld.properties import raw_moment
 
 from conftest import random_params
 
@@ -139,6 +142,71 @@ class TestSupport:
         m = make_model("gte", beta=1.0, theta=1.0, lam=0.0)
         with pytest.raises(ValueError):
             m.sample(0, seed=1)
+
+
+class TestSupportEdge:
+    """One-sided limits of the density where G(x) = 0, i.e. u = 0."""
+
+    @pytest.mark.parametrize(
+        "family, shape, theta, want",
+        [
+            ("gte", {}, 0.5, math.inf),
+            ("gte", {}, 1.0, 1.5 * 1.2),
+            ("gte", {}, 2.0, 0.0),
+            ("gtr", {}, 1.0, 0.0),
+            ("gtw", {"alpha": 1.0}, 0.5, math.inf),
+            ("gtw", {"alpha": 1.0}, 1.0, 1.5 * 1.2),
+            ("gtw", {"alpha": 1.0}, 2.0, 0.0),
+            ("gtw", {"alpha": 2.0}, 1.0, 0.0),
+            ("gtw", {"alpha": 0.5}, 1.0, math.inf),
+            ("gtmw", {"alpha": 1.0, "gamma": 0.7}, 1.0, 1.5 * 1.2),
+            ("gtwe", {"alpha": 1.0}, 1.0, 1.5 * 1.2),
+            ("gtl", {"alpha": 4.0}, 1.0, 1.5 * 1.2 / 4.0),
+            ("gtp1", {"alpha": 2.0}, 0.5, math.inf),
+            ("gtp1", {"alpha": 2.0}, 1.0, 1.5 * 1.2 / 2.0),
+            ("gtp1", {"alpha": 2.0}, 2.0, 0.0),
+        ],
+    )
+    def test_pdf_and_logpdf_at_support_low(self, family, shape, theta, want):
+        m = make_model(family, beta=1.5, theta=theta, lam=0.2, **shape)
+        low = m.support_low
+        assert m.pdf(low) == pytest.approx(want, rel=1e-14)
+        assert m.logpdf(low) == pytest.approx(math.log(want) if want else -math.inf, rel=1e-14)
+        # the edge inside an array is the same value, and does not leak
+        xs = np.array([low, low + 0.5, low + 1.0])
+        got = m.pdf(xs)
+        assert got[0] == pytest.approx(want, rel=1e-14)
+        np.testing.assert_allclose(got[1:], [m.pdf(low + 0.5), m.pdf(low + 1.0)], rtol=1e-15)
+        assert np.all(np.isfinite(got[1:]))
+
+    def test_cdf_and_survival_at_support_low(self, family, rng):
+        m = model_from_params(family, random_params(family, rng))
+        assert m.cdf(m.support_low) == 0.0
+        assert m.survival(m.support_low) == 1.0
+
+
+class TestGtweOverflowWindow:
+    """G = exp(x^alpha) - 1 overflows where x^alpha > 709.78; log f must not."""
+
+    ALPHA = 1.51371
+
+    def model(self):
+        return make_model("gtwe", beta=1.2511, theta=0.72527, lam=0.060553, alpha=self.ALPHA)
+
+    def test_logpdf_never_plus_inf(self):
+        m = self.model()
+        xs = np.linspace(700.0, 709.78, 400) ** (1.0 / self.ALPHA)
+        lp = m.logpdf(xs)
+        assert not np.any(np.isposinf(lp))
+        assert np.all(m.pdf(xs) == 0.0)
+
+    def test_mean_is_integral_of_survival(self):
+        m = self.model()
+        mid = m.quantile(0.75)
+        want = numerics.integrate(m.survival, 0.0, mid) + numerics.integrate(
+            m.survival, mid, math.inf
+        )
+        assert raw_moment(m, 1) == pytest.approx(want, abs=1e-8)
 
 
 class TestQuantileMeasures:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -11,11 +10,9 @@ from gtld.numerics import (
     SeriesError,
     SeriesSpec,
     gamma_fn,
-    gen_binom,
     integrate,
     lower_incomplete_gamma,
     sum_series,
-    upper_incomplete_gamma,
 )
 
 
@@ -33,25 +30,12 @@ class TestGamma:
     def test_incomplete_pieces_sum_to_gamma(self):
         for s in (0.3, 1.0, 4.2):
             for z in (0.1, 1.0, 10.0):
-                total = lower_incomplete_gamma(s, z) + upper_incomplete_gamma(s, z)
+                upper = float(sp.gammaincc(s, z)) * math.gamma(s)
+                total = lower_incomplete_gamma(s, z) + upper
                 assert total == pytest.approx(math.gamma(s), rel=1e-12)
 
     def test_lower_incomplete_at_zero(self):
         assert lower_incomplete_gamma(2.0, 0.0) == 0.0
-
-
-class TestGenBinom:
-    def test_integer_cases(self):
-        assert gen_binom(5, 2) == pytest.approx(10.0)
-        assert gen_binom(5, 0) == 1.0
-        assert gen_binom(3, 7) == 0.0
-
-    def test_real_argument_matches_scipy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            a = float(rng.uniform(-4, 4))
-            k = int(rng.integers(0, 12))
-            assert gen_binom(a, k) == pytest.approx(float(sp.binom(a, k)), rel=1e-10, abs=1e-12)
 
 
 class TestIntegrate:
