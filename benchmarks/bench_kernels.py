@@ -2,7 +2,9 @@
 
 Times the six fitting objectives and the array cdf/logpdf evaluations on a
 synthetic sample, which is exactly the workload the simulation harness
-hammers (thousands of quasi-Newton objective evaluations).
+hammers (thousands of quasi-Newton objective evaluations), and the
+objectives' value-and-gradient kernel, which is the NumPy one on either
+backend.
 
 Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 """
@@ -27,6 +29,7 @@ REPEATS = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
 rng = np.random.default_rng(7)
 xs = np.sort(rng.weibull(1.4, size=N) + 0.05)
 ARGS = (4, 2.5, 0.0, 3.0, 0.5, 0.2, xs)  # gtwe at the study's truth
+METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
 
 
 def bench(label, fn, *args):
@@ -40,12 +43,15 @@ def run(backend, name):
     out = {}
     out["cdf"] = bench("cdf_arr", backend.cdf_arr, *ARGS)
     out["logpdf"] = bench("logpdf_arr", backend.logpdf_arr, *ARGS)
-    for mid, mname in enumerate(("ml", "ols", "wls", "cvm", "ad", "rtad")):
+    for mid, mname in enumerate(METHODS):
         out[mname] = bench(mname, backend.objective, mid, *ARGS)
     return out
 
 
 ref_times = run(_ref, "python")
+print(f"value and gradient, either backend (n={N}, {REPEATS} calls):")
+for mid, mname in enumerate(METHODS):
+    bench(f"{mname}+grad", _ref.objective_grad, mid, *ARGS)
 if _core is None:
     print("compiled backend not built; nothing to compare")
 else:

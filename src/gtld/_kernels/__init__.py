@@ -2,7 +2,9 @@
 
 The compiled extension is preferred; the numpy reference implementation is
 used when the extension is missing or when ``GTLD_PURE_PYTHON`` is set in
-the environment.  Both expose the same four callables.
+the environment.  Both expose the same four callables; the objectives'
+exact gradients (``objective_grad``) come from the numpy module on either
+backend.
 """
 
 import os
@@ -23,6 +25,7 @@ cdf_arr = _backend.cdf_arr
 sf_arr = _backend.sf_arr
 logpdf_arr = _backend.logpdf_arr
 objective = _backend.objective
+objective_grad = _ref.objective_grad
 
 FAMILY_IDS = {
     "gte": 0,

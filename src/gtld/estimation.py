@@ -15,13 +15,13 @@ import numpy as np
 from scipy import optimize
 
 from . import _kernels
+from ._kernels._ref import _BIG
 from .model import ParamVector, model_from_params, param_names
 from .transforms import FAMILIES, SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
 METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
 
 _LAM_CAP = 1.0 - 1e-10  # |lambda| bound inside the atanh coordinates
-_GRAD_STEP = 1e-6
 
 
 class FitError(RuntimeError):
@@ -39,6 +39,12 @@ class FitResult:
     family: str
     clamp_count: int = 0
     n_starts: int = 1
+    # objective plus gradient evaluations over every optimizer call of every start
+    evaluations: int = 0
+    # the Nelder-Mead rescue ran on the start that was returned
+    rescued: bool = False
+    # optimizer steps whose gradient overflowed and were taken as non-finite values
+    gradient_fallbacks: int = 0
 
 
 def _decode(z, k_shape: int):
@@ -122,17 +128,6 @@ def default_init(sample, family: str) -> ParamVector:
     return ParamVector(beta=beta, theta=1.0, lam=0.0, shape=shape)
 
 
-def _central_grad(fun, z):
-    g = np.empty_like(z)
-    for i in range(z.size):
-        h = _GRAD_STEP * max(1.0, abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return g
-
-
 def fit(
     sample,
     family: str,
@@ -143,8 +138,10 @@ def fit(
 ) -> FitResult:
     """Minimize the chosen objective with multi-start BFGS.
 
-    The best converged start wins; if nothing converges the best effort is
-    returned with ``converged=False``.  Deterministic for fixed inputs.
+    BFGS gets the objective's exact gradient from ``_kernels.objective_grad``,
+    chained through the log/atanh coordinates.  The best converged start
+    wins; if nothing converges the best effort is returned with
+    ``converged=False``.  Deterministic for fixed inputs.
     """
     method = method.lower()
     if method not in METHODS:
@@ -160,16 +157,47 @@ def fit(
     min_x = float(xs[0])
     is_gtp1 = family == "gtp1"
     k_shape = len(SUBFAMILY_SHAPES[family])
+    counts = {"evaluations": 0, "gradient_fallbacks": 0}
+
+    def penalty(s1):
+        """(value, d value / d alpha) where gtp1's support (alpha, inf) misses
+        a sample point, else None."""
+        violation = s1 - min_x
+        if is_gtp1 and violation >= 0.0:
+            return 1e10 * (violation + 1e-6) ** 2 + 1e6, 2e10 * (violation + 1e-6)
+        return None
 
     def fun(z):
+        counts["evaluations"] += 1
         shape, beta, theta, lam = _decode(z, k_shape)
         s1, s2 = kernel_shapes(shape)
-        if is_gtp1:
-            violation = s1 - min_x
-            if violation >= 0.0:
-                return 1e10 * (violation + 1e-6) ** 2 + 1e6
-        val, _ = _kernels.objective(mid, fam, s1, s2, beta, theta, lam, xs)
-        return val
+        pen = penalty(s1)
+        if pen is not None:
+            return pen[0]
+        return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, xs)[0]
+
+    def fun_and_grad(z):
+        counts["evaluations"] += 2  # one objective and one gradient evaluation
+        shape, beta, theta, lam = _decode(z, k_shape)
+        s1, s2 = kernel_shapes(shape)
+        pen = penalty(s1)
+        if pen is not None:
+            grad = np.zeros_like(z)
+            grad[0] = pen[1] * s1
+            return pen[0], grad
+        val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, xs)
+        # d/dz = p d/dp for the positive parameters, (1 - lam^2) d/dlam for
+        # lam = tanh(z); zero where the decoding is flat (the log coordinates'
+        # clip, |lam| = 1 in floating point), however large d/dp is
+        dp_dz = np.array([*shape, beta, theta, 1.0 - lam * lam])
+        dp_dz[:-1][np.abs(z[:-1]) >= 700.0] = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            grad = np.where(dp_dz > 0.0, grad * dp_dz, 0.0)
+        if not np.all(np.isfinite(grad)):
+            # an overflowing derivative: treated like a non-finite value
+            counts["gradient_fallbacks"] += 1
+            return _BIG, np.zeros_like(z)
+        return val, grad
 
     start0 = init if init is not None else default_init(xs, family)
     z0 = TransformedParams.from_params(start0, family).z
@@ -180,17 +208,17 @@ def fit(
 
     def _bfgs(z):
         return optimize.minimize(
-            fun,
+            fun_and_grad,
             z,
-            jac=lambda z: _central_grad(fun, z),
+            jac=True,
             method="BFGS",
             options={"gtol": 1e-6, "maxiter": 500},
         )
 
     def _success(res):
         # "precision loss" at a stationary point is convergence for our
-        # purposes: the finite-difference gradient noise floor sits near
-        # the BFGS tolerance.
+        # purposes: even with the exact gradient, rounding in the n-term sums
+        # leaves BFGS's line search without a decrease near the optimum
         return bool(
             res.success
             or (
@@ -201,12 +229,14 @@ def fit(
 
     best = None
     for z_init in starts:
+        rescued = False
         try:
             res = _bfgs(z_init)
             success = _success(res)
             if not success and np.all(np.isfinite(res.x)):
                 # line-search stall against a cliff or along a narrow
                 # valley: simplex rescue, then a fresh quasi-Newton pass
+                rescued = True
                 nm = optimize.minimize(
                     fun,
                     res.x,
@@ -222,7 +252,8 @@ def fit(
             continue
         if not np.all(np.isfinite(res.x)):
             continue
-        cand = (success, float(res.fun), res)
+        # a run that ends on the non-finite sentinel has not converged
+        cand = (success and float(res.fun) < _BIG, float(res.fun), res, rescued)
         if best is None:
             best = cand
         else:
@@ -232,7 +263,7 @@ def fit(
     if best is None:
         raise FitError(f"all {len(starts)} starts failed for {family}/{method}")
 
-    converged, value, res = best
+    converged, value, res, rescued = best
     tp = TransformedParams(family=family, z=np.asarray(res.x, dtype=float))
     estimates = tp.to_params()
     _, clamps = _objective_value(method, estimates, xs, family)
@@ -251,50 +282,48 @@ def fit(
         family=family,
         clamp_count=int(clamps),
         n_starts=len(starts),
+        evaluations=counts["evaluations"],
+        rescued=rescued,
+        gradient_fallbacks=counts["gradient_fallbacks"],
     )
 
 
 def standard_errors_from_params(params: ParamVector, sample, family: str):
     """Observed-information standard errors at a parameter vector.
 
-    Central-difference Hessian of the negative log-likelihood with step
-    h = 1e-4 * max(|param|, 1); returns None (absent, not zero) when the
-    Hessian is not positive definite.
+    The Hessian of the negative log-likelihood is the central difference of
+    its exact gradient with step h = 1e-5 * max(|param|, 1), one-sided where
+    a central step would leave the parameter space (lambda in [-1, 1], the
+    other parameters positive), then symmetrized.  Returns None (absent,
+    not zero) when the likelihood is not finite at a step or the Hessian is
+    not positive definite.
     """
     xs = np.sort(np.asarray(sample, dtype=float))
     v0 = params.as_array(family)
     d = v0.size
-    names = SUBFAMILY_SHAPES[family]
+    k = len(SUBFAMILY_SHAPES[family])
+    fam = _kernels.FAMILY_IDS[family]
+    low = np.r_[np.zeros(d - 1), -1.0]
+    high = np.r_[np.full(d - 1, np.inf), 1.0]
 
-    def nll_at(vec):
-        shape = {n: float(x) for n, x in zip(names, vec[: len(names)])}
-        try:
-            p = ParamVector(
-                beta=float(vec[len(names)]),
-                theta=float(vec[len(names) + 1]),
-                lam=float(np.clip(vec[-1], -1.0, 1.0)),
-                shape=shape,
-            )
-        except ValueError:
-            return math.inf
-        return _objective_value("ml", p, xs, family)[0]
+    def grad_at(vec):
+        s1, s2 = kernel_shapes(vec[:k])
+        val, _, grad = _kernels.objective_grad(0, fam, s1, s2, *vec[k:], xs)
+        return grad if val != _BIG else None
 
-    h = 1e-4 * np.maximum(np.abs(v0), 1.0)
+    h = 1e-5 * np.maximum(np.abs(v0), 1.0)
     H = np.empty((d, d))
-    f0 = nll_at(v0)
     for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        H[i, i] = (nll_at(v0 + ei) + nll_at(v0 - ei) - 2.0 * f0) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                nll_at(v0 + ei + ej)
-                - nll_at(v0 + ei - ej)
-                - nll_at(v0 - ei + ej)
-                + nll_at(v0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+        up, down = v0.copy(), v0.copy()
+        if v0[i] + h[i] <= high[i]:
+            up[i] += h[i]
+        if v0[i] - h[i] > low[i]:
+            down[i] -= h[i]
+        g_up, g_down = grad_at(up), grad_at(down)
+        if g_up is None or g_down is None:
+            return None
+        H[:, i] = (g_up - g_down) / (up[i] - down[i])
+    H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
         return None
     try:

@@ -111,23 +111,23 @@ class GtldModel:
     def _fill_nan(self, xv, out):
         """Replace the kernel's NaNs: one-sided limits where G(x) <= 0, else -inf.
 
-        Where u = 0 the kernel's terms are inf - inf or 0*inf.  The limits
-        follow theta: f -> beta*G'*(1+lam) for theta = 1, 0 for theta > 1,
-        inf for theta < 1 wherever G' > 0.  log G' is itself 0*inf for the
-        power transforms at alpha = 1, where its limit is log(alpha) = 0.
+        Where u = 0 the kernel's terms are inf - inf or 0*inf.  Near the edge
+        G ~ c*t^k, so F ~ (1+lam)*(beta*c)^theta * t^(k*theta) and the density
+        tends to 0 for k*theta > 1, to inf for k*theta < 1 and to
+        (beta*c)^theta*(1+lam) for k*theta = 1.  At lam = -1, F = v^2 is the
+        lam = 0 model with 2*theta.
         """
-        p = self.params
-        G, log_gp = self.transform._parts(xv)
-        log_gp = np.where(np.isnan(log_gp), 0.0, log_gp)
-        if p.theta == 1.0:
-            with np.errstate(divide="ignore"):
-                edge = np.log(p.beta * (1.0 + p.lam)) + log_gp
-        elif p.theta > 1.0:
-            edge = np.full_like(log_gp, -np.inf)
+        tr, p = self.transform, self.params
+        theta, scale = (2.0 * p.theta, 1.0) if p.lam == -1.0 else (p.theta, 1.0 + p.lam)
+        power = tr.edge_order * theta
+        if power > 1.0:
+            edge = -np.inf
+        elif power < 1.0:
+            edge = np.inf
         else:
-            edge = np.where(log_gp > -np.inf, np.inf, -np.inf)
+            edge = theta * np.log(p.beta * tr.edge_coef) + np.log(scale)
         nan = np.isnan(out)
-        return np.where(nan & (G <= 0.0), edge, np.where(nan, -np.inf, out))
+        return np.where(nan & (tr.eval(xv) <= 0.0), edge, np.where(nan, -np.inf, out))
 
     def logpdf(self, x):
         out = self._logpdf(self._check_support(x))

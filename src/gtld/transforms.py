@@ -61,14 +61,16 @@ _gtmw_inverse = np.vectorize(_gtmw_inverse_scalar, otypes=[np.float64])
 class Family(NamedTuple):
     """What a sub-family adds to its kernel G, as functions of the shapes (s1, s2).
 
-    ``edge_order`` is the power k with G(x) ~ c*(x - support_low)^k near the
-    lower endpoint (used for integrability screening); ``start`` gives the
-    shape values ``fit`` starts from, given the sample.
+    ``edge_order`` is the power k and ``edge_coef`` the coefficient c with
+    G(x) ~ c*(x - support_low)^k near the lower endpoint (used for
+    integrability screening and the density's limit there); ``start`` gives
+    the shape values ``fit`` starts from, given the sample.
     """
 
     shapes: tuple[str, ...]
     inverse: Callable  # (y, s1, s2) -> x with G(x) = y
     edge_order: Callable  # (s1, s2) -> k
+    edge_coef: Callable  # (s1, s2) -> c
     support_low: Callable  # (s1, s2) -> lower end of the support
     start: Callable  # sample -> shape values
 
@@ -85,6 +87,10 @@ def _zero(s1, s2):
     return 0.0
 
 
+def _inv_alpha(s1, s2):
+    return 1.0 / s1
+
+
 def _unit_alpha(xs):
     return (1.0,)
 
@@ -92,25 +98,30 @@ def _unit_alpha(xs):
 # "alpha" is a power for gtw/gtmw/gtwe/gtb12, the Lomax inner scale for gtl
 # and the Pareto lower bound for gtp1, whose support is (alpha, inf)
 FAMILIES: dict[str, Family] = {
-    "gte": Family((), lambda y, a, g: y + 0.0, _one, _zero, lambda xs: ()),
+    "gte": Family((), lambda y, a, g: y + 0.0, _one, _one, _zero, lambda xs: ()),
     "gtr": Family(
-        (), lambda y, a, g: np.sqrt(2.0 * y), lambda a, g: 2.0, _zero, lambda xs: ()
+        (), lambda y, a, g: np.sqrt(2.0 * y), lambda a, g: 2.0, lambda a, g: 0.5,
+        _zero, lambda xs: (),
     ),
     "gtw": Family(
-        ("alpha",), lambda y, a, g: y ** (1.0 / a), _alpha, _zero, _unit_alpha
+        ("alpha",), lambda y, a, g: y ** (1.0 / a), _alpha, _one, _zero, _unit_alpha
     ),
     "gtmw": Family(
-        ("alpha", "gamma"), _gtmw_inverse, _alpha, _zero, lambda xs: (1.0, 0.1)
+        ("alpha", "gamma"), _gtmw_inverse, _alpha, _one, _zero, lambda xs: (1.0, 0.1)
     ),
     "gtwe": Family(
-        ("alpha",), lambda y, a, g: np.log1p(y) ** (1.0 / a), _alpha, _zero, _unit_alpha
+        ("alpha",), lambda y, a, g: np.log1p(y) ** (1.0 / a), _alpha, _one, _zero,
+        _unit_alpha,
     ),
     "gtb12": Family(
-        ("alpha",), lambda y, a, g: np.expm1(y) ** (1.0 / a), _alpha, _zero, _unit_alpha
+        ("alpha",), lambda y, a, g: np.expm1(y) ** (1.0 / a), _alpha, _one, _zero,
+        _unit_alpha,
     ),
-    "gtl": Family(("alpha",), lambda y, a, g: a * np.expm1(y), _one, _zero, _unit_alpha),
+    "gtl": Family(
+        ("alpha",), lambda y, a, g: a * np.expm1(y), _one, _inv_alpha, _zero, _unit_alpha
+    ),
     "gtp1": Family(
-        ("alpha",), lambda y, a, g: a * np.exp(y), _one, _alpha,
+        ("alpha",), lambda y, a, g: a * np.exp(y), _one, _inv_alpha, _alpha,
         lambda xs: (0.9 * float(np.min(xs)),),
     ),
 }
@@ -142,20 +153,21 @@ class InnerTransform:
     kernel_shapes: tuple[float, float]
     support_low: float
     edge_order: float
+    edge_coef: float
 
-    def _parts(self, x):
+    def _parts(self, x, order):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _ref._g_parts(
-                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float)
+                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float), order
             )
 
     def eval(self, x):
         """G(x)."""
-        return self._parts(x)[0]
+        return self._parts(x, 0)
 
     def deriv(self, x):
         """G'(x), as exp of the kernel's log G'."""
-        return np.exp(self._parts(x)[1])
+        return np.exp(self._parts(x, 1)[1])
 
     def inverse(self, y):
         return FAMILIES[self.name].inverse(np.asarray(y, dtype=float), *self.kernel_shapes)
@@ -188,6 +200,7 @@ def make_transform(sub_id: str, **shape: float) -> InnerTransform:
         kernel_shapes=s,
         support_low=row.support_low(*s),
         edge_order=row.edge_order(*s),
+        edge_coef=row.edge_coef(*s),
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from gtld import estimation
+from gtld import _kernels, estimation
+from gtld._kernels import FAMILY_IDS, METHOD_IDS, _ref
 from gtld.datasets import load_values
 from gtld.estimation import (
     METHODS,
@@ -23,6 +24,7 @@ from gtld.estimation import (
     wls_objective,
 )
 from gtld.model import ParamVector, make_model, model_from_params
+from gtld.transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES, kernel_shapes
 
 from conftest import random_params
 
@@ -100,6 +102,114 @@ class TestObjectives:
             )
 
 
+def _kernel_vec(family, vec):
+    k = len(SUBFAMILY_SHAPES[family])
+    return (FAMILY_IDS[family], *kernel_shapes(vec[:k]), *vec[k:])
+
+
+def _central_differences(method, family, vec, xs):
+    """Central differences of the objective, Richardson-extrapolated from steps
+    h and h/2: a sample point close to gtp1's alpha bends the objective
+    within a step of 1e-6."""
+    mid = METHOD_IDS[method]
+
+    def diff(j, h):
+        up, down = vec.copy(), vec.copy()
+        up[j] += h
+        down[j] -= h
+        return (
+            _ref.objective(mid, *_kernel_vec(family, up), xs)[0]
+            - _ref.objective(mid, *_kernel_vec(family, down), xs)[0]
+        ) / (2.0 * h)
+
+    out = np.empty_like(vec)
+    for j in range(vec.size):
+        h = 1e-6 * max(1.0, abs(vec[j]))
+        out[j] = (4.0 * diff(j, h / 2.0) - diff(j, h)) / 3.0
+    return out
+
+
+def _assert_grad_matches(method, family, vec, xs):
+    _, _, grad = _kernels.objective_grad(
+        METHOD_IDS[method], *_kernel_vec(family, vec), xs
+    )
+    want = _central_differences(method, family, vec, xs)
+    scale = 1.0 + float(np.max(np.abs(want)))
+    np.testing.assert_allclose(grad, want, rtol=1e-4, atol=1e-6 * scale)
+
+
+class TestObjectiveGrad:
+    """The exact gradients of the six objectives."""
+
+    def test_same_kernel_on_either_backend(self):
+        assert _kernels.objective_grad is _ref.objective_grad
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        shape=hs.tuples(hs.floats(0.4, 3.0), hs.floats(0.05, 1.5)),
+        beta=hs.floats(0.3, 3.0),
+        theta=hs.floats(0.3, 3.0),
+        lam=hs.floats(-0.95, 0.95),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences(
+        self, family, method, shape, beta, theta, lam, seed
+    ):
+        names = SUBFAMILY_SHAPES[family]
+        p = ParamVector(beta=beta, theta=theta, lam=lam, shape=dict(zip(names, shape)))
+        xs = np.sort(model_from_params(family, p).sample(40, seed=seed))
+        vec = p.as_array(family)
+        if family == "gtp1":
+            vec[0] *= 0.9  # keep the steps' alpha clear of min(xs)
+        _assert_grad_matches(method, family, vec, xs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_shapes(self, method):
+        p = ParamVector(beta=0.8, theta=1.7, lam=-0.4, shape={"alpha": 1.3, "gamma": 0.6})
+        xs = np.sort(model_from_params("gtmw", p).sample(60, seed=4))
+        _assert_grad_matches(method, "gtmw", p.as_array("gtmw"), xs)
+
+    @pytest.mark.parametrize("method", ["ad", "rtad"])
+    def test_clamped_terms(self, method):
+        # F(1e-8) = 1e-8^40 and S(800) = e^-800 lie below the 1e-300 clamp
+        xs = np.array([1e-8, 0.3, 0.7, 1.1, 2.0, 800.0])
+        vec = np.array([1.0, 40.0, 0.2])
+        clamps = _ref.objective(METHOD_IDS[method], *_kernel_vec("gte", vec), xs)[1]
+        assert clamps == 2
+        _assert_grad_matches(method, "gte", vec, xs)
+
+    def test_value_and_clamps_bit_for_bit(self, family, rng):
+        p = random_params(family, rng)
+        xs = np.sort(model_from_params(family, p).sample(80, seed=9))
+        xs[-1] *= 1e3  # far into the tail: at the clamp for the light tails
+        args = _kernel_vec(family, p.as_array(family))
+        for mid in METHOD_IDS.values():
+            value, clamps, grad = _kernels.objective_grad(mid, *args, xs)
+            assert (value, clamps) == _ref.objective(mid, *args, xs)
+            assert grad.shape == (len(SUBFAMILY_SHAPES[family]) + 3,)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (130.0, 1e8),  # G = exp(x^alpha) - 1 overflows, and e^-beta*G underflows
+            (600.0, 0.5),  # x^alpha underflows to 0 below x = 1, so u = 0 there
+            (1e3, 1.0),  # x^alpha itself overflows
+        ],
+    )
+    def test_finite_where_value_finite_gtwe(self, method, alpha, beta):
+        xs = np.array([0.2, 0.5, 0.9, 1.0, 1.2, 2.0, 3.0])
+        value, _, grad = _kernels.objective_grad(
+            METHOD_IDS[method], FAMILY_IDS["gtwe"], alpha, 0.0, beta, 0.5, 0.2, xs
+        )
+        if np.isfinite(value) and value != _ref._BIG:
+            assert np.all(np.isfinite(grad))
+        else:
+            assert np.all(grad == 0.0)
+
+
 class TestDefaultInit:
     def test_baseline_values(self, family, rng):
         m = model_from_params(family, random_params(family, rng))
@@ -169,6 +279,40 @@ class TestFit:
         assert b.estimates.beta == pytest.approx(
             a.estimates.beta * c**-alpha_hat, rel=1e-2
         )
+
+
+class TestFitDiagnostics:
+    TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
+
+    def test_clean_truth_start_fit(self, monkeypatch):
+        xs = model_from_params("gtwe", self.TRUTH).sample(200, seed=31)
+        calls = []
+        kernel = _kernels.objective_grad
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "objective_grad", counted)
+        res = fit(xs, "gtwe", method="wls", init=self.TRUTH, n_starts=1)
+        assert res.converged and not res.rescued
+        # one objective and one gradient evaluation per BFGS call
+        assert res.evaluations == 2 * len(calls) > 0
+        assert res.gradient_fallbacks == 0
+
+    def test_sentinel_is_not_convergence(self):
+        # x = 0 is the support edge, where log f is not finite for any
+        # parameters: every evaluation returns the 1e10 sentinel, whose
+        # gradient is zero, so BFGS reports success at once
+        res = fit(np.array([0.0, 0.5, 1.0, 2.0, 3.0]), "gte", method="ml", n_starts=2)
+        assert res.objective_value == _ref._BIG
+        assert not res.converged
+
+    def test_evaluations_sum_over_starts(self):
+        xs = model_from_params("gtwe", self.TRUTH).sample(100, seed=32)
+        one = fit(xs, "gtwe", method="cvm", init=self.TRUTH, n_starts=1)
+        three = fit(xs, "gtwe", method="cvm", init=self.TRUTH, n_starts=3)
+        assert three.evaluations > one.evaluations
 
 
 class TestStandardErrors:

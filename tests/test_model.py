@@ -179,6 +179,23 @@ class TestSupportEdge:
         np.testing.assert_allclose(got[1:], [m.pdf(low + 0.5), m.pdf(low + 1.0)], rtol=1e-15)
         assert np.all(np.isfinite(got[1:]))
 
+    @pytest.mark.parametrize("theta, want", [(0.5, 1.0), (0.3, math.inf)])
+    def test_limit_follows_edge_order_times_theta(self, theta, want):
+        # G = x^2 has edge order k = 2: f(0+) = 2*theta*sqrt(beta)*(1+lam) at
+        # k*theta = 1, and f ~ x^(k*theta - 1) -> inf below it
+        m = make_model("gtw", beta=1.0, theta=theta, lam=0.0, alpha=2.0)
+        assert m.pdf(0.0) == pytest.approx(want, rel=1e-14)
+        if want == 1.0:
+            assert m.pdf(1e-20) == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert m.pdf(1e-20) > 1e7
+
+    def test_lambda_minus_one_doubles_theta(self):
+        # lam = -1 gives F = u^(2 theta): theta = 0.5 is the exponential
+        m = make_model("gte", beta=1.5, theta=0.5, lam=-1.0)
+        assert m.pdf(0.0) == pytest.approx(1.5, rel=1e-14)
+        assert m.pdf(1e-12) == pytest.approx(1.5, rel=1e-9)
+
     def test_cdf_and_survival_at_support_low(self, family, rng):
         m = model_from_params(family, random_params(family, rng))
         assert m.cdf(m.support_low) == 0.0

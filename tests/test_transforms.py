@@ -105,6 +105,14 @@ def test_edge_order_matches_local_power(family, rng):
     assert k == pytest.approx(tr.edge_order, rel=1e-3, abs=1e-3)
 
 
+def test_edge_coef_matches_local_coefficient(family, rng):
+    # G(lo + t) ~ c * t^k for small t
+    tr = make_transform(family, **_shape_for(family, rng))
+    t = 1e-7
+    c = tr.eval(tr.support_low + t) / t**tr.edge_order
+    assert c == pytest.approx(tr.edge_coef, rel=1e-3)
+
+
 def test_shape_names_frozen():
     assert SUBFAMILY_SHAPES["gte"] == ()
     assert SUBFAMILY_SHAPES["gtr"] == ()
