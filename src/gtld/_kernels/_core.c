@@ -5080,20 +5080,20 @@ static CYTHON_INLINE void __pyx_f_4gtld_8_kernels_5_core__g_parts(int __pyx_v_fa
     /* "gtld/_kernels/_core.pyx":54
  *         lx = log(x)
  *         xa = exp(s1 * lx)
- *         G[0] = log1p(xa)             # <<<<<<<<<<<<<<
- *         log_gp[0] = log(s1) + (s1 - 1.0) * lx - log1p(xa)
+ *         G[0] = log1p(xa) if isfinite(xa) else s1 * lx             # <<<<<<<<<<<<<<
+ *         log_gp[0] = log(s1) + (s1 - 1.0) * lx - G[0]
  *     elif fam == 6:
 */
-    (__pyx_v_G[0]) = log1p(__pyx_v_xa);
+    (__pyx_v_G[0]) = (isfinite(__pyx_v_xa) ? log1p(__pyx_v_xa) : (__pyx_v_s1 * __pyx_v_lx));
 
     /* "gtld/_kernels/_core.pyx":55
  *         xa = exp(s1 * lx)
- *         G[0] = log1p(xa)
- *         log_gp[0] = log(s1) + (s1 - 1.0) * lx - log1p(xa)             # <<<<<<<<<<<<<<
+ *         G[0] = log1p(xa) if isfinite(xa) else s1 * lx
+ *         log_gp[0] = log(s1) + (s1 - 1.0) * lx - G[0]             # <<<<<<<<<<<<<<
  *     elif fam == 6:
  *         G[0] = log1p(x / s1)
 */
-    (__pyx_v_log_gp[0]) = ((log(__pyx_v_s1) + ((__pyx_v_s1 - 1.0) * __pyx_v_lx)) - log1p(__pyx_v_xa));
+    (__pyx_v_log_gp[0]) = ((log(__pyx_v_s1) + ((__pyx_v_s1 - 1.0) * __pyx_v_lx)) - (__pyx_v_G[0]));
 
     /* "gtld/_kernels/_core.pyx":51
  *         G[0] = expm1(xa)

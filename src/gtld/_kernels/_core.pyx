@@ -51,8 +51,9 @@ cdef inline void _g_parts(int fam, double s1, double s2, double x,
     elif fam == 5:
         lx = log(x)
         xa = exp(s1 * lx)
-        G[0] = log1p(xa)
-        log_gp[0] = log(s1) + (s1 - 1.0) * lx - log1p(xa)
+        # alpha*log(x) where x^alpha overflows
+        G[0] = log1p(xa) if isfinite(xa) else s1 * lx
+        log_gp[0] = log(s1) + (s1 - 1.0) * lx - G[0]
     elif fam == 6:
         G[0] = log1p(x / s1)
         log_gp[0] = -log(s1 + x)

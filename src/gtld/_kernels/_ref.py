@@ -87,17 +87,18 @@ def _g_parts(fam, s1, s2, x, order):
             return G, lgp
         # d log G / d alpha = lx * x^alpha / (1 - exp(-x^alpha))
         return G, lgp, (lx * _x_over_expm1(-xa),), (1.0 / s1 + lx * (1.0 + xa),)
-    if fam == 5:  # gtb12: G = log(1 + x^alpha)
+    if fam == 5:  # gtb12: G = log(1 + x^alpha), alpha*log(x) where x^alpha overflows
         lx = np.log(x)
         xa = np.exp(s1 * lx)
-        G = np.log1p(xa)
+        big = np.isinf(xa)
+        G = np.where(big, s1 * lx, np.log1p(xa))
         if order == 0:
             return G
-        lgp = np.log(s1) + (s1 - 1.0) * lx - np.log1p(xa)
+        lgp = np.log(s1) + (s1 - 1.0) * lx - G
         if order == 1:
             return G, lgp
-        # x^alpha / G = expm1(G) / G
-        dlg = lx / ((1.0 + xa) * _x_over_expm1(G))
+        # x^alpha / G = expm1(G) / G, and d log G / d alpha = 1/alpha where G = alpha*log(x)
+        dlg = np.where(big, 1.0 / s1, lx / ((1.0 + xa) * _x_over_expm1(G)))
         return G, lgp, (dlg,), (1.0 / s1 + lx / (1.0 + xa),)
     if fam == 6:  # gtl: G = log(1 + x/alpha)
         G = np.log1p(x / s1)

@@ -1,16 +1,19 @@
 """Distributional quantities: moments, PWM, MGF, entropies, residual life, CIGF.
 
-Adaptive quadrature is the primary computational path throughout.  The
-closed-form series for the Weibull-type sub-family ("gtw") are kept as an
-independent cross-check route; they and the quadrature values must agree
-wherever both apply.
+Tanh-sinh quadrature (``numerics.integrate``) is the primary computational
+path throughout; every integrand here is elementwise on arrays, so each
+level of the rule is one call of the model's vectorised cdf, survival or
+density.  The closed-form series for the Weibull-type sub-family ("gtw")
+are kept as an independent cross-check route; they and the quadrature
+values must agree wherever both apply.
 
 Integrals that do not exist raise :class:`DivergenceError` rather than
-returning a number.  Existence is screened two ways before integrating:
-analytically at the lower support edge (the local power of the density is
-known for every built-in transform) and numerically in the tail, by fitting
-a log-log slope to the integrand at quantile-(1 - 1e-6) multiples {1,2,4,8}
-and requiring decay faster than 1/x.
+returning a number.  Existence is screened before integrating: from the
+family where it decides (the MGF of the sub-families whose survival
+function decays like a power of x), analytically at the lower support edge
+(the local power of the density is known for every built-in transform) and
+numerically in the tail, by fitting a log-log slope to the integrand at
+quantile-(1 - 1e-6) multiples {1,2,4,8} and requiring decay faster than 1/x.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .numerics import QuadratureSpec, SeriesSpec
 
 _TAIL_Q = 1.0 - 1e-6
 _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
+# G grows like log x, so S decays like a power of x and E[e^(tX)] = inf for t > 0
+_POWER_TAIL = frozenset({"gtb12", "gtl", "gtp1"})
 
 
 class DivergenceError(ArithmeticError):
@@ -59,9 +64,9 @@ def _integrate_support(model: GtldModel, f, lower=None, spec=None):
 
 def _tail_probe(model: GtldModel, integrand, what: str):
     """Signal divergence unless the integrand decays faster than 1/x."""
-    t0 = model.quantile(_TAIL_Q)
-    ts = [t0, 2.0 * t0, 4.0 * t0, 8.0 * t0]
-    vals = [float(integrand(t)) for t in ts]
+    xs = model.quantile(_TAIL_Q) * np.array([1.0, 2.0, 4.0, 8.0])
+    with np.errstate(all="ignore"):  # a non-finite value is a verdict, below
+        vals = np.asarray(integrand(xs), dtype=float).tolist()
     if any(not math.isfinite(v) for v in vals):
         raise DivergenceError(f"{what}: integrand not finite in the tail")
     if all(v == 0.0 for v in vals):
@@ -165,9 +170,13 @@ def mgf(model: GtldModel, t: float) -> float:
     """Moment generating function E[e^(tX)]."""
 
     def integrand(x):
-        return math.exp(t * x + model.logpdf(x))
+        return np.exp(t * x + model.logpdf(x))
 
     if t > 0:
+        if model.transform.name in _POWER_TAIL:
+            raise DivergenceError(
+                f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
+            )
         _tail_probe(model, integrand, f"mgf t={t}")
     return _integrate_support(model, integrand)
 
@@ -204,8 +213,8 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     k the transform's edge order, so f^rho is integrable there only when
     rho*(k*theta - 1) > -1; that is checked analytically.  When the density
     is unbounded at the edge the substitution u = F(x) removes the
-    singularity and the integral becomes integral over (0,1) of
-    f(Q(u))^(rho-1) du.
+    singularity: the part below the split point Q(0.75) becomes the
+    integral over (0, 0.75) of f(Q(u))^(rho-1) du.
     """
     low = model.support_low
     theta = model.params.theta
@@ -213,7 +222,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     truncated = lower is not None and lower > low
 
     def integrand(x):
-        return math.exp(rho * model.logpdf(x))
+        return np.exp(rho * model.logpdf(x))
 
     _tail_probe(model, integrand, f"density-power integral rho={rho}")
 
@@ -225,11 +234,14 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
                 f"(local power {edge_exp:.3f} <= -1)"
             )
         if k * theta < 1.0:
-            # unbounded density at the edge: integrate in u = F(x)
+            # unbounded density at the edge: integrate in u = F(x) below the
+            # split point, in x above it, where u could come no nearer to 1
+            # than 1 - 2^-53
             def sub_integrand(w):
-                return math.exp((rho - 1.0) * model.logpdf(model.quantile(w)))
+                return np.exp((rho - 1.0) * model.logpdf(model.quantile(w)))
 
-            return _integrate(sub_integrand, 0.0, 1.0)
+            mid = model.quantile(0.75)
+            return _integrate(sub_integrand, 0.0, 0.75) + _integrate(integrand, mid, math.inf)
         return _integrate_support(model, integrand)
     return _integrate_support(model, integrand, lower=lower)
 

@@ -9,7 +9,6 @@ builds a sub-family's :class:`InnerTransform` from its lowercase string id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -19,43 +18,29 @@ from . import _kernels
 from ._kernels import _ref
 
 
-def _gtmw_inverse_scalar(y: float, alpha: float, gamma: float) -> float:
-    """Inverse of G(x) = x^alpha * exp(gamma*x) at one point.
+def _gtmw_inverse(y, alpha: float, gamma: float) -> np.ndarray:
+    """Inverse of G(x) = x^alpha * exp(gamma*x), elementwise.
 
-    Doubling bracket + bisection, then Newton polish; G is strictly
-    increasing so the bracket always exists.
+    Newton's method on h(z) = alpha*z + gamma*e^z - log y in z = log x, so
+    that x keeps its relative accuracy however small y is.  h is increasing
+    and convex: from a start right of the root the iterates fall onto it
+    monotonically, and from one left of it the first step lands right of
+    it.  The start min(log(y)/alpha, log(log(y)/gamma)), the second term
+    only where log y > 0, is right of the root or one short step left of it.
     """
-
-    def g(x):
-        return x**alpha * math.exp(gamma * x)
-
-    if y <= 0.0:
-        return 0.0
-    hi = 1.0
-    while g(hi) < y:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        gx = g(x)
-        gp = x ** (alpha - 1.0) * math.exp(gamma * x) * (alpha + gamma * x)
-        step = (gx - y) / gp
-        x_new = x - step
-        if x_new <= lo or x_new >= hi:
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log(np.atleast_1d(y))
+        z = np.minimum(ly / alpha, np.where(ly > 0.0, np.log(ly / gamma), np.inf))
+    idx = np.flatnonzero(np.isfinite(z))  # y = 0 gives x = 0, y = inf gives inf
+    for _ in range(100):
+        if idx.size == 0:
             break
-        x = x_new
-        if abs(step) <= 1e-15 * max(x, 1.0):
-            break
-    return x
-
-
-_gtmw_inverse = np.vectorize(_gtmw_inverse_scalar, otypes=[np.float64])
+        zi, ez = z[idx], np.exp(z[idx])
+        step = (alpha * zi + gamma * ez - ly[idx]) / (alpha + gamma * ez)
+        z[idx] = zi - step
+        idx = idx[np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(zi))]
+    return np.exp(z).reshape(y.shape)
 
 
 class Family(NamedTuple):

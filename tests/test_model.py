@@ -226,6 +226,19 @@ class TestGtweOverflowWindow:
         assert raw_moment(m, 1) == pytest.approx(want, abs=1e-8)
 
 
+class TestGtb12LargePower:
+    """G = log(1 + x^alpha) is alpha*log(x) where x^alpha overflows, not inf."""
+
+    def test_cdf_beyond_the_overflow(self):
+        m = make_model("gtb12", beta=0.001, theta=1.0, lam=0.0, alpha=300.0)
+        # 20^300 overflows; F = 1 - (1 + x^alpha)^(-beta) = 1 - x^(-alpha*beta)
+        assert m.cdf(20.0) == pytest.approx(1.0 - 20.0**-0.3, rel=1e-12)
+        assert m.cdf(20.0) == pytest.approx(0.592909, abs=1e-6)
+        assert m.logpdf(20.0) == pytest.approx(
+            math.log(0.3) - 1.3 * math.log(20.0), rel=1e-12
+        )
+
+
 class TestQuantileMeasures:
     def test_median_consistent(self):
         m = make_model("gtw", beta=1.4, theta=0.8, lam=0.25, alpha=2.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -44,16 +45,16 @@ class TestIntegrate:
         assert val == pytest.approx(1 / 3, abs=1e-12)
 
     def test_semi_infinite(self):
-        val = integrate(lambda x: math.exp(-x), 0.0, math.inf)
+        val = integrate(lambda x: np.exp(-x), 0.0, math.inf)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_tail(self):
-        val = integrate(lambda x: math.exp(-x * x / 2), 0.0, math.inf)
+        val = integrate(lambda x: np.exp(-x * x / 2), 0.0, math.inf)
         assert val == pytest.approx(math.sqrt(math.pi / 2), rel=1e-8)
 
     def test_spec_tolerances_respected(self):
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-        val = integrate(lambda x: math.sin(x), 0.0, math.pi, spec=spec)
+        val = integrate(lambda x: np.sin(x), 0.0, math.pi, spec=spec)
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_hard_integrand_raises_with_estimate(self):
@@ -62,6 +63,38 @@ class TestIntegrate:
             integrate(lambda x: 1.0 / x, 0.0, 1.0)
         assert hasattr(err.value, "estimate")
         assert hasattr(err.value, "error_bound")
+
+    def test_endpoint_singularity(self):
+        val = integrate(lambda x: x**-0.5, 0.0, 1.0)
+        assert val == pytest.approx(2.0, abs=1e-10)
+
+    def test_heavy_tail(self):
+        val = integrate(lambda x: x**2 * (1.0 + x) ** -4.5, 0.0, math.inf)
+        assert val == pytest.approx(16 / 105, rel=1e-8)
+
+    def test_nan_at_interior_node_raises(self):
+        # x = 0.5 (t = 1/2) is a node of every rule on (0, 1)
+        with pytest.raises(QuadratureError):
+            integrate(lambda x: np.where(x == 0.5, np.nan, x), 0.0, 1.0)
+
+    def test_bad_limits_rejected(self):
+        for lower, upper in ((1.0, 0.0), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                integrate(np.exp, lower, upper)
+        assert integrate(np.exp, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("lower, upper", [(1.0, 2.0), (0.0, 1.0), (1.0, math.inf)])
+    def test_no_node_at_an_endpoint(self, lower, upper):
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.exp(-x)
+
+        integrate(f, lower, upper)
+        xs = np.concatenate(seen)
+        assert xs.min() > lower
+        assert xs.max() < upper
 
 
 class TestSumSeries:

@@ -101,7 +101,14 @@ class TestPwmAndMgf:
     def test_mgf_first_derivative_is_mean(self, family, rng):
         m = model_from_params(family, _light_tail(random_params(family, rng)))
         h = 1e-5
-        fd = (properties.mgf(m, h) - properties.mgf(m, -h)) / (2 * h)
+        if family in ("gtb12", "gtl", "gtp1"):
+            # a power-law tail: M(t) = inf for every t > 0, so take the
+            # one-sided difference on t <= 0, with M(0) = 1
+            with pytest.raises(properties.DivergenceError):
+                properties.mgf(m, h)
+            fd = (3.0 - 4.0 * properties.mgf(m, -h) + properties.mgf(m, -2 * h)) / (2 * h)
+        else:
+            fd = (properties.mgf(m, h) - properties.mgf(m, -h)) / (2 * h)
         assert fd == pytest.approx(properties.raw_moment(m, 1), rel=1e-4)
 
 
@@ -181,6 +188,31 @@ class TestEntropies:
         m = make_model("gtw", beta=1.0, theta=0.2, lam=0.0, alpha=1.0)
         val = properties.renyi_entropy(m, 4.0, lower=0.01)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize(
+        "family, params, q",
+        [
+            # power-law tail: f(Q(u))^(q-1) is singular as u -> 1
+            ("gtl", dict(beta=5.36897, theta=0.625279, lam=0.810812, alpha=0.924327), 0.464119),
+            # Q(u) for u down to 1e-150 comes from the gtmw inverse
+            (
+                "gtmw",
+                dict(beta=1.03279, theta=0.794056, lam=-0.270984, alpha=0.919501, gamma=0.15395),
+                2.64403,
+            ),
+        ],
+    )
+    def test_q_entropy_with_unbounded_density_matches_oracle(self, family, params, q):
+        m = make_model(family, **params)
+        assert m.transform.edge_order * m.params.theta < 1.0  # the u = F(x) route
+        mid = m.quantile(0.75)
+        f_q = lambda x: m.pdf(x) ** q  # noqa: E731
+        val = (
+            sp_integrate.quad(f_q, 0, mid, epsabs=1e-14, epsrel=1e-12, limit=500)[0]
+            + sp_integrate.quad(f_q, mid, np.inf, epsabs=1e-14, epsrel=1e-12, limit=500)[0]
+        )
+        want = math.log1p(-val) / (q - 1.0)
+        assert properties.q_entropy(m, q) == pytest.approx(want, rel=1e-9)
 
 
 class TestResidualLife:
