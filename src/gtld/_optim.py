@@ -1,0 +1,646 @@
+"""BFGS and Nelder-Mead, reduced to the options ``fit`` uses.
+
+``bfgs(fun_and_grad, x0)`` does the arithmetic of SciPy 1.17.1's
+``minimize(fun_and_grad, x0, jac=True, method="BFGS",
+options={"gtol": 1e-6, "maxiter": 500})`` operation for operation, and
+``nelder_mead(fun, x0)`` that of ``minimize(fun, x0, method="Nelder-Mead",
+options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8})``.  Iterates,
+results and the number of objective calls are therefore bit-identical to
+SciPy's; ``tests/test_optim.py`` checks this against SciPy itself.
+
+Even the oddities are kept, because each one can change an iterate: the
+integer identity as the first inverse Hessian, ``rhok = 1000`` when
+y'k sk is exactly 0, the first step length taken from the previous
+objective value, the stop when the step rounds to zero, the fallback line
+search (used when the More-Thuente search fails) getting only c1, c2 and
+amax, and the Nelder-Mead simplex sorted twice after the first evaluations.
+The objective is evaluated once per distinct x, and always on a copy of x.
+
+Ported from SciPy 1.17.1: ``_minimize_bfgs``, ``_line_search_wolfe12`` and
+``_minimize_neldermead`` (scipy/optimize/_optimize.py);
+``line_search_wolfe1``, ``scalar_search_wolfe1``, ``line_search_wolfe2``,
+``scalar_search_wolfe2``, ``_zoom``, ``_cubicmin`` and ``_quadmin``
+(scipy/optimize/_linesearch.py); ``DCSRCH`` and ``dcstep``
+(scipy/optimize/_dcsrch.py, a port of MINPACK-2's dcsrch and dcstep by
+Jorge J. More', David J. Thuente, Brett M. Averick and Richard G. Carter;
+MINPACK-1 Project, Argonne National Laboratory, 1983; MINPACK-2 Project,
+Argonne National Laboratory and University of Minnesota, 1993).
+"""
+
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+# BFGS
+_GTOL = 1e-6  # on the inf-norm of the gradient
+_MAXITER = 500
+# line searches: Armijo and curvature constants, step bounds, and the
+# More-Thuente search's relative interval tolerance
+_C1 = 1e-4
+_C2 = 0.9
+_AMIN = 1e-100
+_AMAX = 1e100
+_XTOL = 1e-14
+# Nelder-Mead
+_NM_MAXITER = 400
+_NM_XATOL = 1e-8
+_NM_FATOL = 1e-10
+
+
+class OptimResult(NamedTuple):
+    """Where a minimizer stopped and why.
+
+    ``status``: 0 converged; 1 iteration limit (BFGS); 2 line search found
+    no acceptable step or the objective became non-finite (BFGS), or the
+    iteration limit (Nelder-Mead); 3 NaN in the result (BFGS).  ``jac`` is
+    None for Nelder-Mead.
+    """
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray | None
+    nit: int
+    status: int
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+class _Memo:
+    """``fun_and_grad`` called once per distinct x, on a copy of x."""
+
+    def __init__(self, fun_and_grad, x0):
+        self._fun_and_grad = fun_and_grad
+        self._x = None
+        self(x0)
+
+    def __call__(self, x):
+        # array_equal is False for any NaN, so a NaN point is re-evaluated
+        if self._x is None or not np.array_equal(x, self._x):
+            self._x = np.array(x, dtype=float)
+            f, g = self._fun_and_grad(self._x.copy())
+            if not np.isscalar(f):
+                f = np.asarray(f).item()
+            self._f, self._g = f, np.atleast_1d(g)
+        return self._f, self._g
+
+
+def _vecnorm(x):
+    """Euclidean norm, summed as SciPy's ``vecnorm`` sums it."""
+    return np.sum(np.abs(x) ** 2, axis=0) ** (1.0 / 2)
+
+
+def bfgs(fun_and_grad, x0) -> OptimResult:
+    """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient)."""
+    x0 = np.asarray(x0).flatten()
+    memo = _Memo(fun_and_grad, x0)
+
+    def f(x):
+        return memo(x)[0]
+
+    def fprime(x):
+        return memo(x)[1]
+
+    old_fval = f(x0)
+    gfk = fprime(x0)
+    k = 0
+    N = len(x0)
+    I = np.eye(N, dtype=int)
+    Hk = I
+    # sets the initial step guess to dx ~ 1
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+    xk = x0
+    warnflag = 0
+    gnorm = np.amax(np.abs(gfk))
+    while (gnorm > _GTOL) and (k < _MAXITER):
+        pk = -np.dot(Hk, gfk)
+        step = _line_search_wolfe12(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        if step is None:
+            warnflag = 2
+            break
+        alpha_k, old_fval, old_old_fval, gfkp1 = step
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = fprime(xk)
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.amax(np.abs(gfk))
+        if gnorm <= _GTOL:
+            break
+        # SciPy's relative step test with xrtol = 0: a step that rounds to
+        # zero ends the run, unless |xk| overflows (0 * inf is NaN)
+        if alpha_k * _vecnorm(pk) <= 0 * (0 + _vecnorm(xk)):
+            break
+        if not np.isfinite(old_fval):
+            warnflag = 2
+            break
+        rhok_inv = np.dot(yk, sk)
+        if rhok_inv == 0.0:
+            rhok = 1000.0
+        else:
+            rhok = 1.0 / rhok_inv
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+
+    if warnflag != 2:
+        if k >= _MAXITER:
+            warnflag = 1
+        elif np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any():
+            warnflag = 3
+    return OptimResult(x=xk, fun=old_fval, jac=gfk, nit=k, status=warnflag)
+
+
+def _line_search_wolfe12(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
+    """(step, f there, f at xk, gradient there or None), or None on failure.
+
+    The More-Thuente search first; the bracketing-and-zoom search of
+    Nocedal and Wright if that one fails.
+    """
+    step = _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+    if step is None:
+        step = _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+    return step
+
+
+def _initial_step(phi0, old_phi0, derphi0):
+    """The first trial step: the minimizer of the quadratic through the
+    previous decrease, capped at 1."""
+    alpha1 = 1.0
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01 * 2 * (phi0 - old_phi0) / derphi0)
+    return 1.0 if alpha1 < 0 else alpha1
+
+
+def _line_search_wolfe1(f, fprime, xk, pk, gfk, phi0, old_phi0):
+    gval = [gfk]
+
+    def phi(s):
+        return f(xk + s * pk)
+
+    def derphi(s):
+        gval[0] = fprime(xk + s * pk)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha1 = _initial_step(phi0, old_phi0, derphi0)
+    found = _dcsrch(phi, derphi, alpha1, phi0, derphi0)
+    if found is None:
+        return None
+    stp, phi1 = found
+    return stp, phi1, phi0, gval[0]
+
+
+def _dcsrch(phi, derphi, stp, finit, ginit):
+    """More-Thuente line search: (step, phi(step)), or None on failure.
+
+    A failure is an invalid start, a warning (rounding errors, the
+    interval below xtol, a step bound reached), a non-finite step, or 100
+    evaluations of phi without convergence.
+    """
+    if stp < _AMIN or stp > _AMAX or ginit >= 0:
+        return None
+    p5, p66, xtrapl, xtrapu = 0.5, 0.66, 1.1, 4.0
+    brackt = False
+    stage = 1
+    gtest = _C1 * ginit
+    width = _AMAX - _AMIN
+    width1 = width / p5
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin = 0
+    stmax = stp + xtrapu * stp
+    f, g = phi(stp), derphi(stp)
+    for _ in range(99):
+        ftest = finit + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        if f <= ftest and abs(g) <= _C2 * -ginit:
+            return stp, f
+        if (
+            brackt and (stp <= stmin or stp >= stmax)
+            or brackt and stmax - stmin <= _XTOL * stmax
+            or stp == _AMAX and f <= ftest and g <= gtest
+            or stp == _AMIN and (f > ftest or g >= gtest)
+        ):
+            return None
+
+        # a modified function (psi = phi - ftol * stp * phi'(0)) while no
+        # step has both decreased phi enough and turned its slope upward
+        if stage == 1 and f <= fx and f > ftest:
+            fm = f - stp * gtest
+            fxm = fx - stx * gtest
+            fym = fy - sty * gtest
+            gm = g - gtest
+            gxm = gx - gtest
+            gym = gy - gtest
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
+                )
+            fx = fxm + stx * gtest
+            fy = fym + sty * gtest
+            gx = gxm + gtest
+            gy = gym + gtest
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+                )
+
+        # bisect when the interval does not shrink fast enough
+        if brackt:
+            if abs(sty - stx) >= p66 * width1:
+                stp = stx + p5 * (sty - stx)
+            width1 = width
+            width = abs(sty - stx)
+        if brackt:
+            stmin = min(stx, sty)
+            stmax = max(stx, sty)
+        else:
+            stmin = stp + xtrapl * (stp - stx)
+            stmax = stp + xtrapu * (stp - stx)
+        stp = np.clip(stp, _AMIN, _AMAX)
+        # no further progress possible: the best step so far
+        if (
+            brackt and (stp <= stmin or stp >= stmax)
+            or brackt and stmax - stmin <= _XTOL * stmax
+        ):
+            stp = stx
+        if not np.isfinite(stp):
+            return None
+        f, g = phi(stp), derphi(stp)
+    return None
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """Safeguarded step and updated interval (MINPACK-2 dcstep)."""
+    sgn_dp = np.sign(dp)
+    sgn_dx = np.sign(dx)
+    sgnd = sgn_dp * sgn_dx
+
+    if fp > fx:
+        # higher function value: the minimum is bracketed; the cubic step
+        # if closer to stx than the quadratic one, else their average
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma *= -1
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        r = p / q
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:
+        # lower value, slopes of opposite sign: bracketed; the cubic step
+        # if farther from stp than the secant step, else the secant step
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma *= -1
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        r = p / q
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if abs(stpc - stp) > abs(stpq - stp):
+            stpf = stpc
+        else:
+            stpf = stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # lower value, same-sign slopes of decreasing magnitude
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            if abs(stpc - stp) < abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            stpf = np.clip(stpf, stpmin, stpmax)
+    else:
+        # lower value, same-sign slopes of non-decreasing magnitude
+        if brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            r = p / q
+            stpc = stp + r * (sty - stp)
+            stpf = stpc
+        elif stp > stx:
+            stpf = stpmax
+        else:
+            stpf = stpmin
+
+    if fp > fx:
+        sty = stp
+        fy = fp
+        dy = dp
+    else:
+        if sgnd < 0:
+            sty = stx
+            fy = fx
+            dy = dx
+        stx = stp
+        fx = fp
+        dx = dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search_wolfe2(f, fprime, xk, pk, gfk, phi0, old_phi0):
+    gval = [None]
+
+    def phi(alpha):
+        return f(xk + alpha * pk)
+
+    def derphi(alpha):
+        gval[0] = fprime(xk + alpha * pk)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha_star, phi_star, derphi_star = _scalar_search_wolfe2(
+        phi, derphi, phi0, old_phi0, derphi0
+    )
+    if alpha_star is None:
+        return None
+    # no gradient when the bracketing phase ran out of iterations
+    return alpha_star, phi_star, phi0, None if derphi_star is None else gval[0]
+
+
+def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
+    """(alpha, phi(alpha), phi'(alpha) or None), or Nones on failure."""
+    alpha0 = 0
+    alpha1 = min(_initial_step(phi0, old_phi0, derphi0), _AMAX)
+    phi_a1 = phi(alpha1)
+    phi_a0 = phi0
+    derphi_a0 = derphi0
+    for i in range(10):
+        if alpha1 == 0 or alpha0 > _AMAX:
+            return None, None, None
+        if (phi_a1 > phi0 + _C1 * alpha1 * derphi0) or (phi_a1 >= phi_a0 and i > 0):
+            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, phi0, derphi0)
+        derphi_a1 = derphi(alpha1)
+        if abs(derphi_a1) <= -_C2 * derphi0:
+            return alpha1, phi_a1, derphi_a1
+        if derphi_a1 >= 0:
+            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, phi0, derphi0)
+        alpha0, alpha1 = alpha1, min(2 * alpha1, _AMAX)
+        phi_a0 = phi_a1
+        phi_a1 = phi(alpha1)
+        derphi_a0 = derphi_a1
+    return alpha1, phi_a1, None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc**2
+            d1[0, 1] = -(db**2)
+            d1[1, 0] = -(dc**3)
+            d1[1, 1] = db**3
+            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc]).flatten())
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
+    at a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            D = fa
+            C = fpa
+            db = b - a * 1.0
+            B = (fb - D - C * db) / (db * db)
+            xmin = a - C / (2.0 * B)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+    """Zoom stage of the Wolfe search (Nocedal and Wright, Algorithm 3.6)."""
+    maxiter = 10
+    i = 0
+    delta1 = 0.2  # cubic interpolant check
+    delta2 = 0.1  # quadratic interpolant check
+    phi_rec = phi0
+    a_rec = 0
+    while True:
+        # interpolate in [a_lo, a_hi]: cubic, else quadratic, else bisect
+        dalpha = a_hi - a_lo
+        if dalpha < 0:
+            a, b = a_hi, a_lo
+        else:
+            a, b = a_lo, a_hi
+        if i > 0:
+            cchk = delta1 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
+            qchk = delta2 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
+                a_j = a_lo + 0.5 * dalpha
+
+        phi_aj = phi(a_j)
+        if (phi_aj > phi0 + _C1 * a_j * derphi0) or (phi_aj >= phi_lo):
+            phi_rec = phi_hi
+            a_rec = a_hi
+            a_hi = a_j
+            phi_hi = phi_aj
+        else:
+            derphi_aj = derphi(a_j)
+            if abs(derphi_aj) <= -_C2 * derphi0:
+                return a_j, phi_aj, derphi_aj
+            if derphi_aj * (a_hi - a_lo) >= 0:
+                phi_rec = phi_hi
+                a_rec = a_hi
+                a_hi = a_lo
+                phi_hi = phi_lo
+            else:
+                phi_rec = phi_lo
+                a_rec = a_lo
+            a_lo = a_j
+            phi_lo = phi_aj
+            derphi_lo = derphi_aj
+        i += 1
+        if i > maxiter:
+            return None, None, None
+
+
+def nelder_mead(fun, x0) -> OptimResult:
+    """Minimize ``fun(x)`` with the (non-adaptive) Nelder-Mead simplex."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    def func(x):
+        fx = fun(np.copy(x))
+        if not np.isscalar(fx):
+            fx = np.asarray(fx).item()
+        return fx
+
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while iterations < _NM_MAXITER:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        doshrink = 0
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            # contraction, outside or inside
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return OptimResult(
+        x=sim[0],
+        fun=np.min(fsim),
+        jac=None,
+        nit=iterations,
+        status=2 if iterations >= _NM_MAXITER else 0,
+    )

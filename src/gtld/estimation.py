@@ -4,6 +4,9 @@ All six objectives are minimized with BFGS in unconstrained coordinates
 (log for the positive parameters, atanh for the transmutation parameter),
 so every iterate corresponds to a valid parameter vector.  ``fit`` runs a
 small multi-start: a moment-matched heuristic plus jittered restarts.
+The optimizers (BFGS, and the Nelder-Mead rescue of a stalled start) are
+the package's own ``_optim``, ported from SciPy and bit-identical to it, so
+fitting needs NumPy only.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from . import _kernels
+from . import _kernels, _optim
 from ._kernels._ref import _BIG
 from .model import ParamVector, model_from_params, param_names
 from .transforms import FAMILIES, SUBFAMILY_SHAPES, kernel_shapes, make_transform
@@ -206,15 +208,6 @@ def fit(
     for _ in range(max(0, n_starts - 1)):
         starts.append(z0 + rng.normal(scale=0.35, size=z0.size))
 
-    def _bfgs(z):
-        return optimize.minimize(
-            fun_and_grad,
-            z,
-            jac=True,
-            method="BFGS",
-            options={"gtol": 1e-6, "maxiter": 500},
-        )
-
     def _success(res):
         # "precision loss" at a stationary point is convergence for our
         # purposes: even with the exact gradient, rounding in the n-term sums
@@ -231,19 +224,14 @@ def fit(
     for z_init in starts:
         rescued = False
         try:
-            res = _bfgs(z_init)
+            res = _optim.bfgs(fun_and_grad, z_init)
             success = _success(res)
             if not success and np.all(np.isfinite(res.x)):
                 # line-search stall against a cliff or along a narrow
                 # valley: simplex rescue, then a fresh quasi-Newton pass
                 rescued = True
-                nm = optimize.minimize(
-                    fun,
-                    res.x,
-                    method="Nelder-Mead",
-                    options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8},
-                )
-                res2 = _bfgs(nm.x)
+                nm = _optim.nelder_mead(fun, res.x)
+                res2 = _optim.bfgs(fun_and_grad, nm.x)
                 if res2.fun <= min(res.fun, nm.fun):
                     res, success = res2, _success(res2) or bool(nm.success)
                 elif nm.fun < res.fun:

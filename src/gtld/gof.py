@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .estimation import FitResult, fit, neg_log_likelihood
 from .model import GtldModel, model_from_params, param_names
@@ -58,7 +57,9 @@ def ks_statistic(sample, model: GtldModel):
     n = F.size
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
-    p = float(special.kolmogorov(math.sqrt(n) * d))
+    from scipy.special import kolmogorov  # deferred: only the p-values need SciPy
+
+    p = float(kolmogorov(math.sqrt(n) * d))
     return d, p
 
 
@@ -66,6 +67,8 @@ def _cvm_limit_cdf(x: float) -> float:
     """Limiting CDF of the Cramer-von Mises W^2 statistic (Csorgo-Faraway)."""
     if x <= 0.0:
         return 0.0
+    from scipy.special import kv  # deferred: only the p-values need SciPy
+
     total = 0.0
     binom = 1.0  # C(-1/2, k) by the multiplicative recurrence
     for k in range(12):
@@ -80,7 +83,7 @@ def _cvm_limit_cdf(x: float) -> float:
                 * binom
                 * math.sqrt(4.0 * k + 1.0)
                 * math.exp(-a)
-                * float(special.kv(0.25, a))
+                * float(kv(0.25, a))
             )
         total += term
     return min(max(total / (math.pi * math.sqrt(x)), 0.0), 1.0)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
 
 class NumericsError(Exception):
@@ -82,7 +81,9 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s}")
     if x < 0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    return float(_special.gammainc(s, x)) * math.gamma(s)
+    from scipy.special import gammainc  # deferred: the one use of SciPy here
+
+    return float(gammainc(s, x)) * math.gamma(s)
 
 
 # Nodes t = 1/(1 + exp(-pi*sinh(s))) at s = j*h reach min(t, 1-t) = _T_MIN;

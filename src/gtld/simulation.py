@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import METHODS, fit
+from .estimation import METHODS, FitError, fit
 from .model import ParamVector, model_from_params, param_names
 
 
@@ -97,7 +97,9 @@ def run_simulation(config: SimConfig) -> SimResult:
                         seed=replication_seed(config.master_seed, n, r) ^ 0xA5A5,
                         n_starts=config.n_starts,
                     )
-                except Exception:  # noqa: BLE001 - count, don't abort the study
+                except (FitError, ArithmeticError):
+                    # a fit that fails numerically is counted; any other
+                    # exception is a bug and ends the study
                     cell["fail"] += 1
                     continue
                 if not result.converged:

@@ -4,6 +4,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gtld import simulation
+from gtld.estimation import FitError
 from gtld.model import ParamVector
 from gtld.simulation import (
     SimConfig,
@@ -83,6 +85,29 @@ class TestRun:
         )
         res = run_simulation(cfg)
         assert res.cells[("ml", 100)].failure_count == 0
+
+    def test_failed_fit_is_counted(self, monkeypatch):
+        real_fit = simulation.fit
+        base = run_simulation(small_config()).cells[("ml", 40)].failure_count
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise FitError("all 1 starts failed")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "fit", first_fails)
+        res = run_simulation(small_config())
+        assert res.cells[("ml", 40)].failure_count == base + 1
+
+    def test_bug_in_fit_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(simulation, "fit", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_simulation(small_config())
 
     def test_truth_start_changes_results(self):
         heur = run_simulation(small_config())
