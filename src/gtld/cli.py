@@ -223,6 +223,8 @@ def cmd_curves(args) -> int:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise UsageError("--grid must be LO:HI:COUNT") from None
+    if count < 1:
+        raise UsageError(f"--grid COUNT must be at least 1, got {count}")
     which = [w.strip() for w in args.which.split(",")]
     bad = [w for w in which if w not in ("pdf", "cdf", "hazard")]
     if bad:

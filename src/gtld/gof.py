@@ -4,10 +4,18 @@ The p-values use the classical asymptotic null distributions of the
 statistics, ignoring the effect of parameter estimation (as standard
 statistical software reports them); they are approximate by construction.
 
-- KS: Kolmogorov's limiting distribution of sqrt(n) * D.
+- KS: Kolmogorov's limiting distribution of sqrt(n) * D, from its theta-
+  function series below y = 0.82 and its alternating series above.
 - CvM: the Csorgo-Faraway series for the limiting W^2 law (Bessel-K form).
+  Each term's factor e^(-a) K_{1/4}(a) is the integral
+  int_0^inf exp(-a (1 + cosh t)) cosh(t/4) dt, taken by the trapezoid rule
+  (spectrally convergent: the integrand is entire and decays
+  double-exponentially) with a step shrinking like 1/sqrt(a); the 12 terms
+  take one array evaluation.
 - AD: Marsaglia & Marsaglia's adinf approximation with the finite-n
   correction term.
+
+All of it needs only NumPy and ``math``.
 """
 
 from __future__ import annotations
@@ -18,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitResult, fit, neg_log_likelihood
+from .estimation import FitError, FitResult, fit, neg_log_likelihood
 from .model import GtldModel, model_from_params, param_names
 
 _LOG_CLAMP = 1e-300
+_KOLMOG_CUTOVER = 0.82
+_KOLMOG_TERMS = 12
+_CVM_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -51,41 +62,71 @@ def _fitted_cdf(sample, model: GtldModel) -> np.ndarray:
     return np.asarray(model.cdf(np.sort(np.asarray(sample, dtype=float))))
 
 
+def _kolmogorov_sf(y: float) -> float:
+    """P(K > y) for Kolmogorov's limit law K of sqrt(n) * D.
+
+    Up to the cutover the cdf's theta-function form
+    sqrt(2 pi)/y * sum exp(-(2k-1)^2 pi^2 / (8 y^2)) converges fast; above
+    it the alternating series 2 * sum (-1)^(k-1) exp(-2 k^2 y^2) does.  At
+    the cutover the first needs 3 terms and the second 6 for double
+    precision, so 12 are ample on either side.
+    """
+    if y <= 0.04:
+        return 1.0  # the cdf underflows to 0
+    if y <= _KOLMOG_CUTOVER:
+        c = -(math.pi**2) / (8.0 * y * y)
+        cdf = math.sqrt(2.0 * math.pi) / y * math.fsum(
+            math.exp((2 * k - 1) ** 2 * c) for k in range(1, _KOLMOG_TERMS + 1)
+        )
+        return min(max(1.0 - cdf, 0.0), 1.0)
+    c = -2.0 * y * y
+    sf = 2.0 * math.fsum(
+        (-1.0) ** (k - 1) * math.exp(k * k * c) for k in range(1, _KOLMOG_TERMS + 1)
+    )
+    return min(max(sf, 0.0), 1.0)
+
+
 def ks_statistic(sample, model: GtldModel):
     """Two-sided sup-distance D and its asymptotic p-value."""
     F = _fitted_cdf(sample, model)
     n = F.size
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
-    from scipy.special import kolmogorov  # deferred: only the p-values need SciPy
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
-    p = float(kolmogorov(math.sqrt(n) * d))
-    return d, p
+
+def _exp_k_quarter(a: np.ndarray) -> np.ndarray:
+    """e^(-a) K_{1/4}(a) for each a > 0, in one array evaluation.
+
+    e^(-a) K_nu(a) = int_0^inf exp(-a (1 + cosh t)) cosh(nu t) dt
+                   = e^(-2a) int_0^inf exp(-2a sinh(t/2)^2) cosh(nu t) dt,
+    and the trapezoid rule converges spectrally on it: the integrand is
+    entire and decays double-exponentially.  Near t = 0 it is a Gaussian
+    of width 1/sqrt(a), so the step is 0.6/sqrt(a), capped at 0.25; the
+    nodes run out to where the integrand has fallen below e^-40.
+    """
+    h = np.minimum(0.25, 0.6 / np.sqrt(a))
+    t_end = 2.0 * np.arcsinh(np.sqrt(20.0 / a))
+    t = np.arange(int(np.max(t_end / h)) + 2) * h[:, None]
+    f = np.exp(-2.0 * a[:, None] * np.sinh(0.5 * t) ** 2) * np.cosh(0.25 * t)
+    return np.exp(-2.0 * a) * h * (f.sum(axis=1) - 0.5 * f[:, 0])
 
 
 def _cvm_limit_cdf(x: float) -> float:
     """Limiting CDF of the Cramer-von Mises W^2 statistic (Csorgo-Faraway)."""
+    if math.isnan(x):
+        return math.nan
     if x <= 0.0:
         return 0.0
-    from scipy.special import kv  # deferred: only the p-values need SciPy
-
+    a = [(4.0 * k + 1.0) ** 2 / (16.0 * x) for k in range(_CVM_TERMS)]
+    live = [v for v in a if v <= 700.0]  # a grows with k
+    bessel = _exp_k_quarter(np.array(live)).tolist() if live else []
     total = 0.0
     binom = 1.0  # C(-1/2, k) by the multiplicative recurrence
-    for k in range(12):
+    for k in range(len(live)):
         if k > 0:
             binom *= (-0.5 - k + 1) / k
-        a = (4.0 * k + 1.0) ** 2 / (16.0 * x)
-        if a > 700.0:
-            term = 0.0
-        else:
-            term = (
-                (-1.0) ** k
-                * binom
-                * math.sqrt(4.0 * k + 1.0)
-                * math.exp(-a)
-                * float(kv(0.25, a))
-            )
-        total += term
+        total += (-1.0) ** k * binom * math.sqrt(4.0 * k + 1.0) * bessel[k]
     return min(max(total / (math.pi * math.sqrt(x)), 0.0), 1.0)
 
 
@@ -182,7 +223,9 @@ def model_select(sample, candidates, seed: int = 0) -> list[ModelSelectEntry]:
     """Fit every candidate and rank by AIC (ties broken by KS statistic).
 
     ``candidates`` is an iterable of family ids or (family, method) pairs;
-    per-candidate failures are recorded in the ranking, not raised.
+    a candidate whose fit or report fails with ``FitError``,
+    ``ArithmeticError`` or ``ValueError`` is recorded in the ranking with
+    its message, not raised.
     """
     entries = []
     for cand in candidates:
@@ -192,7 +235,9 @@ def model_select(sample, candidates, seed: int = 0) -> list[ModelSelectEntry]:
             model = model_from_params(family, result.estimates)
             report = gof_report(sample, model, family)
             entries.append(ModelSelectEntry(family, method, result, report))
-        except Exception as exc:  # noqa: BLE001 - per-candidate isolation
+        except (FitError, ArithmeticError, ValueError) as exc:
+            # a candidate that fails numerically is ranked last; any other
+            # exception is a bug and propagates
             entries.append(ModelSelectEntry(family, method, None, None, str(exc)))
     ok = [e for e in entries if e.report is not None]
     failed = [e for e in entries if e.report is None]

@@ -1,12 +1,14 @@
 """Special functions, tanh-sinh quadrature, and series summation.
 
-Thin, well-tested wrappers shared by the distribution, property, and
-estimation layers.  Quadrature is a vectorised tanh-sinh rule (Takahasi &
-Mori, 1974): its nodes crowd double-exponentially towards both ends of
-(0, 1), which handles endpoint singularities, and semi-infinite ranges are
-folded onto (0, 1) with the substitution x = lo + t/(1-t).  The node
-tables for the step sizes h = 1, 1/2, ..., 1/128 are built once at import,
-and each level of the rule makes one array call of the integrand.
+Shared by the distribution, property, and estimation layers, and built on
+NumPy and ``math`` alone: the lower incomplete gamma function comes from
+its power series and continued fraction.  Quadrature is a vectorised
+tanh-sinh rule (Takahasi & Mori, 1974): its nodes crowd
+double-exponentially towards both ends of (0, 1), which handles endpoint
+singularities, and semi-infinite ranges are folded onto (0, 1) with the
+substitution x = lo + t/(1-t).  The node tables for the step sizes
+h = 1, 1/2, ..., 1/128 are built once at import, and each level of the
+rule makes one array call of the integrand.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class SeriesSpec:
             raise ValueError("max_terms must be >= 1")
 
 
+_EPS = 2.0**-52
+_LENTZ_TINY = 1e-300
+_GAMMA_MAX_STEPS = 10_000
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function, rejecting the poles at non-positive integers."""
     if x <= 0 and x == math.floor(x):
@@ -76,14 +83,52 @@ def gamma_fn(x: float) -> float:
 
 
 def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x) = integral of t^(s-1) e^(-t) over (0, x]."""
+    """gamma(s, x) = integral of t^(s-1) e^(-t) over (0, x].
+
+    For x < s + 1 the power series
+    gamma(s, x) = x^s e^(-x) * sum_n x^n / (s (s+1) ... (s+n))
+    has terms falling at least geometrically; otherwise the continued
+    fraction for the upper part Gamma(s, x), evaluated by Lentz's method,
+    converges fast and gamma(s, x) = Gamma(s) - Gamma(s, x) loses at most
+    a bit or two, since Gamma(s, x) < Gamma(s)/2 there.  Both stop when a
+    step changes the sum by less than one rounding unit; the prefactor
+    x^s e^(-x) is taken through logarithms, so it can neither overflow nor
+    underflow before the result does.  Relative error is about 1e-13.
+    """
     if s <= 0:
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s}")
     if x < 0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    from scipy.special import gammainc  # deferred: the one use of SciPy here
-
-    return float(gammainc(s, x)) * math.gamma(s)
+    if x == 0:
+        return 0.0
+    log_front = s * math.log(x) - x
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        for n in range(1, _GAMMA_MAX_STEPS):
+            term *= x / (s + n)
+            total += term
+            if term <= total * _EPS:
+                return math.exp(log_front + math.log(total))
+    else:
+        b = x + 1.0 - s
+        c = 1.0 / _LENTZ_TINY
+        d = 1.0 / b
+        frac = d
+        for n in range(1, _GAMMA_MAX_STEPS):
+            an = -n * (n - s)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
+            c = b + an / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            delta = d * c
+            frac *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return math.gamma(s) - math.exp(log_front + math.log(frac))
+    raise NumericsError(
+        f"lower_incomplete_gamma({s}, {x}) did not converge in {_GAMMA_MAX_STEPS} steps"
+    )
 
 
 # Nodes t = 1/(1 + exp(-pi*sinh(s))) at s = j*h reach min(t, 1-t) = _T_MIN;

@@ -113,7 +113,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     for key, a in acc.items():
         ok = config.replications - a["fail"]
         if ok == 0:
-            raise RuntimeError(f"all replications failed for cell {key}")
+            raise FitError(f"all replications failed for cell {key}")
         cells[key] = SimCell(
             abs_bias=a["abs"] / ok, mse=a["sq"] / ok, failure_count=a["fail"]
         )

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import gtld
+import gtld.simulation
 from gtld.cli import main
+from gtld.estimation import FitError
 from gtld.model import make_model
 
 
@@ -142,6 +144,17 @@ class TestCurves:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_grid_count_below_one_is_usage_error(self, capsys, count):
+        code, out, err = run_cli(
+            capsys,
+            "curves", "--family", "gte", "--params", "1.0,1.0,0.0",
+            "--grid", f"0.1:5:{count}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid COUNT must be at least 1, got {count}\n"
+
 
 class TestSimulate:
     def test_tiny_study(self, capsys, tmp_path):
@@ -174,6 +187,27 @@ class TestSimulate:
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "/no/such.cfg")
         assert code == 2
+
+    def test_all_failed_cell_is_exit_1(self, capsys, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise FitError("no start converged")
+
+        monkeypatch.setattr(gtld.simulation, "fit", failing_fit)
+        cfg = tmp_path / "doomed.cfg"
+        cfg.write_text(
+            "family = gtwe\n"
+            "truth = 2.5,3.0,0.5,0.2\n"
+            "sizes = 50\n"
+            "N = 1\n"
+            "methods = ml\n"
+            "seed = 20240816\n"
+            "starts = 1\n"
+            "start = truth\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == "error: all replications failed for cell ('ml', 50)\n"
 
 
 class TestPrecision:

@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 import scipy.stats as st
 
+from gtld import gof
+from gtld.estimation import FitError
 from gtld.gof import (
     GofReport,
     ad_statistic,
@@ -53,6 +57,56 @@ class TestCvm:
         pvals = [p for _, p in ps]
         assert stats == sorted(stats)
         assert pvals == sorted(pvals, reverse=True)
+
+
+class TestSpecialFunctions:
+    """The NumPy-only p-value pieces against scipy.special as the oracle."""
+
+    def test_kolmogorov_sf(self):
+        ys = np.concatenate([np.linspace(0.01, 5.0, 5001), [0.82, np.nextafter(0.82, 1.0)]])
+        got = np.array([gof._kolmogorov_sf(float(y)) for y in ys])
+        np.testing.assert_allclose(got, sp.kolmogorov(ys), rtol=0, atol=1e-14)
+
+    def test_kolmogorov_sf_edges(self):
+        assert gof._kolmogorov_sf(0.0) == 1.0
+        assert gof._kolmogorov_sf(1e-200) == 1.0
+        assert gof._kolmogorov_sf(40.0) == 0.0
+        assert math.isnan(gof._kolmogorov_sf(math.nan))
+
+    def test_exp_k_quarter(self):
+        a = np.geomspace(1e-3, 700.0, 2001)
+        ref = np.exp(-a) * sp.kv(0.25, a)
+        keep = ref >= 1e-290
+        got = gof._exp_k_quarter(a)
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _scipy_cvm_limit_cdf(x):
+        # the series with scipy's kv, as gof computed it before
+        total = 0.0
+        binom = 1.0
+        for k in range(12):
+            if k > 0:
+                binom *= (-0.5 - k + 1) / k
+            a = (4.0 * k + 1.0) ** 2 / (16.0 * x)
+            if a <= 700.0:
+                total += (
+                    (-1.0) ** k * binom * math.sqrt(4.0 * k + 1.0)
+                    * math.exp(-a) * float(sp.kv(0.25, a))
+                )
+        return min(max(total / (math.pi * math.sqrt(x)), 0.0), 1.0)
+
+    def test_cvm_limit_cdf(self):
+        for w2 in np.concatenate([np.geomspace(1e-3, 5.0, 600), np.linspace(0.01, 5.0, 600)]):
+            w2 = float(w2)
+            assert gof._cvm_limit_cdf(w2) == pytest.approx(
+                self._scipy_cvm_limit_cdf(w2), rel=0, abs=1e-13
+            )
+
+    def test_cvm_limit_cdf_edges(self):
+        assert gof._cvm_limit_cdf(0.0) == 0.0
+        assert gof._cvm_limit_cdf(5e-324) == 0.0  # every term past the cutoff
+        assert math.isnan(gof._cvm_limit_cdf(math.nan))
 
 
 class TestAd:
@@ -114,6 +168,29 @@ class TestModelSelect:
         scored = [e for e in entries if e.report is not None]
         aics = [e.report.aic for e in scored]
         assert aics == sorted(aics)
+
+    def test_failed_candidate_is_ranked_last(self, model_and_sample, monkeypatch):
+        _, xs = model_and_sample
+        real_fit = gof.fit
+
+        def gtw_fails(sample, family, **kwargs):
+            if family == "gtw":
+                raise FitError("all 5 starts failed")
+            return real_fit(sample, family, **kwargs)
+
+        monkeypatch.setattr(gof, "fit", gtw_fails)
+        entries = model_select(xs, ["gtw", "gte"])
+        assert [e.family for e in entries] == ["gte", "gtw"]
+        assert entries[1].report is None
+        assert entries[1].error == "all 5 starts failed"
+
+    def test_bug_in_fit_propagates(self, model_and_sample, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(gof, "fit", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            model_select(model_and_sample[1], ["gte"])
 
     def test_explicit_method_pairs(self, model_and_sample):
         _, xs = model_and_sample

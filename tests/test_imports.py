@@ -1,11 +1,16 @@
-"""Which SciPy modules gtld loads, each case in a fresh interpreter.
+"""gtld loads no SciPy module at run time: NumPy is its only dependency.
 
-The package, the CLI module, ``curves`` and ``props`` need only NumPy; a
-fit loads ``scipy.special`` for the GOF p-values, never ``scipy.optimize``.
+Each case runs in a fresh interpreter and reads ``sys.modules`` at the end:
+the package, the CLI module, ``curves``, ``props``, a ``fit`` with its GOF
+report, and gtw's incomplete-moment series leave no ``scipy*`` entry.  A
+positive control imports ``scipy.special`` itself, to show that the check
+sees an import when one happens, and a source scan finds no SciPy import
+statement under ``src/gtld``.  SciPy remains a test-only oracle.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +18,8 @@ import pytest
 
 import gtld
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(gtld.__file__)))
+PKG = os.path.dirname(os.path.abspath(gtld.__file__))
+SRC = os.path.dirname(PKG)
 
 PARAMS = ["--family", "gtw", "--params", "1.5,0.5,1.2,-0.3"]
 
@@ -39,6 +45,13 @@ def cli(*argv):
     return f"import gtld.cli\nassert gtld.cli.main({list(argv)!r}) == 0"
 
 
+SERIES_MOMENT = (
+    "from gtld import make_model, properties\n"
+    "m = make_model('gtw', beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)\n"
+    "properties.incomplete_moment(m, 1, 0.9, method='series')"
+)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -49,26 +62,36 @@ def cli(*argv):
             "--residual", "1,0.8", "--reversed-residual", "1,0.8", "--cigf", "1,1",
             "--renyi", "0.7", "--q-entropy", "1.5", "--pwm", "1,1", "--mgf", "-0.5",
             "--incomplete-moment", "1,0.9"),
+        SERIES_MOMENT,
     ],
-    ids=["import-gtld", "import-cli", "curves", "props"],
+    ids=["import-gtld", "import-cli", "curves", "props", "series-moment"],
 )
 def test_numpy_only(code):
     assert scipy_modules_after(code) == []
 
 
 def test_fit_does_not_load_scipy_optimize():
-    loaded = scipy_modules_after(cli("fit", "--data", "gauge", "--family", "gtw"))
-    assert "scipy.special" in loaded  # the GOF p-values
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    # nor any other SciPy module: ML and cvm fits, with the report's KS,
+    # CvM and AD p-values
+    for method in ("ml", "cvm"):
+        code = cli("fit", "--data", "gauge", "--family", "gtw", "--method", method)
+        assert scipy_modules_after(code) == []
 
 
-def test_incomplete_moment_series_loads_gammainc():
-    # gtw's incomplete-moment series (not used by the CLI, which integrates)
-    # is the one property that needs SciPy; this also shows that the check
-    # above sees an import when one happens
-    loaded = scipy_modules_after(
-        "from gtld import make_model, properties\n"
-        "m = make_model('gtw', beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)\n"
-        "properties.incomplete_moment(m, 1, 0.9, method='series')"
-    )
+def test_check_sees_an_import():
+    # positive control: the same check run on code that imports SciPy
+    loaded = scipy_modules_after(SERIES_MOMENT + "\nimport scipy.special")
     assert "scipy.special" in loaded
+
+
+def test_no_scipy_import_in_source():
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    offenders = []
+    for root, _, files in os.walk(PKG):
+        for name in files:
+            if name.endswith((".py", ".pyx")):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    if pattern.search(fh.read()):
+                        offenders.append(os.path.relpath(path, PKG))
+    assert offenders == []

@@ -38,6 +38,25 @@ class TestGamma:
     def test_lower_incomplete_at_zero(self):
         assert lower_incomplete_gamma(2.0, 0.0) == 0.0
 
+    def test_lower_incomplete_matches_scipy(self):
+        # both branches (series below x = s + 1, continued fraction above)
+        # against scipy.special as the oracle
+        s = np.geomspace(0.05, 60.0, 40)[:, None]
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 500.0, 60), np.linspace(0.5, 70.0, 40)])
+        ref = sp.gammainc(s, x) * sp.gamma(s)
+        got = np.array([[lower_incomplete_gamma(float(si), float(xj)) for xj in x] for si in s[:, 0]])
+        keep = ref >= 1e-290
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0)
+
+    def test_lower_incomplete_far_tail_is_gamma(self):
+        assert lower_incomplete_gamma(0.5, 1e9) == math.gamma(0.5)
+
+    def test_lower_incomplete_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(0.0, 1.0)
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(1.0, -1.0)
+
 
 class TestIntegrate:
     def test_finite_interval(self):

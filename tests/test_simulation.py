@@ -109,6 +109,15 @@ class TestRun:
         with pytest.raises(TypeError, match="unexpected keyword"):
             run_simulation(small_config())
 
+    def test_all_failed_cell_raises_fit_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FitError("all 1 starts failed")
+
+        monkeypatch.setattr(simulation, "fit", failing)
+        with pytest.raises(FitError, match=r"all replications failed for cell \('ml', 40\)"):
+            run_simulation(small_config())
+        assert issubclass(FitError, RuntimeError)  # callers catching RuntimeError still do
+
     def test_truth_start_changes_results(self):
         heur = run_simulation(small_config())
         anchored = run_simulation(small_config(start="truth"))
