@@ -5,7 +5,9 @@ synthetic sample, which is exactly the workload the simulation harness
 hammers (thousands of quasi-Newton objective evaluations), and the
 objectives' value-and-gradient kernel, which is the NumPy one on either
 backend.  It also times three property integrals on gtw (ms per call) and
-counts the integrand calls that their quadrature makes.
+counts the integrand calls that their quadrature makes: each integral's
+first call covers the tanh-sinh levels h = 1 ... 1/16, and each finer level
+it needs is one call more.
 
 Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 """

@@ -11,7 +11,9 @@ statistical software reports them); they are approximate by construction.
   int_0^inf exp(-a (1 + cosh t)) cosh(t/4) dt, taken by the trapezoid rule
   (spectrally convergent: the integrand is entire and decays
   double-exponentially) with a step shrinking like 1/sqrt(a); the 12 terms
-  take one array evaluation.
+  take one array evaluation.  From W^2 = 1 on, the p-value is the upper
+  tail itself, the first term of Smirnov's series taken by tanh-sinh
+  quadrature, not 1 - CDF, which cancels to rounding noise.
 - AD: Marsaglia & Marsaglia's adinf approximation with the finite-n
   correction term.
 
@@ -33,6 +35,7 @@ _LOG_CLAMP = 1e-300
 _KOLMOG_CUTOVER = 0.82
 _KOLMOG_TERMS = 12
 _CVM_TERMS = 12
+_CVM_TAIL = 1.0  # from here on the CvM p-value is the upper tail itself (p < 0.0025)
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,47 @@ def _cvm_limit_cdf(x: float) -> float:
     return min(max(total / (math.pi * math.sqrt(x)), 0.0), 1.0)
 
 
+def _cvm_upper_tail(x: float) -> float:
+    """P(W^2 > x) for the limiting Cramer-von Mises law, for x >= 1.
+
+    Smirnov's series gives
+    P(W^2 > x) = (2/pi) sum_k (-1)^(k+1)
+                 int_{(2k-1) pi}^{2k pi} e^(-x y^2/2) / sqrt(-y sin y) dy,
+    whose terms after the first are below e^(-4 pi^2 x) < 1e-17 of it for
+    x >= 1.  With y = pi (1 + s) the first is
+    2 e^(-pi^2 x/2) int_0^1 e^(-pi^2 x s (1 + s/2)) / sqrt(pi (1 + s) sin(pi s)) ds,
+    whose inverse-square-root endpoint singularities the tanh-sinh rule
+    absorbs.  Unlike 1 - CDF it keeps its relative accuracy however small
+    the tail, and it is 0 only where e^(-pi^2 x/2) underflows.
+    """
+    # imported here: numerics builds its node tables at import, and a bare
+    # ``import gtld`` has no other use for them
+    from .numerics import QuadratureSpec, integrate
+
+    c = math.pi**2 * x
+
+    def integrand(s):
+        weight = np.exp(-c * s * (1.0 + 0.5 * s))
+        return weight / np.sqrt(math.pi * (1.0 + s) * np.sin(math.pi * s))
+
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-14)
+    return 2.0 * math.exp(-0.5 * c) * integrate(integrand, 0.0, 1.0, spec)
+
+
+def _cvm_sf(x: float) -> float:
+    """P(W^2 > x): 1 - CDF below x = 1, the upper tail itself from there on."""
+    if x >= _CVM_TAIL:
+        return _cvm_upper_tail(x)
+    return 1.0 - _cvm_limit_cdf(x)
+
+
 def cvm_statistic(sample, model: GtldModel):
     """W^2 statistic and asymptotic p-value."""
     F = _fitted_cdf(sample, model)
     n = F.size
     i = np.arange(1, n + 1)
     w2 = 1.0 / (12.0 * n) + float(np.sum((F - (2.0 * i - 1.0) / (2.0 * n)) ** 2))
-    return w2, 1.0 - _cvm_limit_cdf(w2)
+    return w2, _cvm_sf(w2)
 
 
 def _adinf(z: float) -> float:

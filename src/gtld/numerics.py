@@ -7,8 +7,9 @@ tanh-sinh rule (Takahasi & Mori, 1974): its nodes crowd
 double-exponentially towards both ends of (0, 1), which handles endpoint
 singularities, and semi-infinite ranges are folded onto (0, 1) with the
 substitution x = lo + t/(1-t).  The node tables for the step sizes
-h = 1, 1/2, ..., 1/128 are built once at import, and each level of the
-rule makes one array call of the integrand.
+h = 1, 1/2, ..., 1/128 are built once at import, grouped into the array
+calls of the integrand: one call covers the levels h = 1 ... 1/16, where
+most integrals converge, and each finer level makes one call more.
 """
 
 from __future__ import annotations
@@ -160,6 +161,27 @@ def _node_tables():
 
 
 _TABLES = _node_tables()
+_FRONT = 5  # levels 0..4 (173 nodes) share the first call of the integrand
+
+
+def _node_blocks():
+    """The node tables grouped by integrand call.
+
+    The first block concatenates levels 0.._FRONT-1 and each later level is
+    a block of its own.  A block is (t, 1 - t, dt/ds, levels), where levels
+    lists (h, start, stop) with the block arrays' [start:stop] holding that
+    level's nodes in the order of ``_TABLES``.
+    """
+    blocks = []
+    for group in [_TABLES[:_FRONT]] + [[level] for level in _TABLES[_FRONT:]]:
+        stops = np.cumsum([len(t) for _, t, _, _ in group]).tolist()
+        levels = [(h, stop - len(t), stop) for (h, t, _, _), stop in zip(group, stops)]
+        t, omt, w = (np.concatenate([level[i] for level in group]) for i in (1, 2, 3))
+        blocks.append((t, omt, w, levels))
+    return blocks
+
+
+_BLOCKS = _node_blocks()
 
 
 def integrate(
@@ -170,16 +192,21 @@ def integrate(
 ) -> float:
     """Tanh-sinh quadrature of ``f`` over (lower, upper); upper may be inf.
 
-    ``f`` takes and returns arrays; it is called once per level, inside
-    ``np.errstate(all="ignore")``, never at either endpoint.  A finite
-    range maps x = lower + (upper-lower)*t from the nearer end, so that
-    no node rounds onto an endpoint (nodes that would are left out); a
+    ``f`` takes and returns arrays (a scalar result is broadcast to the
+    nodes); it is called inside ``np.errstate(all="ignore")``, never at
+    either endpoint.  Its first call evaluates every node of the levels
+    h = 1, 1/2, ..., 1/16 at once, and each later level is one more call,
+    so ``f`` may see nodes of levels the rule never consumes: it must
+    accept every point of the open range.  A finite range maps
+    x = lower + (upper-lower)*t from the nearer end, so that no node
+    rounds onto an endpoint (nodes that would are left out); a
     semi-infinite one folds x = lower + t/(1-t).  The rule halves h until
     |I_k - I_{k-1}| plus the magnitudes of the outermost terms is at most
     max(abs_tol, rel_tol*|I_k|), and otherwise raises
     :class:`QuadratureError` carrying the last estimate and that bound.
     Non-finite integrand values are taken as 0 where min(t, 1-t) <
-    1e-12, and raise :class:`QuadratureError` anywhere else.
+    1e-12, and raise :class:`QuadratureError`, naming the node, anywhere
+    else in a level the rule consumes.
     """
     spec = spec or QuadratureSpec()
     if not lower <= upper or math.isinf(lower):
@@ -189,7 +216,8 @@ def integrate(
     fold = math.isinf(upper)
     width = upper - lower
     outer_lo = outer_hi = None  # (t or 1 - t, term) at the outermost node used
-    for k, (h, t, omt, w) in enumerate(_TABLES):
+    total = None
+    for t, omt, w, levels in _BLOCKS:
         if fold:
             x = lower + t / omt
             jac = w / (omt * omt)
@@ -200,30 +228,39 @@ def integrate(
             keep = (x > lower) & (x < upper)
         if not keep.all():
             x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
+            kept = [0] + np.cumsum(keep).tolist()  # surviving nodes before each index
+            levels = [(h, kept[a], kept[b]) for h, a, b in levels]
         with np.errstate(all="ignore"):
-            terms = np.asarray(f(x), dtype=float) * jac
-        bad = ~np.isfinite(terms)
-        if bad.any():
-            if (np.minimum(t, omt)[bad] >= _T_EDGE).any():
-                raise QuadratureError(
-                    "integrand not finite inside the range", estimate=None, error_bound=None
-                )
-            terms[bad] = 0.0
-        if terms.size:
-            # the tables order nodes by s, and each level reaches at least as far
-            if outer_lo is None or t[0] <= outer_lo[0]:
-                outer_lo = (t[0], float(terms[0]))
-            if outer_hi is None or omt[-1] <= outer_hi[0]:
-                outer_hi = (omt[-1], float(terms[-1]))
-        level = h * float(terms.sum())
-        if k == 0:
-            total = level
-            continue
-        prev, total = total, 0.5 * total + level
-        outer = h * (abs(outer_lo[1]) + abs(outer_hi[1])) if outer_lo else 0.0
-        err = abs(total - prev) + outer
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
+            block = np.asarray(f(x), dtype=float) * jac
+        for h, a, b in levels:
+            terms, tk, omtk = block[a:b], t[a:b], omt[a:b]
+            bad = ~np.isfinite(terms)
+            if bad.any():
+                inner = bad & (np.minimum(tk, omtk) >= _T_EDGE)
+                if inner.any():
+                    node = float(x[a:b][inner][0])
+                    raise QuadratureError(
+                        f"integrand not finite at x = {node!r} (level h = {h!r}) "
+                        "inside the range",
+                        estimate=None,
+                        error_bound=None,
+                    )
+                terms[bad] = 0.0
+            if terms.size:
+                # the tables order nodes by s, and each level reaches at least as far
+                if outer_lo is None or tk[0] <= outer_lo[0]:
+                    outer_lo = (tk[0], float(terms[0]))
+                if outer_hi is None or omtk[-1] <= outer_hi[0]:
+                    outer_hi = (omtk[-1], float(terms[-1]))
+            level = h * float(terms.sum())
+            if total is None:
+                total = level
+                continue
+            prev, total = total, 0.5 * total + level
+            outer = h * (abs(outer_lo[1]) + abs(outer_hi[1])) if outer_lo else 0.0
+            err = abs(total - prev) + outer
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return total
     raise QuadratureError(
         f"quadrature did not converge (estimate {total!r}, error bound {err!r})",
         estimate=total,

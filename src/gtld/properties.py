@@ -1,11 +1,12 @@
 """Distributional quantities: moments, PWM, MGF, entropies, residual life, CIGF.
 
 Tanh-sinh quadrature (``numerics.integrate``) is the primary computational
-path throughout; every integrand here is elementwise on arrays, so each
-level of the rule is one call of the model's vectorised cdf, survival or
-density.  The closed-form series for the Weibull-type sub-family ("gtw")
-are kept as an independent cross-check route; they and the quadrature
-values must agree wherever both apply.
+path throughout; every integrand here is elementwise on arrays, so one call
+of the model's vectorised cdf, survival or density covers the rule's levels
+h = 1 ... 1/16, and each finer level it needs is one call more.  The
+closed-form series for the Weibull-type sub-family ("gtw") are kept as an
+independent cross-check route; they and the quadrature values must agree
+wherever both apply.
 
 Integrals that do not exist raise :class:`DivergenceError` rather than
 returning a number.  Existence is screened before integrating: from the

@@ -107,6 +107,35 @@ class TestSpecialFunctions:
         assert gof._cvm_limit_cdf(0.0) == 0.0
         assert gof._cvm_limit_cdf(5e-324) == 0.0  # every term past the cutoff
         assert math.isnan(gof._cvm_limit_cdf(math.nan))
+        assert math.isnan(gof._cvm_sf(math.nan))
+
+    def test_cvm_sf_falls_all_the_way(self):
+        # 1 - CDF stopped falling near W^2 = 6.3 and climbed to 3.8e-3 at 100
+        w2 = np.linspace(0.01, 100.0, 20001)
+        p = np.array([gof._cvm_sf(x) for x in w2.tolist()])
+        assert np.all(np.diff(p) <= 0.0)
+        assert np.all(p[w2 >= 7.0] < 1e-14)
+        assert gof._cvm_sf(2000.0) == 0.0
+
+    def test_cvm_sf_keeps_small_statistics(self):
+        w2 = np.concatenate([np.geomspace(1e-3, 5.0, 600), np.linspace(0.01, 5.0, 600)])
+        for x in w2.tolist():
+            assert abs(gof._cvm_sf(x) - (1.0 - gof._cvm_limit_cdf(x))) <= 1e-15
+            if x < 1.0:
+                assert gof._cvm_sf(x) == 1.0 - gof._cvm_limit_cdf(x)
+
+    @pytest.mark.parametrize(
+        "w2, want",
+        # Smirnov's series at 40 significant digits (mpmath)
+        [
+            (1.0, 0.002460452180133964),
+            (5.0, 3.0539290331033876e-12),
+            (20.0, 1.0972093165653867e-44),
+            (100.0, 1.7349803174727528e-216),
+        ],
+    )
+    def test_cvm_upper_tail(self, w2, want):
+        assert gof._cvm_upper_tail(w2) == pytest.approx(want, rel=1e-13)
 
 
 class TestAd:

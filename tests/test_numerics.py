@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from gtld import numerics
 from gtld.numerics import (
     NumericsError,
     QuadratureError,
@@ -77,7 +78,7 @@ class TestIntegrate:
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_hard_integrand_raises_with_estimate(self):
-        # A divergent integral must raise, carrying whatever estimate quad got.
+        # A divergent integral must raise, carrying the last estimate and its bound.
         with pytest.raises(QuadratureError) as err:
             integrate(lambda x: 1.0 / x, 0.0, 1.0)
         assert hasattr(err.value, "estimate")
@@ -92,8 +93,8 @@ class TestIntegrate:
         assert val == pytest.approx(16 / 105, rel=1e-8)
 
     def test_nan_at_interior_node_raises(self):
-        # x = 0.5 (t = 1/2) is a node of every rule on (0, 1)
-        with pytest.raises(QuadratureError):
+        # x = 0.5 (t = 1/2) is the level-0 node s = 0 of every rule on (0, 1)
+        with pytest.raises(QuadratureError, match=r"x = 0\.5 \(level h = 1\.0\)"):
             integrate(lambda x: np.where(x == 0.5, np.nan, x), 0.0, 1.0)
 
     def test_bad_limits_rejected(self):
@@ -114,6 +115,151 @@ class TestIntegrate:
         xs = np.concatenate(seen)
         assert xs.min() > lower
         assert xs.max() < upper
+
+
+def per_level_integrate(f, lower, upper, spec=None):
+    """The rule as it was with one integrand call per level: the oracle.
+
+    ``integrate`` evaluates levels 0-4 in one call; every value, estimate
+    and error bound it returns must equal this loop's to the last bit.
+    """
+    spec = spec or QuadratureSpec()
+    if not lower <= upper or math.isinf(lower):
+        raise ValueError(f"integrate needs finite lower <= upper, got ({lower}, {upper})")
+    if lower == upper:
+        return 0.0
+    fold = math.isinf(upper)
+    width = upper - lower
+    outer_lo = outer_hi = None
+    for k, (h, t, omt, w) in enumerate(numerics._TABLES):
+        if fold:
+            x = lower + t / omt
+            jac = w / (omt * omt)
+            keep = x > lower
+        else:
+            x = np.where(t < 0.5, lower + width * t, upper - width * omt)
+            jac = width * w
+            keep = (x > lower) & (x < upper)
+        if not keep.all():
+            x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
+        with np.errstate(all="ignore"):
+            terms = np.asarray(f(x), dtype=float) * jac
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            if (np.minimum(t, omt)[bad] >= numerics._T_EDGE).any():
+                raise QuadratureError(
+                    "integrand not finite inside the range", estimate=None, error_bound=None
+                )
+            terms[bad] = 0.0
+        if terms.size:
+            if outer_lo is None or t[0] <= outer_lo[0]:
+                outer_lo = (t[0], float(terms[0]))
+            if outer_hi is None or omt[-1] <= outer_hi[0]:
+                outer_hi = (omt[-1], float(terms[-1]))
+        level = h * float(terms.sum())
+        if k == 0:
+            total = level
+            continue
+        prev, total = total, 0.5 * total + level
+        outer = h * (abs(outer_lo[1]) + abs(outer_hi[1])) if outer_lo else 0.0
+        err = abs(total - prev) + outer
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            return total
+    raise QuadratureError(
+        f"quadrature did not converge (estimate {total!r}, error bound {err!r})",
+        estimate=total,
+        error_bound=err,
+    )
+
+
+def _outcome(rule, f, lower, upper, spec=None):
+    """The value's bits, or the error's type, estimate and bound."""
+    try:
+        return np.float64(rule(f, lower, upper, spec)).tobytes()
+    except QuadratureError as exc:
+        bound = np.float64(exc.error_bound).tobytes()
+        return type(exc), np.float64(exc.estimate).tobytes(), bound
+
+
+# the node at s = 1/16, which only level 4 adds, on (0, 1) and on (0, inf)
+_T4, _OMT4 = (float(a[a.size // 2]) for a in numerics._TABLES[4][1:3])
+_LEVEL4_NODE = 1.0 - _OMT4
+_LEVEL4_FOLDED = _T4 / _OMT4
+
+
+def _nan_at_level4(g, node=_LEVEL4_NODE):
+    return lambda x: np.where(x == node, np.nan, g(x))
+
+
+class TestIntegrateMatchesPerLevelRule:
+    """``integrate`` against the one-call-per-level oracle, compared bit for bit."""
+
+    @pytest.mark.parametrize(
+        "f, lower, upper, spec",
+        [
+            (lambda x: x * x, 0.0, 1.0, None),
+            (lambda x: np.exp(-x), 0.0, math.inf, None),
+            (lambda x: np.exp(-x * x / 2), 0.0, math.inf, None),
+            (np.sin, 0.0, math.pi, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)),
+            (np.exp, 1.0, 2.0, None),
+            (lambda x: x**-1.5 * np.exp(-1.0 / x), 1.0, math.inf, None),
+            # narrow and far-out ranges, where nodes rounding onto an endpoint are dropped
+            (lambda x: np.sqrt(x - 1.0), 1.0, 1.0 + 1e-6, None),
+            (lambda x: np.exp(1e8 - x), 1e8, math.inf, None),
+            (lambda x: x**-0.5, 0.0, 1.0, None),
+            (lambda x: x**2 * (1.0 + x) ** -4.5, 0.0, math.inf, None),
+            (lambda x: 2.0, 0.0, 3.0, None),
+            (lambda x: 1.0 / x, 0.0, 1.0, None),
+            (_nan_at_level4(lambda x: x * x), 0.0, 1.0, None),
+        ],
+        ids=[
+            "square", "exp-tail", "gaussian-tail", "sin-spec", "finite", "folded",
+            "narrow", "far-fold", "endpoint-singularity", "heavy-tail", "scalar",
+            "divergent", "nan-unused-level",
+        ],
+    )
+    def test_same_bits(self, f, lower, upper, spec):
+        assert _outcome(integrate, f, lower, upper, spec) == _outcome(
+            per_level_integrate, f, lower, upper, spec
+        )
+
+    def test_narrow_range_drops_nodes(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.sqrt(x - 1.0)
+
+        integrate(f, 1.0, 1.0 + 1e-6)
+        assert 0 < sizes[0] < numerics._BLOCKS[0][0].size
+
+    def test_divergent_error_matches(self):
+        with pytest.raises(QuadratureError) as new:
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        with pytest.raises(QuadratureError) as old:
+            per_level_integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        assert new.value.estimate == old.value.estimate
+        assert new.value.error_bound == old.value.error_bound
+        assert str(new.value) == str(old.value)
+
+    def test_nan_in_a_level_never_consumed_is_ignored(self):
+        seen = []
+        f = _nan_at_level4(lambda x: x * x)
+
+        def logged(x):
+            seen.append(x.copy())
+            return f(x)
+
+        assert per_level_integrate(lambda x: x * x, 0.0, 1.0) == integrate(logged, 0.0, 1.0)
+        assert len(seen) == 1 and _LEVEL4_NODE in seen[0]
+
+    def test_nan_in_a_consumed_level_raises(self):
+        # exp(-x) on (0, inf) needs level 5, so a NaN at level 4 is used
+        f = _nan_at_level4(lambda x: np.exp(-x), node=_LEVEL4_FOLDED)
+        with pytest.raises(QuadratureError):
+            per_level_integrate(f, 0.0, math.inf)
+        with pytest.raises(QuadratureError, match=r"x = .* \(level h = 0\.0625\)"):
+            integrate(f, 0.0, math.inf)
 
 
 class TestSumSeries:

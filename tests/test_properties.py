@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy import special as sp
 
-from gtld import properties
+from gtld import numerics, properties
 from gtld.model import make_model, model_from_params
 
 from conftest import random_params
+from test_numerics import per_level_integrate
 
 
 def _light_tail(p):
@@ -254,3 +255,72 @@ class TestCigf:
     def test_cdf_only_marginal_diverges(self):
         with pytest.raises(properties.DivergenceError):
             properties.cigf(exp_model(), 1, 0)
+
+
+# the gtw model of benchmarks/bench_kernels.py
+BENCH_MODEL = make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
+
+
+def _catalog(m):
+    """Every quadrature property at fixed arguments: value, or the error's type."""
+    med = m.quantile(0.5)
+    calls = [
+        (properties.raw_moment, (1,)),
+        (properties.raw_moment, (2,)),
+        (properties.incomplete_moment, (2, med)),
+        (properties.pwm, (1, 1)),
+        (properties.mgf, (-0.5,)),
+        (properties.renyi_entropy, (0.5,)),
+        (properties.renyi_entropy, (2.0,)),
+        (properties.q_entropy, (0.5,)),
+        (properties.q_entropy, (2.0,)),
+        (properties.residual_moment, (1, med)),
+        (properties.reversed_residual_moment, (1, med)),
+        (properties.cigf, (1, 1)),
+    ]
+    out = []
+    for fn, args in calls:
+        try:
+            out.append(np.float64(fn(m, *args)).tobytes())
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestQuadratureRule:
+    def test_catalog_matches_per_level_rule(self, family, monkeypatch):
+        m = model_from_params(
+            family, _light_tail(random_params(family, np.random.default_rng(17)))
+        )
+        got = _catalog(m)
+        monkeypatch.setattr(numerics, "integrate", per_level_integrate)
+        assert got == _catalog(m)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (properties.raw_moment, (2,)),
+            (properties.renyi_entropy, (0.5,)),
+            (properties.cigf, (1, 1)),
+            (properties.mgf, (-0.5,)),
+            (properties.q_entropy, (2,)),
+        ],
+        ids=["raw_moment", "renyi", "cigf", "mgf", "q_entropy"],
+    )
+    def test_integrand_calls(self, fn, args, monkeypatch):
+        # two integrals: one converges within the first call's levels, the
+        # other takes one finer level
+        integrate = numerics.integrate
+        calls = 0
+
+        def counting(f, *rest):
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+
+            return integrate(counted, *rest)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        fn(BENCH_MODEL, *args)
+        assert calls == 3
