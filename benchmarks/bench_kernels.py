@@ -1,38 +1,41 @@
-"""Compare the compiled and pure-python kernel backends.
+"""Time the kernels (layer 1) and the fits built on them (layer 2).
 
-Times the six fitting objectives and the array cdf/logpdf evaluations on a
-synthetic sample, which is exactly the workload the simulation harness
+Layer 1: the six fitting objectives and the array cdf/logpdf evaluations
+on a synthetic sample, which is exactly the workload the simulation harness
 hammers (thousands of quasi-Newton objective evaluations), and the
-objectives' value-and-gradient kernel, which is the NumPy one on either
-backend.  It also times three property integrals on gtw (ms per call) and
-counts the integrand calls that their quadrature makes: each integral's
-first call covers the tanh-sinh levels h = 1 ... 1/16, and each finer level
-it needs is one call more.
+objectives' value-and-gradient kernel; the objectives take the per-fit
+``Plan`` that ``fit`` builds once.  It also times three property integrals
+on gtw (ms per call) and counts the integrand calls that their quadrature
+makes: each integral's first call covers the tanh-sinh levels
+h = 1 ... 1/16, and each finer level it needs is one call more.
+
+Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
+n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
+(value and value-and-gradient calls), and the us per evaluation spent
+outside the kernel, in ``fit``'s wrappers and the optimizer: the fits are
+timed once more with the kernels handing back their recorded results.
 
 Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
+import time
 import timeit
 
 import numpy as np
 
-from gtld import make_model, numerics, properties
+from gtld import ParamVector, _kernels, estimation, make_model, numerics, properties
 from gtld._kernels import _ref
-
-try:
-    from gtld._kernels import _core
-except ImportError:
-    _core = None
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 200
 REPEATS = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
 
 rng = np.random.default_rng(7)
 xs = np.sort(rng.weibull(1.4, size=N) + 0.05)
-ARGS = (4, 2.5, 0.0, 3.0, 0.5, 0.2, xs)  # gtwe at the study's truth
+ARGS = (4, 2.5, 0.0, 3.0, 0.5, 0.2)  # gtwe at the study's truth
 METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
 PROP_MODEL = make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
 PROP_CALLS = (
@@ -40,22 +43,16 @@ PROP_CALLS = (
     ("renyi(0.5)", properties.renyi_entropy, (0.5,)),
     ("cigf(1, 1)", properties.cigf, (1, 1)),
 )
+TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
+FIT_SIZES = (50, 400)
+FIT_SAMPLES = 6  # samples per size, seeds 0..5
+FIT_REPEATS = 5  # best of
 
 
 def bench(label, fn, *args):
     t = timeit.timeit(lambda: fn(*args), number=REPEATS) / REPEATS
     print(f"  {label:<12} {t * 1e6:9.2f} us/call")
     return t
-
-
-def run(backend, name):
-    print(f"{name} backend (n={N}, {REPEATS} calls):")
-    out = {}
-    out["cdf"] = bench("cdf_arr", backend.cdf_arr, *ARGS)
-    out["logpdf"] = bench("logpdf_arr", backend.logpdf_arr, *ARGS)
-    for mid, mname in enumerate(METHODS):
-        out[mname] = bench(mname, backend.objective, mid, *ARGS)
-    return out
 
 
 def integrand_calls(fn, *args):
@@ -79,10 +76,84 @@ def integrand_calls(fn, *args):
     return calls
 
 
-ref_times = run(_ref, "python")
-print(f"value and gradient, either backend (n={N}, {REPEATS} calls):")
+def replaying_kernels(fits):
+    """Run ``fits`` once, recording every kernel result, and return a
+    context in which the kernels hand those results back in order: fits run
+    there cost only what lies outside the kernel."""
+    results = []
+    originals = _kernels.objective, _kernels.objective_grad
+
+    def recording(fn):
+        def rec(*args):
+            results.append(fn(*args))
+            return results[-1]
+
+        return rec
+
+    _kernels.objective, _kernels.objective_grad = map(recording, originals)
+    try:
+        fits()
+    finally:
+        _kernels.objective, _kernels.objective_grad = originals
+
+    @contextlib.contextmanager
+    def replaying():
+        it = iter(results)
+
+        def replay(*args):
+            return next(it)
+
+        _kernels.objective = _kernels.objective_grad = replay
+        try:
+            yield len(results)
+        finally:
+            _kernels.objective, _kernels.objective_grad = originals
+
+    return replaying
+
+
+def best_times(*fns):
+    """The best of ``FIT_REPEATS`` timings of each fn, run in turn so that a
+    drift in host speed reaches all of them alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(FIT_REPEATS):
+        for j, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[j] = min(best[j], time.perf_counter() - t0)
+    return best
+
+
+def fit_layer(method, n):
+    """(ms per fit, kernel evaluations per fit, us per evaluation outside
+    the kernel) for the truth-start gtwe fits of one method and size."""
+    model = make_model("gtwe", beta=3.0, theta=0.5, lam=0.2, alpha=2.5)
+    samples = [model.sample(n, seed) for seed in range(FIT_SAMPLES)]
+
+    def fits():
+        for sample in samples:
+            estimation.fit(sample, "gtwe", method=method, init=TRUTH, n_starts=1)
+
+    replaying = replaying_kernels(fits)
+    evals = 0
+
+    def fits_outside_kernel():
+        nonlocal evals
+        with replaying() as evals:
+            fits()
+
+    t_fit, t_outside = best_times(fits, fits_outside_kernel)
+    return t_fit / FIT_SAMPLES * 1e3, evals / FIT_SAMPLES, t_outside / evals * 1e6
+
+
+print(f"kernels (n={N}, {REPEATS} calls):")
+bench("cdf_arr", _ref.cdf_arr, *ARGS, xs)
+bench("logpdf_arr", _ref.logpdf_arr, *ARGS, xs)
 for mid, mname in enumerate(METHODS):
-    bench(f"{mname}+grad", _ref.objective_grad, mid, *ARGS)
+    bench(mname, _ref.objective, mid, *ARGS, _ref.Plan(xs, ARGS[0], mid))
+print(f"value and gradient (n={N}, {REPEATS} calls):")
+for mid, mname in enumerate(METHODS):
+    bench(f"{mname}+grad", _ref.objective_grad, mid, *ARGS, _ref.Plan(xs, ARGS[0], mid))
 
 prop_repeats = max(1, REPEATS // 10)
 print(f"properties on gtw, integrals by quadrature ({prop_repeats} calls):")
@@ -90,10 +161,13 @@ for label, fn, args in PROP_CALLS:
     t = timeit.timeit(lambda: fn(PROP_MODEL, *args), number=prop_repeats) / prop_repeats
     calls = integrand_calls(fn, PROP_MODEL, *args)
     print(f"  {label:<14} {t * 1e3:9.3f} ms/call {calls:6d} integrand calls")
-if _core is None:
-    print("compiled backend not built; nothing to compare")
-else:
-    core_times = run(_core, "compiled")
-    print("speedup (python / compiled):")
-    for key in ref_times:
-        print(f"  {key:<12} {ref_times[key] / core_times[key]:6.2f}x")
+
+print(
+    f"fits: gtwe at the study truth, truth start, one start "
+    f"({FIT_SAMPLES} samples per size, best of {FIT_REPEATS}):"
+)
+print(f"  {'method':<6} {'n':>4} {'ms/fit':>8} {'evals/fit':>10} {'us/eval outside kernel':>23}")
+for n in FIT_SIZES:
+    for mname in METHODS:
+        ms, evals, outside = fit_layer(mname, n)
+        print(f"  {mname:<6} {n:>4} {ms:8.2f} {evals:10.1f} {outside:23.1f}")

@@ -1,30 +1,20 @@
-"""Backend selection for the hot numerical kernels.
+"""The hot numerical kernels, in NumPy (``_ref``).
 
-The compiled extension is preferred; the numpy reference implementation is
-used when the extension is missing or when ``GTLD_PURE_PYTHON`` is set in
-the environment.  Both expose the same four callables; the objectives'
-exact gradients (``objective_grad``) come from the numpy module on either
-backend.
+Per-point cdf, sf and log-density, the six fit objectives
+(``objective``) and their exact gradients (``objective_grad``), and the
+per-fit ``Plan`` those two take in place of a bare sample.  ``BACKEND``
+names the implementation: ``"python"``.
 """
-
-import os
 
 from . import _ref
 
-if os.environ.get("GTLD_PURE_PYTHON"):
-    _backend = _ref
-else:
-    try:
-        from . import _core as _backend
-    except ImportError:
-        _backend = _ref
+BACKEND = _ref.NAME
 
-BACKEND = _backend.NAME
-
-cdf_arr = _backend.cdf_arr
-sf_arr = _backend.sf_arr
-logpdf_arr = _backend.logpdf_arr
-objective = _backend.objective
+Plan = _ref.Plan
+cdf_arr = _ref.cdf_arr
+sf_arr = _ref.sf_arr
+logpdf_arr = _ref.logpdf_arr
+objective = _ref.objective
 objective_grad = _ref.objective_grad
 
 FAMILY_IDS = {

@@ -60,6 +60,7 @@ Argonne National Laboratory and University of Minnesota, 1993).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -105,14 +106,16 @@ class _Memo:
 
     def __init__(self, fun_and_grad, x0):
         self._fun_and_grad = fun_and_grad
-        self._x = None
+        self._xl = None
         self(x0)
 
     def __call__(self, x):
-        # array_equal is False for any NaN, so a NaN point is re-evaluated
-        if self._x is None or not np.array_equal(x, self._x):
-            self._x = np.array(x, dtype=float)
-            f, g = self._fun_and_grad(self._x.copy())
+        # x equals the last point as np.array_equal has it: -0.0 == 0.0,
+        # and a NaN is never equal, so a NaN point is re-evaluated
+        xl = x.tolist()
+        if xl != self._xl:
+            self._xl = xl
+            f, g = self._fun_and_grad(np.array(x, dtype=float))
             if not np.isscalar(f):
                 f = np.asarray(f).item()
             self._f, self._g = f, np.atleast_1d(g)
@@ -124,31 +127,38 @@ def _vecnorm(x):
     return np.sum(np.abs(x) ** 2, axis=0) ** (1.0 / 2)
 
 
+def _step_rounds_to_zero(alpha_k, pk, xk):
+    """SciPy's relative step test with xrtol = 0: ``alpha_k * |pk| <= 0 *
+    (0 + |xk|)``, true when the step rounds to zero, unless |xk| overflows
+    (0 * inf is NaN).
+
+    With m = max |pk_i|, |pk| is at least m to within a few ulps, so where
+    m and alpha_k * m are both normal the step is positive and the test
+    false; only the other cases take the two norms.
+    """
+    m = max(map(abs, pk.tolist()))
+    if m >= 1e-150 and alpha_k * m >= 1e-300:
+        return False
+    return bool(alpha_k * _vecnorm(pk) <= 0 * (0 + _vecnorm(xk)))
+
+
 def bfgs(fun_and_grad, x0) -> OptimResult:
     """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient)."""
     x0 = np.asarray(x0).flatten()
     memo = _Memo(fun_and_grad, x0)
-
-    def f(x):
-        return memo(x)[0]
-
-    def fprime(x):
-        return memo(x)[1]
-
-    old_fval = f(x0)
-    gfk = fprime(x0)
+    old_fval, gfk = memo(x0)
     k = 0
     N = len(x0)
-    I = np.eye(N, dtype=int)
-    Hk = I
+    Hk = np.eye(N, dtype=int)
+    I = np.eye(N)
     # sets the initial step guess to dx ~ 1
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2
     xk = x0
     warnflag = 0
-    gnorm = np.amax(np.abs(gfk))
+    gnorm = np.abs(gfk).max()
     while (gnorm > _GTOL) and (k < _MAXITER):
         pk = -np.dot(Hk, gfk)
-        step = _line_search_wolfe12(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        step = _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval)
         if step is None:
             warnflag = 2
             break
@@ -156,18 +166,16 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = fprime(xk)
+            gfkp1 = memo(xk)[1]
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
-        gnorm = np.amax(np.abs(gfk))
+        gnorm = np.abs(gfk).max()
         if gnorm <= _GTOL:
             break
-        # SciPy's relative step test with xrtol = 0: a step that rounds to
-        # zero ends the run, unless |xk| overflows (0 * inf is NaN)
-        if alpha_k * _vecnorm(pk) <= 0 * (0 + _vecnorm(xk)):
+        if _step_rounds_to_zero(alpha_k, pk, xk):
             break
-        if not np.isfinite(old_fval):
+        if not math.isfinite(old_fval):
             warnflag = 2
             break
         rhok_inv = np.dot(yk, sk)
@@ -175,9 +183,13 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
             rhok = 1000.0
         else:
             rhok = 1.0 / rhok_inv
-        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
-        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
-        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+        # SciPy's A1 = I - s y' rhok and A2 = I - y s' rhok, entry for entry:
+        # A2 is A1 transposed, copied to keep the layout np.dot was given
+        A1 = np.multiply.outer(sk, yk)
+        A1 *= rhok
+        np.subtract(I, A1, out=A1)
+        Hk = np.dot(A1, np.dot(Hk, A1.T.copy()))
+        Hk += np.multiply.outer(rhok * sk, sk)
 
     if warnflag != 2:
         if k >= _MAXITER:
@@ -187,16 +199,37 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
     return OptimResult(x=xk, fun=old_fval, jac=gfk, nit=k, status=warnflag)
 
 
-def _line_search_wolfe12(f, fprime, xk, pk, gfk, old_fval, old_old_fval):
+def _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval):
     """(step, f there, f at xk, gradient there or None), or None on failure.
 
     The More-Thuente search first; the bracketing-and-zoom search of
     Nocedal and Wright if that one fails.
     """
-    step = _line_search_wolfe1(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+    step = _line_search_wolfe1(memo, xk, pk, gfk, old_fval, old_old_fval)
     if step is None:
-        step = _line_search_wolfe2(f, fprime, xk, pk, gfk, old_fval, old_old_fval)
+        step = _line_search_wolfe2(memo, xk, pk, gfk, old_fval, old_old_fval)
     return step
+
+
+def _phi_derphi(memo, xk, pk, gval):
+    """phi(s) = f(xk + s pk) and derphi(s), its slope, which keeps the
+    gradient in gval[0].  Consecutive calls at the same s share one point
+    and one memo lookup."""
+    last = [None, None]  # s, memo(xk + s pk)
+
+    def at(s):
+        if s is not last[0]:
+            last[0], last[1] = s, memo(xk + s * pk)
+        return last[1]
+
+    def phi(s):
+        return at(s)[0]
+
+    def derphi(s):
+        gval[0] = at(s)[1]
+        return np.dot(gval[0], pk)
+
+    return phi, derphi
 
 
 def _initial_step(phi0, old_phi0, derphi0):
@@ -208,16 +241,9 @@ def _initial_step(phi0, old_phi0, derphi0):
     return 1.0 if alpha1 < 0 else alpha1
 
 
-def _line_search_wolfe1(f, fprime, xk, pk, gfk, phi0, old_phi0):
+def _line_search_wolfe1(memo, xk, pk, gfk, phi0, old_phi0):
     gval = [gfk]
-
-    def phi(s):
-        return f(xk + s * pk)
-
-    def derphi(s):
-        gval[0] = fprime(xk + s * pk)
-        return np.dot(gval[0], pk)
-
+    phi, derphi = _phi_derphi(memo, xk, pk, gval)
     derphi0 = np.dot(gfk, pk)
     alpha1 = _initial_step(phi0, old_phi0, derphi0)
     found = _dcsrch(phi, derphi, alpha1, phi0, derphi0)
@@ -296,7 +322,9 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
         else:
             stmin = stp + xtrapl * (stp - stx)
             stmax = stp + xtrapu * (stp - stx)
-        stp = np.clip(stp, _AMIN, _AMAX)
+        # np.clip's result, NaN included, kept a NumPy scalar so that
+        # _dcstep divides by zero as NumPy does
+        stp = np.float64(min(max(stp, _AMIN), _AMAX))
         # no further progress possible: the best step so far
         if (
             brackt and (stp <= stmin or stp >= stmax)
@@ -311,9 +339,8 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """Safeguarded step and updated interval (MINPACK-2 dcstep)."""
-    sgn_dp = np.sign(dp)
-    sgn_dx = np.sign(dx)
-    sgnd = sgn_dp * sgn_dx
+    # np.sign(dp) * np.sign(dx) < 0, NaN and zero slopes included
+    opposite = dp < 0.0 < dx or dx < 0.0 < dp
 
     if fp > fx:
         # higher function value: the minimum is bracketed; the cubic step
@@ -333,7 +360,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         else:
             stpf = stpc + (stpq - stpc) / 2.0
         brackt = True
-    elif sgnd < 0.0:
+    elif opposite:
         # lower value, slopes of opposite sign: bracketed; the cubic step
         # if farther from stp than the secant step, else the secant step
         theta = 3 * (fx - fp) / (stp - stx) + dx + dp
@@ -406,7 +433,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         fy = fp
         dy = dp
     else:
-        if sgnd < 0:
+        if opposite:
             sty = stx
             fy = fx
             dy = dx
@@ -416,16 +443,9 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _line_search_wolfe2(f, fprime, xk, pk, gfk, phi0, old_phi0):
+def _line_search_wolfe2(memo, xk, pk, gfk, phi0, old_phi0):
     gval = [None]
-
-    def phi(alpha):
-        return f(xk + alpha * pk)
-
-    def derphi(alpha):
-        gval[0] = fprime(xk + alpha * pk)
-        return np.dot(gval[0], pk)
-
+    phi, derphi = _phi_derphi(memo, xk, pk, gval)
     derphi0 = np.dot(gfk, pk)
     alpha_star, phi_star, derphi_star = _scalar_search_wolfe2(
         phi, derphi, phi0, old_phi0, derphi0

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import properties
 from .datasets import load_values
 from .estimation import METHODS, FitError, fit
 from .gof import gof_report
@@ -104,6 +103,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_props(args) -> int:
+    # imported here, not at module level, so that the other commands load
+    # neither properties nor numerics; the functions are looked up on the
+    # module at call time
+    from . import properties
+
     params = _parse_params(args.family, args.params)
     model = model_from_params(args.family, params)
     out: dict = {"family": args.family, "params": args.params}

@@ -7,6 +7,13 @@ small multi-start: a moment-matched heuristic plus jittered restarts.
 The optimizers (BFGS, and the Nelder-Mead rescue of a stalled start) are
 the package's own ``_optim``, ported from SciPy and bit-identical to it, so
 fitting needs NumPy only.
+
+A fit builds its objective's sample-only pieces once, in a
+``_kernels.Plan``: the sorted sample, log x where the family uses it, and
+the rank weights of the distance methods.  Every evaluation of that fit
+(BFGS's values and gradients, the Nelder-Mead rescue's values, the final
+clamp count) takes the plan; the standard errors build an ml plan for
+their Hessian.
 """
 
 from __future__ import annotations
@@ -121,11 +128,23 @@ def rtad_objective(params: ParamVector, sample, family: str) -> float:
     return _objective_value("rtad", params, sample, family)[0]
 
 
+def _median(xs):
+    """``np.median`` of a 1-d sample, bit for bit, taken from the sorted
+    sample: np.median's NaN check imports ``numpy.ma``."""
+    xs = np.sort(xs)
+    n = xs.size
+    if np.isnan(xs[-1]):  # NaNs sort last, and any NaN makes the median NaN
+        return xs[-1]
+    if n % 2:
+        return xs[n // 2]
+    return (xs[n // 2 - 1] + xs[n // 2]) / 2
+
+
 def default_init(sample, family: str) -> ParamVector:
     """Moment-style starting point: theta=1, lambda=0, beta from the median."""
     xs = np.asarray(sample, dtype=float)
     shape = dict(zip(SUBFAMILY_SHAPES[family], FAMILIES[family].start(xs)))
-    g_med = float(make_transform(family, **shape).eval(np.median(xs)))
+    g_med = float(make_transform(family, **shape).eval(_median(xs)))
     beta = math.log(2.0) / g_med if g_med > 0 else 1.0
     return ParamVector(beta=beta, theta=1.0, lam=0.0, shape=shape)
 
@@ -156,6 +175,8 @@ def fit(
 
     mid = _kernels.METHOD_IDS[method]
     fam = _kernels.FAMILY_IDS[family]
+    # the sample-only pieces of every objective evaluation of this fit
+    plan = _kernels.Plan(xs, fam, mid)
     min_x = float(xs[0])
     is_gtp1 = family == "gtp1"
     k_shape = len(SUBFAMILY_SHAPES[family])
@@ -176,7 +197,7 @@ def fit(
         pen = penalty(s1)
         if pen is not None:
             return pen[0]
-        return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, xs)[0]
+        return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, plan)[0]
 
     def fun_and_grad(z):
         counts["evaluations"] += 2  # one objective and one gradient evaluation
@@ -187,19 +208,23 @@ def fit(
             grad = np.zeros_like(z)
             grad[0] = pen[1] * s1
             return pen[0], grad
-        val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, xs)
+        val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, plan)
         # d/dz = p d/dp for the positive parameters, (1 - lam^2) d/dlam for
         # lam = tanh(z); zero where the decoding is flat (the log coordinates'
-        # clip, |lam| = 1 in floating point), however large d/dp is
-        dp_dz = np.array([*shape, beta, theta, 1.0 - lam * lam])
-        dp_dz[:-1][np.abs(z[:-1]) >= 700.0] = 0.0
-        with np.errstate(invalid="ignore", over="ignore"):
-            grad = np.where(dp_dz > 0.0, grad * dp_dz, 0.0)
-        if not np.all(np.isfinite(grad)):
+        # clip, |lam| = 1 in floating point), however large d/dp is.  Each
+        # product is one correctly rounded multiplication, as in NumPy.
+        gl = grad.tolist()
+        out = [
+            g * d if d > 0.0 and abs(zj) < 700.0 else 0.0
+            for g, d, zj in zip(gl, (*shape, beta, theta), z.tolist())
+        ]
+        d = 1.0 - lam * lam
+        out.append(gl[-1] * d if d > 0.0 else 0.0)
+        if not all(map(math.isfinite, out)):
             # an overflowing derivative: treated like a non-finite value
             counts["gradient_fallbacks"] += 1
             return _BIG, np.zeros_like(z)
-        return val, grad
+        return val, np.array(out)
 
     start0 = init if init is not None else default_init(xs, family)
     z0 = TransformedParams.from_params(start0, family).z
@@ -254,7 +279,8 @@ def fit(
     converged, value, res, rescued = best
     tp = TransformedParams(family=family, z=np.asarray(res.x, dtype=float))
     estimates = tp.to_params()
-    _, clamps = _objective_value(method, estimates, xs, family)
+    args = model_from_params(family, estimates).kernel_args
+    _, clamps = _kernels.objective(mid, *args, plan)
 
     std_errors = None
     if method == "ml" and converged:
@@ -291,12 +317,13 @@ def standard_errors_from_params(params: ParamVector, sample, family: str):
     d = v0.size
     k = len(SUBFAMILY_SHAPES[family])
     fam = _kernels.FAMILY_IDS[family]
+    plan = _kernels.Plan(xs, fam, 0)
     low = np.r_[np.zeros(d - 1), -1.0]
     high = np.r_[np.full(d - 1, np.inf), 1.0]
 
     def grad_at(vec):
         s1, s2 = kernel_shapes(vec[:k])
-        val, _, grad = _kernels.objective_grad(0, fam, s1, s2, *vec[k:], xs)
+        val, _, grad = _kernels.objective_grad(0, fam, s1, s2, *vec[k:], plan)
         return grad if val != _BIG else None
 
     h = 1e-5 * np.maximum(np.abs(v0), 1.0)

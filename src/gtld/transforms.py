@@ -140,19 +140,19 @@ class InnerTransform:
     edge_order: float
     edge_coef: float
 
-    def _parts(self, x, order):
+    def _parts(self, x, lgp):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _ref._g_parts(
-                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float), order
+                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float), lgp=lgp
             )
 
     def eval(self, x):
         """G(x)."""
-        return self._parts(x, 0)
+        return self._parts(x, False)[0]
 
     def deriv(self, x):
         """G'(x), as exp of the kernel's log G'."""
-        return np.exp(self._parts(x, 1)[1])
+        return np.exp(self._parts(x, True)[1])
 
     def inverse(self, y):
         return FAMILIES[self.name].inverse(np.asarray(y, dtype=float), *self.kernel_shapes)

@@ -2,7 +2,8 @@
 
 Each case runs in a fresh interpreter and reads ``sys.modules`` at the end:
 the package, the CLI module, ``curves``, ``props``, a ``fit`` with its GOF
-report, and gtw's incomplete-moment series leave no ``scipy*`` entry.  A
+report, and gtw's incomplete-moment series leave no ``scipy*`` entry, and
+a ``fit`` loads neither ``numpy.ma`` nor the property modules.  A
 positive control imports ``scipy.special`` itself, to show that the check
 sees an import when one happens, and a source scan finds no SciPy import
 statement under ``src/gtld``.  SciPy remains a test-only oracle.
@@ -24,13 +25,13 @@ SRC = os.path.dirname(PKG)
 PARAMS = ["--family", "gtw", "--params", "1.5,0.5,1.2,-0.3"]
 
 
-def scipy_modules_after(code):
-    """The sorted ``scipy*`` entries of sys.modules after running ``code``."""
+def modules_after(code):
+    """The sorted entries of sys.modules after running ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        + "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -39,6 +40,11 @@ def scipy_modules_after(code):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code):
+    """The sorted ``scipy*`` entries of sys.modules after running ``code``."""
+    return [m for m in modules_after(code) if m.split(".")[0] == "scipy"]
 
 
 def cli(*argv):
@@ -76,6 +82,21 @@ def test_fit_does_not_load_scipy_optimize():
     for method in ("ml", "cvm"):
         code = cli("fit", "--data", "gauge", "--family", "gtw", "--method", method)
         assert scipy_modules_after(code) == []
+
+
+def test_fit_loads_no_property_or_masked_array_module():
+    # numpy.ma comes with np.median's NaN check, gtld.numerics with
+    # gtld.properties; the props command, which needs both gtld modules,
+    # shows that the check sees them
+    heavy = ("numpy.ma", "gtld.properties", "gtld.numerics")
+
+    def loaded(code):
+        return sorted(
+            {m for m in modules_after(code) for h in heavy if m == h or m.startswith(h + ".")}
+        )
+
+    assert loaded(cli("fit", "--data", "gauge", "--family", "gtw")) == []
+    assert loaded(cli("props", *PARAMS, "--moment", "1")) == ["gtld.numerics", "gtld.properties"]
 
 
 def test_check_sees_an_import():
