@@ -4,7 +4,10 @@ Layer 1: the six fitting objectives and the array cdf/logpdf evaluations
 on a synthetic sample, which is exactly the workload the simulation harness
 hammers (thousands of quasi-Newton objective evaluations), and the
 objectives' value-and-gradient kernel; the objectives take the per-fit
-``Plan`` that ``fit`` builds once.  It also times three property integrals
+``Plan`` that ``fit`` builds once.  The value-and-gradient kernel is also
+timed for every family and method at n = 50 and 400 (us per call), so that
+a family the Monte Carlo study does not fit (the real-data fits use gtw,
+gte and gtl) cannot slow down unseen.  It also times three property integrals
 on gtw (ms per call) and counts the integrand calls that their quadrature
 makes: each integral's first call covers the tanh-sinh levels
 h = 1 ... 1/16, and each finer level it needs is one call more.
@@ -37,6 +40,19 @@ rng = np.random.default_rng(7)
 xs = np.sort(rng.weibull(1.4, size=N) + 0.05)
 ARGS = (4, 2.5, 0.0, 3.0, 0.5, 0.2)  # gtwe at the study's truth
 METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
+# (family id, s1, s2, beta, theta, lam) per family, for the all-family
+# gradient table; gtp1's alpha lies below the smallest sample point
+FAMILY_ARGS = {
+    "gte": (0, 0.0, 0.0, 1.5, 0.8, 0.2),
+    "gtr": (1, 0.0, 0.0, 1.5, 0.8, 0.2),
+    "gtw": (2, 1.5, 0.0, 1.5, 0.8, 0.2),
+    "gtmw": (3, 1.2, 0.3, 1.5, 0.8, 0.2),
+    "gtwe": ARGS,
+    "gtb12": (5, 2.0, 0.0, 1.5, 0.8, 0.2),
+    "gtl": (6, 1.5, 0.0, 1.5, 0.8, 0.2),
+    "gtp1": (7, 0.04, 0.0, 1.5, 0.8, 0.2),
+}
+GRAD_SIZES = (50, 400)
 PROP_MODEL = make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
 PROP_CALLS = (
     ("raw_moment(2)", properties.raw_moment, (2,)),
@@ -154,6 +170,20 @@ for mid, mname in enumerate(METHODS):
 print(f"value and gradient (n={N}, {REPEATS} calls):")
 for mid, mname in enumerate(METHODS):
     bench(f"{mname}+grad", _ref.objective_grad, mid, *ARGS, _ref.Plan(xs, ARGS[0], mid))
+
+print(f"value and gradient, every family ({REPEATS} calls, us/call):")
+print(f"  {'family':<6} {'n':>4}" + "".join(f"{m:>8}" for m in METHODS))
+for n in GRAD_SIZES:
+    # the synthetic sample's law at size n, its own seed
+    xs_n = np.sort(np.random.default_rng(n).weibull(1.4, size=n) + 0.05)
+    for fname, args in FAMILY_ARGS.items():
+        row = []
+        for mid in range(len(METHODS)):
+            plan = _ref.Plan(xs_n, args[0], mid)
+            assert _ref.objective(mid, *args, plan)[0] != _ref._BIG, (fname, mid)
+            t = timeit.timeit(lambda: _ref.objective_grad(mid, *args, plan), number=REPEATS)
+            row.append(t / REPEATS * 1e6)
+        print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
 
 prop_repeats = max(1, REPEATS // 10)
 print(f"properties on gtw, integrals by quadrature ({prop_repeats} calls):")

@@ -11,6 +11,15 @@ pieces that do not depend on the parameters (log x, the rank weights),
 built once per fit, so an evaluation does only the arithmetic that changes
 from one parameter vector to the next.  Given a bare sorted array they
 build the plan on the spot.
+
+At the sample sizes a fit sees, an evaluation's cost is NumPy's per-call
+overhead, so ``_objective`` makes as few calls as it can, each on the
+operands the per-point formulas name: arrays written in place, scalars
+passed as 0-d arrays (the plan's slots), one ``_x_over_expm1`` call for the
+chain rule and the family's own derivative, and, for the ml gradient, one
+``sum(axis=1)`` over a C-contiguous block of every row it sums.  Values,
+clamp counts and gradients have the same bytes as the formulas evaluated
+one array at a time (``tests/test_plan_kernel.py`` holds that oracle).
 """
 
 from __future__ import annotations
@@ -24,11 +33,25 @@ NAME = "python"
 _LOG_CLAMP = 1e-300
 _BIG = 1e10
 _LOG2 = 0.6931471805599453
+# scalar slots of one evaluation (their order is set in _objective)
+_N_SLOTS = 9
+
+
+def _const(value):
+    """A read-only 0-d array: a ufunc takes it faster than a Python float."""
+    out = np.array(value)
+    out.flags.writeable = False
+    return out
+
+
+_ZERO, _ONE, _TWO, _LOG2_0D, _CLAMP_0D = map(_const, (0.0, 1.0, 2.0, _LOG2, _LOG_CLAMP))
 
 # families whose G needs log x always (gtw, gtmw, gtwe, gtb12), and those
 # whose log G' alone needs it (gtr, gtp1)
 _LOG_X = (False, False, True, True, True, True, False, False)
 _LOG_X_ML = (False, True, True, True, True, True, False, True)
+# shape parameters per family: gte and gtr have none, gtmw two
+_N_SHAPES = (0, 0, 1, 2, 1, 1, 1, 1)
 
 
 class Plan:
@@ -37,11 +60,17 @@ class Plan:
     ``xs`` is the ascending-sorted sample; ``lx`` its log where the family
     uses it (else None); ``target`` the fitted plotting positions (ols and
     wls i/(n+1), cvm (2i-1)/(2n)); ``w`` the weights (wls's, or ad and
-    rtad's 2i-1) and ``w_rev`` ad and rtad's reversed.  ``len(plan)`` is
-    the sample size.
+    rtad's 2i-1) and ``w_rev`` ad and rtad's reversed, the two rows of
+    ``ww``.  ``len(plan)`` is the sample size.
+
+    A plan also holds its evaluations' scalar slots (``scalars``, seen as
+    the 0-d arrays ``scalar_views``), which every evaluation rewrites: one
+    plan serves one thread at a time.
     """
 
-    __slots__ = ("fam", "method", "xs", "n", "lx", "target", "w", "w_rev")
+    __slots__ = (
+        "fam", "method", "xs", "n", "lx", "target", "w", "w_rev", "ww", "scalars", "scalar_views"
+    )
 
     def __init__(self, xs, fam, method):
         if fam not in range(8):
@@ -49,7 +78,9 @@ class Plan:
         xs = np.asarray(xs, dtype=np.float64)
         n = xs.shape[0]
         self.fam, self.method, self.xs, self.n = fam, method, xs, n
-        self.lx = self.target = self.w = self.w_rev = None
+        self.scalars = np.empty(_N_SLOTS)
+        self.scalar_views = tuple(self.scalars[i, ...] for i in range(_N_SLOTS))
+        self.lx = self.target = self.w = self.w_rev = self.ww = None
         if (_LOG_X_ML if method == 0 else _LOG_X)[fam]:
             # x <= 0 (outside the support) gives -inf or NaN, as G does
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -64,8 +95,10 @@ class Plan:
         elif method == 3:  # cvm
             self.target = (2.0 * i - 1.0) / (2.0 * n)
         elif method in (4, 5):  # ad, rtad
-            self.w = 2.0 * i - 1.0
-            self.w_rev = self.w[::-1].copy()
+            self.ww = np.empty((2, n))
+            self.w, self.w_rev = self.ww
+            np.subtract(2.0 * i, 1.0, out=self.w)
+            self.w_rev[:] = self.w[::-1]
         else:
             raise ValueError(f"unknown method id {method}")
 
@@ -73,112 +106,192 @@ class Plan:
         return self.n
 
 
-def _log_u(a):
+def _log_u(a, out=None):
     """log(1 - e^{-a}) for a >= 0 without cancellation on either branch.
 
-    Each branch is evaluated everywhere and np.where keeps the accurate one;
-    callers hold ``np.errstate`` for the values the other branch discards.
+    log1p(-e^{-a}) is taken everywhere, then log(-expm1(-a)) is copied in
+    where a < log 2; callers hold ``np.errstate`` for the values a branch
+    discards.  ``out``, if given, receives the result.
     """
-    na = -a
-    return np.where(a < _LOG2, np.log(-np.expm1(na)), np.log1p(-np.exp(na)))
+    na = np.negative(a)
+    out = np.exp(na, out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.expm1(na, out=na)
+    np.negative(na, out=na)
+    np.log(na, out=na)
+    np.copyto(out, na, where=np.less(a, _LOG2_0D))
+    return out
 
 
 def _x_over_expm1(a):
-    """a / expm1(a), with its limits 1 at a = 0 and 0 at a = inf."""
-    out = a / np.expm1(a)
-    return np.where(np.isnan(out), a == 0.0, out)
+    """a / expm1(a), with its limits 1 at a = 0 and 0 at a = inf.
+
+    The quotient is NaN only at a = 0, inf or NaN, and is >= 0 elsewhere,
+    so fmax with (a == 0) replaces exactly the NaNs, by 1 at a = 0, else 0.
+    """
+    out = np.expm1(a)
+    np.divide(a, out, out=out)
+    return np.fmax(out, np.equal(a, _ZERO), out=out)
 
 
-def _g_parts(fam, s1, s2, x, lx=None, lgp=False, grad=False):
-    """G(x) for family ``fam`` with shapes (s1, s2), and what a caller asks for.
+def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
+    """a = beta*G(x) for family ``fam`` with shapes (s1, s2), and what a
+    caller asks for; with beta = 1, a is G itself.
 
-    Returns (G, log_gp, dlog_g, dlog_gp).  ``log_gp`` = log G'(x) when
-    ``lgp``, else None; with ``grad``, ``dlog_g`` holds one array per shape
-    parameter psi, d log G / d psi, else it is None; ``dlog_gp`` holds the
-    d log G' / d psi when both are asked for, else it is None.  ``lx`` is
-    log x when the caller has it (a ``Plan``), else it is computed here.
+    Returns (a, log_gp, dlog_g, dlog_gp, phi).  ``log_gp`` = log G'(x) when
+    ``lgp``, else None.  With ``grad``, ``dlog_g`` holds one array per shape
+    parameter psi, d log G / d psi, and ``phi`` = a / expm1(a); with both,
+    ``dlog_gp`` holds the d log G' / d psi; what is not asked for is None.
+    ``lx`` is log x when the caller has it (a ``Plan``), else it is
+    computed here.
+
+    With ``grad``, ``out`` is the caller's block of rows: a goes to its last
+    row and the d log G' / d psi to its first rows.  gtwe, gtb12 and gtl
+    take d log G / d alpha from y / expm1(y) (y = -x^alpha, G and G); they
+    write y to the row before a, so one ``_x_over_expm1`` call on the last
+    two rows gives it and phi.
 
     Callers hold ``np.errstate(over="ignore")``: gtwe's G = expm1(x^alpha)
     overflows to inf where x^alpha > 709.78, which is the right limit.
     """
     both = lgp and grad
+    a_out = out[-1] if grad else None
+    log_gp = dlog_g = dlog_gp = phi = None
     if fam == 0:  # gte: G = x
-        return x, np.zeros_like(x) if lgp else None, () if grad else None, () if both else None
-    if fam == 1:  # gtr: G = x^2/2
-        if lgp and lx is None:
+        a = np.multiply(beta, x, out=a_out)
+        if lgp:
+            log_gp = np.zeros_like(x)
+        if grad:
+            dlog_g = ()
+        if both:
+            dlog_gp = ()
+    elif fam == 1:  # gtr: G = x^2/2
+        a = np.multiply(0.5, x, out=a_out)
+        a *= x
+        a *= beta
+        if lgp:
+            log_gp = np.log(x) if lx is None else lx
+        if grad:
+            dlog_g = ()
+        if both:
+            dlog_gp = ()
+    elif fam in (2, 3, 4, 5):
+        if lx is None:
             lx = np.log(x)
-        return 0.5 * x * x, lx if lgp else None, () if grad else None, () if both else None
-    if lx is None and fam in (2, 3, 4, 5):  # the families of _LOG_X
-        lx = np.log(x)
-    log_gp = dlog_g = dlog_gp = None
-    if fam == 2:  # gtw: G = x^alpha
-        G = np.exp(s1 * lx)
-        if lgp:
-            log_gp = np.log(s1) + (s1 - 1.0) * lx
-        if grad:
-            dlog_g = (lx,)
-        if both:
-            dlog_gp = (1.0 / s1 + lx,)
-    elif fam == 3:  # gtmw: G = x^alpha * exp(gamma*x)
-        G = np.exp(s1 * lx + s2 * x)
-        if lgp:
-            r = s1 + s2 * x
-            log_gp = (s1 - 1.0) * lx + s2 * x + np.log(r)
-        if grad:
-            dlog_g = (lx, x)
-        if both:
-            dlog_gp = (lx + 1.0 / r, x + x / r)
-    elif fam == 4:  # gtwe: G = exp(x^alpha) - 1
-        xa = np.exp(s1 * lx)
-        G = np.expm1(xa)
-        if lgp:
-            log_gp = np.log(s1) + (s1 - 1.0) * lx + xa
-        if grad:
-            # d log G / d alpha = lx * x^alpha / (1 - exp(-x^alpha))
-            dlog_g = (lx * _x_over_expm1(-xa),)
-        if both:
-            dlog_gp = (1.0 / s1 + lx * (1.0 + xa),)
-    elif fam == 5:  # gtb12: G = log(1 + x^alpha), alpha*log(x) where x^alpha overflows
-        xa = np.exp(s1 * lx)
-        big = np.isinf(xa)
-        G = np.where(big, s1 * lx, np.log1p(xa))
-        if lgp:
-            log_gp = np.log(s1) + (s1 - 1.0) * lx - G
-        if grad:
-            # x^alpha / G = expm1(G) / G, and d log G / d alpha = 1/alpha
-            # where G = alpha*log(x)
-            dlog_g = (np.where(big, 1.0 / s1, lx / ((1.0 + xa) * _x_over_expm1(G))),)
-        if both:
-            dlog_gp = (1.0 / s1 + lx / (1.0 + xa),)
+        if fam == 2:  # gtw: G = x^alpha
+            a = np.multiply(s1, lx, out=a_out)
+            np.exp(a, out=a)
+            a *= beta
+            if lgp:
+                log_gp = np.multiply(s1 - 1.0, lx)
+                np.add(np.log(s1), log_gp, out=log_gp)
+            if grad:
+                dlog_g = (lx,)
+            if both:
+                dlog_gp = (np.add(1.0 / s1, lx, out=out[0]),)
+        elif fam == 3:  # gtmw: G = x^alpha * exp(gamma*x)
+            s2x = np.multiply(s2, x)
+            a = np.multiply(s1, lx, out=a_out)
+            a += s2x
+            np.exp(a, out=a)
+            a *= beta
+            if lgp:
+                r = np.add(s1, s2x)
+                log_gp = np.multiply(s1 - 1.0, lx)
+                log_gp += s2x
+                log_gp += np.log(r)
+            if grad:
+                dlog_g = (lx, x)
+            if both:
+                d1 = np.divide(1.0, r, out=out[0])
+                d1 += lx
+                d2 = np.divide(x, r, out=out[1])
+                d2 += x
+                dlog_gp = (d1, d2)
+        elif fam == 4:  # gtwe: G = exp(x^alpha) - 1
+            xa = np.multiply(s1, lx)
+            np.exp(xa, out=xa)
+            a = np.expm1(xa, out=a_out)
+            a *= beta
+            if lgp:
+                log_gp = np.multiply(s1 - 1.0, lx)
+                np.add(np.log(s1), log_gp, out=log_gp)
+                log_gp += xa
+            if grad:
+                # d log G / d alpha = lx * x^alpha / (1 - exp(-x^alpha))
+                np.negative(xa, out=out[-2])
+                y = _x_over_expm1(out[-2:])
+                phi = y[1]
+                dlog_g = (np.multiply(lx, y[0], out=y[0]),)
+            if both:
+                d = np.add(_ONE, xa, out=out[0])
+                d *= lx
+                dlog_gp = (np.add(1.0 / s1, d, out=d),)
+        else:  # gtb12: G = log(1 + x^alpha), alpha*log(x) where x^alpha overflows
+            s1lx = np.multiply(s1, lx)
+            xa = np.exp(s1lx)
+            big = np.isinf(xa)
+            G = np.log1p(xa, out=out[-2] if grad else None)
+            np.copyto(G, s1lx, where=big)
+            a = np.multiply(beta, G, out=a_out)
+            if lgp:
+                log_gp = np.multiply(s1 - 1.0, lx)
+                np.add(np.log(s1), log_gp, out=log_gp)
+                log_gp -= G
+            if grad:
+                # x^alpha / G = expm1(G) / G, and d log G / d alpha = 1/alpha
+                # where G = alpha*log(x)
+                y = _x_over_expm1(out[-2:])
+                phi = y[1]
+                opx = np.add(_ONE, xa)
+                d = np.multiply(opx, y[0], out=y[0])
+                np.divide(lx, d, out=d)
+                np.copyto(d, 1.0 / s1, where=big)
+                dlog_g = (d,)
+            if both:
+                d = np.divide(lx, opx, out=out[0])
+                dlog_gp = (np.add(d, 1.0 / s1, out=d),)
     elif fam == 6:  # gtl: G = log(1 + x/alpha)
-        G = np.log1p(x / s1)
+        G = np.divide(x, s1, out=out[-2] if grad else None)
+        np.log1p(G, out=G)
+        a = np.multiply(beta, G, out=a_out)
         if lgp or grad:
-            r = s1 + x
+            r = np.add(s1, x)
         if lgp:
-            log_gp = -np.log(r)
+            log_gp = np.log(r)
+            np.negative(log_gp, out=log_gp)
         if grad:
             # x / alpha = expm1(G)
-            dlog_g = (-1.0 / (r * _x_over_expm1(G)),)
+            y = _x_over_expm1(out[-2:])
+            phi = y[1]
+            d = np.multiply(r, y[0], out=y[0])
+            dlog_g = (np.divide(-1.0, d, out=d),)
         if both:
-            dlog_gp = (-1.0 / r,)
+            dlog_gp = (np.divide(-1.0, r, out=out[0]),)
     elif fam == 7:  # gtp1: G = log(x/alpha), support (alpha, inf)
-        G = np.log(x / s1)
+        G = np.divide(x, s1)
+        np.log(G, out=G)
+        a = np.multiply(beta, G, out=a_out)
         if lgp:
-            log_gp = -(np.log(x) if lx is None else lx)
+            log_gp = np.negative(np.log(x) if lx is None else lx)
         if grad:
-            dlog_g = (-1.0 / (s1 * G),)
+            G *= s1
+            dlog_g = (np.divide(-1.0, G, out=G),)
         if both:
-            dlog_gp = (np.zeros_like(x),)
+            out[0] = 0.0
+            dlog_gp = (out[0],)
     else:
         raise ValueError(f"unknown family id {fam}")
-    return G, log_gp, dlog_g, dlog_gp
+    if grad and phi is None:
+        phi = _x_over_expm1(a)
+    return a, log_gp, dlog_g, dlog_gp, phi
 
 
 def cdf_arr(fam, s1, s2, beta, theta, lam, x):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G = _g_parts(fam, s1, s2, xv)[0]
-        log_u = _log_u(beta * G)
+        log_u = _log_u(_g_parts(fam, s1, s2, beta, xv)[0])
         v = np.exp(theta * log_u)
     out = v * ((1.0 + lam) - lam * v)
     return out if np.ndim(x) else out[0]
@@ -187,8 +300,7 @@ def cdf_arr(fam, s1, s2, beta, theta, lam, x):
 def sf_arr(fam, s1, s2, beta, theta, lam, x):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G = _g_parts(fam, s1, s2, xv)[0]
-        log_u = _log_u(beta * G)
+        log_u = _log_u(_g_parts(fam, s1, s2, beta, xv)[0])
         v = np.exp(theta * log_u)
         one_minus_v = -np.expm1(theta * log_u)
     out = one_minus_v * (1.0 - lam * v)
@@ -198,17 +310,11 @@ def sf_arr(fam, s1, s2, beta, theta, lam, x):
 def logpdf_arr(fam, s1, s2, beta, theta, lam, x):
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G, log_gp = _g_parts(fam, s1, s2, xv, lgp=True)[:2]
-        log_u = _log_u(beta * G)
+        a, log_gp = _g_parts(fam, s1, s2, beta, xv, lgp=True)[:2]
+        log_u = _log_u(a)
         v = np.exp(theta * log_u)
         tail = (1.0 + lam) - 2.0 * lam * v
-        out = (
-            np.log(theta * beta)
-            + log_gp
-            - beta * G
-            + (theta - 1.0) * log_u
-            + np.log(tail)
-        )
+        out = np.log(theta * beta) + log_gp - a + (theta - 1.0) * log_u + np.log(tail)
     return out if np.ndim(x) else out[0]
 
 
@@ -233,6 +339,7 @@ def objective_grad(method, fam, s1, s2, beta, theta, lam, xs):
     return _objective(method, fam, s1, s2, beta, theta, lam, xs, True)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     """The six objectives, and on request their gradients, from shared pieces.
 
@@ -240,10 +347,21 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     depends on (shapes, beta) only through a, log G' and L, and on theta
     through v (and, for ml, theta itself).  Per point dL/dlog a =
     a/expm1(a) = phi, so dL/dbeta = phi/beta and dL/dpsi = phi * dlog G/dpsi;
-    a term Q(L, v) has dQ/dtheta = (dQ/dL) * L/theta.  ``chain`` stacks these
-    rows, so the gradient of sum(w*Q) over (shapes, beta, theta) is
-    chain @ (w * dQ/dL); the lambda component and ml's terms in log G', a,
-    log beta and log theta are added on their own.
+    a term Q(L, v) has dQ/dtheta = (dQ/dL) * L/theta (theta > 0).  ``chain``
+    stacks these rows, so the gradient of sum(w*Q) over (shapes, beta,
+    theta) is chain @ (w * dQ/dL); the lambda component and ml's terms in
+    log G', a, log beta and log theta are added on their own.
+
+    Each evaluation makes as few NumPy calls as it can.  Per-point arrays
+    are written in place (``out=``); the scalar operands are 0-d arrays, the
+    plan's slots and module constants; and ml's gradient writes every
+    per-point row it sums (the log f terms, the d log G' / d psi, a, L and
+    d log f / d lam) into one C-contiguous block that a single
+    ``sum(axis=1)`` reduces, each row's sum having the bytes of its own 1-D
+    sum, and assembles the gradient from those sums on Python floats.  Every
+    operation is the one the per-point formulas name, on operands of the
+    same layout: a transcendental ufunc can round differently on a strided
+    view (log of a reversed array is not the reversed log, bit for bit).
     """
     if not isinstance(plan, Plan):
         plan = Plan(plan, fam, method)
@@ -253,84 +371,134 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
             f"called with family {fam}, method {method}"
         )
     n = plan.n
+    k = _N_SHAPES[fam]
     ml = method == 0
     clamps = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G, log_gp, dlog_g, dlog_gp = _g_parts(fam, s1, s2, plan.xs, plan.lx, ml, want_grad)
-        a = beta * G
-        log_u = _log_u(a)
-        tl = theta * log_u
+    plan.scalars[:] = (
+        beta, theta, theta - 1.0, 2.0 * lam, 1.0 + lam, 2.0 * lam * theta, lam, n,
+        np.log(theta * beta) if ml else 0.0,
+    )
+    beta_, theta_, theta1_, lam2_, lam1_, lam2theta_, lam_, n_, log_tb_ = plan.scalar_views
+    block = None
+    if want_grad:
+        # ml: [log f terms, d log G'/d psi (k rows), scratch, a, L,
+        # d log f/d lam, 2 lam theta v / tail], all summed; else
+        # [scratch, a]
+        block = np.empty((k + 6, n) if ml else (2, n))
+    a, log_gp, dlog_g, dlog_gp, phi = _g_parts(
+        fam, s1, s2, beta_, plan.xs, plan.lx, ml, want_grad,
+        block[1:k + 3] if ml and want_grad else block,
+    )
+    log_u = _log_u(a, block[k + 3] if ml and want_grad else None)
+    tl = np.multiply(theta_, log_u)
+    if ml:  # negative log-likelihood
+        v = np.exp(tl, out=tl)
+        tail = np.multiply(lam2_, v)
+        np.subtract(lam1_, tail, out=tail)
+        terms = np.add(log_tb_, log_gp, out=block[0] if want_grad else None)
+        terms -= a
+        t = np.multiply(theta1_, log_u)
+        terms += t
+        terms += np.log(tail, out=t)
+        if want_grad:
+            over_tail = block[k + 4:]
+            T, D = over_tail
+            np.multiply(_TWO, v, out=T)
+            np.subtract(_ONE, T, out=T)
+            np.multiply(lam2theta_, v, out=D)
+            over_tail /= tail
+            sums = block.sum(axis=1)
+            value = -sums[0]
+        else:
+            value = -terms.sum()
+    else:
         v = np.exp(tl)
-        if ml:  # negative log-likelihood
-            tail = (1.0 + lam) - 2.0 * lam * v
-            value = -(
-                np.log(theta * beta) + log_gp - a + (theta - 1.0) * log_u + np.log(tail)
-            ).sum()
-        else:
-            F = v * ((1.0 + lam) - lam * v)
-            if method == 1:  # ols
-                resid = F - plan.target
-                wr = resid
-                value = (resid**2).sum()
-            elif method == 2:  # wls
-                resid = F - plan.target
-                wr = plan.w * resid
-                value = (plan.w * resid**2).sum()
-            elif method == 3:  # cvm
-                resid = F - plan.target
-                wr = resid
-                value = 1.0 / (12.0 * n) + (resid**2).sum()
-            else:  # ad, rtad
-                one_minus_v = -np.expm1(tl)
-                S = one_minus_v * (1.0 - lam * v)  # (1 - v)(1 - lam v)
-                clamps = int(np.count_nonzero(F < _LOG_CLAMP)) + int(
-                    np.count_nonzero(S < _LOG_CLAMP)
-                )
-                Fc = np.maximum(F, _LOG_CLAMP)
-                Sc = np.maximum(S, _LOG_CLAMP)
-                if method == 4:  # ad
-                    value = -n - (plan.w * (np.log(Fc) + np.log(Sc[::-1]))).sum() / n
-                else:  # rtad
-                    value = n / 2.0 - 2.0 * F.sum() - (plan.w * np.log(Sc[::-1])).sum() / n
-        if not math.isfinite(value):
-            return _BIG, clamps, np.zeros(len(dlog_g) + 3) if want_grad else None
-        if not want_grad:
-            return value, clamps, None
-
-        k = len(dlog_g)
-        phi = _x_over_expm1(a)
-        chain = np.empty((k + 2, n))
-        for j in range(k):
-            # phi = 0 where e^-a underflows (gtwe's G = inf among them), and
-            # there d log u / d psi vanishes however large d log G / d psi is
-            chain[j] = np.where(phi > 0.0, phi * dlog_g[j], 0.0)
-        chain[k] = phi / beta
-        # log u = -inf only where u = 0, where every term's theta derivative
-        # (a multiple of u^theta log u) vanishes
-        chain[k + 1] = np.where(a > 0.0, log_u, 0.0) / theta
-        grad = np.empty(k + 3)
-        if ml:
-            # d log f / dL = (theta - 1) - 2 lam theta v / tail
-            grad[:-1] = chain @ ((theta - 1.0) - 2.0 * lam * theta * v / tail)
-            for j in range(k):
-                grad[j] += dlog_gp[j].sum() - a @ dlog_g[j]
-            grad[k] += (n - a.sum()) / beta
-            grad[k + 1] += (n + log_u.sum()) / theta
-            grad[k + 2] = ((1.0 - 2.0 * v) / tail).sum()
-            return value, clamps, -grad
-        dF_dL = ((1.0 + lam) - 2.0 * lam * v) * theta * v
-        if method < 4:  # d sum(w resid^2) = 2 sum(w resid dF)
-            dF_dlam = v * -np.expm1(tl)
-            q = 2.0 * wr
-        else:
-            dF_dlam = v * one_minus_v
-            # -sum(w_i log S_{n+1-i}) / n weighs log S_j by -w_{n+1-j} / n;
-            # clamped terms have no derivative
-            q = np.where(S >= _LOG_CLAMP, plan.w_rev / Sc, 0.0) / n
+        lv = np.multiply(lam_, v)
+        if method < 4:  # ols, wls, cvm
+            F = np.subtract(lam1_, lv)
+            F *= v
+            resid = np.subtract(F, plan.target, out=F)
+            sq = np.square(resid)
+            if method == 2:  # wls
+                sq *= plan.w
+            value = sq.sum()
+            if method == 3:  # cvm
+                value = 1.0 / (12.0 * n) + value
+        else:  # ad, rtad
+            FS = np.empty((2, n))
+            F, S = FS
+            np.subtract(lam1_, lv, out=F)
+            F *= v
+            one_minus_v = np.expm1(tl)
+            np.negative(one_minus_v, out=one_minus_v)
+            np.subtract(_ONE, lv, out=lv)
+            np.multiply(one_minus_v, lv, out=S)  # (1 - v)(1 - lam v)
+            clamps = int(np.count_nonzero(np.less(FS, _CLAMP_0D)))
+            FSc = np.maximum(FS, _CLAMP_0D)
+            Fc, Sc = FSc
             if method == 4:  # ad
-                q -= np.where(F >= _LOG_CLAMP, plan.w / Fc, 0.0) / n
+                t = np.log(Sc[::-1])
+                t += np.log(Fc)
+                t *= plan.w
+                value = -n - t.sum() / n
             else:  # rtad
-                q -= 2.0
-        grad[:-1] = chain @ (q * dF_dL)
-        grad[k + 2] = q @ dF_dlam
-        return value, clamps, grad
+                t = np.log(Sc[::-1])
+                t *= plan.w
+                value = n / 2.0 - 2.0 * F.sum() - t.sum() / n
+    if not math.isfinite(value):
+        return _BIG, clamps, np.zeros(k + 3) if want_grad else None
+    if not want_grad:
+        return value, clamps, None
+
+    chain = np.zeros((k + 2, n))
+    if k:
+        # phi = 0 where e^-a underflows (gtwe's G = inf among them), and
+        # there d log u / d psi vanishes however large d log G / d psi is
+        pos = np.greater(phi, _ZERO)
+        for j in range(k):
+            np.multiply(phi, dlog_g[j], out=chain[j], where=pos)
+    np.divide(phi, beta_, out=chain[k])
+    # log u = -inf only where u = 0, where every term's theta derivative
+    # (a multiple of u^theta log u) vanishes; a finite ml value has no
+    # such point (nor a NaN log u), so ml takes every point
+    np.divide(log_u, theta_, out=chain[k + 1], where=ml or np.greater(a, _ZERO))
+    if ml:
+        # d log f / dL = (theta - 1) - 2 lam theta v / tail
+        dL = np.subtract(theta1_, D, out=D)
+        g = (chain @ dL).tolist()
+        s = sums.tolist()
+        for j in range(k):
+            g[j] += s[1 + j] - float(a @ dlog_g[j])
+        g[k] += (n - s[k + 2]) / beta
+        g[k + 1] += (n + s[k + 3]) / theta
+        g.append(s[k + 4])
+        return value, clamps, np.array([-gj for gj in g])
+    dF_dL = np.multiply(lam2_, v)
+    np.subtract(lam1_, dF_dL, out=dF_dL)
+    dF_dL *= theta_
+    dF_dL *= v
+    if method < 4:  # d sum(w resid^2) = 2 sum(w resid dF)
+        dF_dlam = np.expm1(tl)
+        np.negative(dF_dlam, out=dF_dlam)
+        dF_dlam *= v
+        wr = np.multiply(plan.w, resid) if method == 2 else resid
+        q = np.multiply(_TWO, wr)
+    else:
+        dF_dlam = np.multiply(v, one_minus_v)
+        # -sum(w_i log S_{n+1-i}) / n weighs log S_j by -w_{n+1-j} / n;
+        # clamped terms have no derivative
+        if method == 4:  # ad: q = w_rev / (n S) - w / (n F)
+            r = np.zeros((2, n))
+            np.divide(plan.ww, FSc, out=r, where=np.greater_equal(FS, _CLAMP_0D))
+            r /= n_
+            q = np.subtract(r[1], r[0])
+        else:  # rtad
+            q = np.zeros(n)
+            np.divide(plan.w_rev, Sc, out=q, where=np.greater_equal(S, _CLAMP_0D))
+            q /= n_
+            q -= _TWO
+    dF_dL *= q
+    grad = np.empty(k + 3)
+    grad[:-1] = chain @ dF_dL
+    grad[-1] = q @ dF_dlam
+    return value, clamps, grad

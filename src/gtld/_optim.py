@@ -16,6 +16,15 @@ search (used when the More-Thuente search fails) getting only c1, c2 and
 amax, and the Nelder-Mead simplex sorted twice after the first evaluations.
 The objective is evaluated once per distinct x, and always on a copy of x.
 
+What SciPy computes with NumPy and the port computes with fewer NumPy
+calls is the bookkeeping whose result does not depend on how it is
+computed: the memo compares points as lists, the line search forms its
+trial points xk + s pk on Python floats (NumPy's elementwise roundings),
+the gradient's inf-norm and the Nelder-Mead convergence test compare
+Python floats, and the errstate of the More-Thuente step is set once per
+call by a decorator.  Every ``np.dot``, and every array operation whose
+rounding SciPy fixes, stays a NumPy call on the same operands.
+
 Ported from SciPy 1.17.1: ``_minimize_bfgs``, ``_line_search_wolfe12`` and
 ``_minimize_neldermead`` (scipy/optimize/_optimize.py);
 ``line_search_wolfe1``, ``scalar_search_wolfe1``, ``line_search_wolfe2``,
@@ -102,7 +111,12 @@ class OptimResult(NamedTuple):
 
 
 class _Memo:
-    """``fun_and_grad`` called once per distinct x, on a copy of x."""
+    """``fun_and_grad`` called once per distinct x, on a copy of x.
+
+    Points are compared as lists of floats, which is how np.array_equal
+    compares them: -0.0 == 0.0, and a NaN is never equal, so a NaN point is
+    re-evaluated.  ``memo(x)`` takes an array, ``memo.at(xl)`` a fresh list.
+    """
 
     def __init__(self, fun_and_grad, x0):
         self._fun_and_grad = fun_and_grad
@@ -110,16 +124,26 @@ class _Memo:
         self(x0)
 
     def __call__(self, x):
-        # x equals the last point as np.array_equal has it: -0.0 == 0.0,
-        # and a NaN is never equal, so a NaN point is re-evaluated
-        xl = x.tolist()
+        return self.at(x.tolist())
+
+    def at(self, xl):
         if xl != self._xl:
             self._xl = xl
-            f, g = self._fun_and_grad(np.array(x, dtype=float))
-            if not np.isscalar(f):
+            f, g = self._fun_and_grad(np.array(xl, dtype=float))
+            # np.isscalar and np.atleast_1d, skipped for a float and a vector
+            if not isinstance(f, float) and not np.isscalar(f):
                 f = np.asarray(f).item()
-            self._f, self._g = f, np.atleast_1d(g)
+            if type(g) is not np.ndarray or g.ndim == 0:
+                g = np.atleast_1d(g)
+            self._f, self._g = f, g
         return self._f, self._g
+
+
+def _max_abs(v):
+    """``np.abs(v).max()`` of a list of floats, NaN if an entry is NaN."""
+    a = list(map(abs, v))
+    total = sum(a)  # NaN exactly where an entry is: no inf - inf among the |v_i|
+    return max(a) if total == total else total
 
 
 def _vecnorm(x):
@@ -155,7 +179,7 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2
     xk = x0
     warnflag = 0
-    gnorm = np.abs(gfk).max()
+    gnorm = _max_abs(gfk.tolist())
     while (gnorm > _GTOL) and (k < _MAXITER):
         pk = -np.dot(Hk, gfk)
         step = _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval)
@@ -170,7 +194,7 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
-        gnorm = np.abs(gfk).max()
+        gnorm = _max_abs(gfk.tolist())
         if gnorm <= _GTOL:
             break
         if _step_rounds_to_zero(alpha_k, pk, xk):
@@ -214,12 +238,15 @@ def _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval):
 def _phi_derphi(memo, xk, pk, gval):
     """phi(s) = f(xk + s pk) and derphi(s), its slope, which keeps the
     gradient in gval[0].  Consecutive calls at the same s share one point
-    and one memo lookup."""
+    and one memo lookup.  The point is formed on Python floats, with the
+    roundings of NumPy's xk + s * pk."""
+    xkl, pkl = xk.tolist(), pk.tolist()
     last = [None, None]  # s, memo(xk + s pk)
 
     def at(s):
         if s is not last[0]:
-            last[0], last[1] = s, memo(xk + s * pk)
+            sf = float(s)
+            last[0], last[1] = s, memo.at([x + sf * p for x, p in zip(xkl, pkl)])
         return last[1]
 
     def phi(s):
@@ -296,19 +323,17 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
             gm = g - gtest
             gxm = gx - gtest
             gym = gy - gtest
-            with np.errstate(invalid="ignore", over="ignore"):
-                stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
-                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
-                )
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt, stmin, stmax
+            )
             fx = fxm + stx * gtest
             fy = fym + sty * gtest
             gx = gxm + gtest
             gy = gym + gtest
         else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
-                )
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+            )
 
         # bisect when the interval does not shrink fast enough
         if brackt:
@@ -331,12 +356,13 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
             or brackt and stmax - stmin <= _XTOL * stmax
         ):
             stp = stx
-        if not np.isfinite(stp):
+        if not math.isfinite(stp):
             return None
         f, g = phi(stp), derphi(stp)
     return None
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """Safeguarded step and updated interval (MINPACK-2 dcstep)."""
     # np.sign(dp) * np.sign(dx) < 0, NaN and zero slopes included
@@ -573,6 +599,17 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             return None, None, None
 
 
+def _nm_converged(sim, fsim):
+    """SciPy's stop test, max |sim[1:] - sim[0]| <= xatol and
+    max |fsim[0] - fsim[1:]| <= fatol, on Python floats: every difference
+    within its tolerance, which a NaN fails as it fails the max."""
+    rows = sim.tolist()
+    f0, *frest = fsim.tolist()
+    return all(
+        abs(v - v0) <= _NM_XATOL for row in rows[1:] for v, v0 in zip(row, rows[0])
+    ) and all(abs(f0 - f) <= _NM_FATOL for f in frest)
+
+
 def nelder_mead(fun, x0) -> OptimResult:
     """Minimize ``fun(x)`` with the (non-adaptive) Nelder-Mead simplex."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
@@ -580,8 +617,8 @@ def nelder_mead(fun, x0) -> OptimResult:
     zdelt = 0.00025
 
     def func(x):
-        fx = fun(np.copy(x))
-        if not np.isscalar(fx):
+        fx = fun(x.copy())
+        if not isinstance(fx, float) and not np.isscalar(fx):
             fx = np.asarray(fx).item()
         return fx
 
@@ -601,18 +638,15 @@ def nelder_mead(fun, x0) -> OptimResult:
     for k in range(N + 1):
         fsim[k] = func(sim[k])
     ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
+    sim = sim[ind]
+    fsim = fsim[ind]
     ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    fsim = fsim[ind]
+    sim = sim[ind]
 
     iterations = 1
     while iterations < _NM_MAXITER:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL
-        ):
+        if _nm_converged(sim, fsim):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -654,8 +688,8 @@ def nelder_mead(fun, x0) -> OptimResult:
                     fsim[j] = func(sim[j])
         iterations += 1
         ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim = sim[ind]
+        fsim = fsim[ind]
 
     return OptimResult(
         x=sim[0],

@@ -79,6 +79,8 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_fit(args) -> int:
+    if args.starts < 1:
+        raise UsageError(f"--starts must be at least 1, got {args.starts}")
     sample = load_values(args.data)
     result = fit(sample, args.family, method=args.method, seed=args.seed,
                  n_starts=args.starts)
@@ -196,6 +198,8 @@ def _read_sim_config(path: str) -> SimConfig:
         start = take("start", "heuristic")
     except (ValueError, UsageError) as exc:
         raise UsageError(f"{path}: {exc}") from None
+    if starts < 1:
+        raise UsageError(f"{path}: starts must be at least 1, got {starts}")
     if kv:
         raise UsageError(f"{path}: unknown key(s) {sorted(kv)}")
     try:
@@ -315,6 +319,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision < 1:
+            raise UsageError(f"--precision must be at least 1, got {args.precision}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

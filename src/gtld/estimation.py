@@ -12,8 +12,11 @@ A fit builds its objective's sample-only pieces once, in a
 ``_kernels.Plan``: the sorted sample, log x where the family uses it, and
 the rank weights of the distance methods.  Every evaluation of that fit
 (BFGS's values and gradients, the Nelder-Mead rescue's values, the final
-clamp count) takes the plan; the standard errors build an ml plan for
-their Hessian.
+clamp count of ad and rtad, the only objectives with clamped terms) takes
+the plan; the standard errors build an ml plan for their Hessian.  Around
+each kernel call a fit does as little as it can: one exp of the log
+coordinates (skipping their clip when none leaves it), the chain rule on
+Python floats, and one array for the gradient.
 """
 
 from __future__ import annotations
@@ -56,14 +59,20 @@ class FitResult:
     gradient_fallbacks: int = 0
 
 
-def _decode(z, k_shape: int):
-    """Optimizer coordinates -> (shape values, beta, theta, lam).
+def _decode(z):
+    """Optimizer coordinates -> (z as a list, [shape values..., beta, theta],
+    lam).
 
     The log coordinates are clipped to +-700 so exp neither overflows nor
-    underflows to 0: every z decodes to a valid parameter vector.
+    underflows to 0: every z decodes to a valid parameter vector.  Inside
+    that range the clip is skipped: it changes nothing there, and a NaN
+    passes it unchanged.
     """
-    vals = np.exp(np.minimum(np.maximum(z[:-1], -700.0), 700.0)).tolist()
-    return vals[:k_shape], vals[k_shape], vals[k_shape + 1], math.tanh(z[-1])
+    zl = z.tolist()
+    logs = z[:-1]
+    if not (min(zl[:-1]) >= -700.0 and max(zl[:-1]) <= 700.0):
+        logs = np.minimum(np.maximum(logs, -700.0), 700.0)
+    return zl, np.exp(logs).tolist(), math.tanh(zl[-1])
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,9 @@ class TransformedParams:
 
     def to_params(self) -> ParamVector:
         names = SUBFAMILY_SHAPES[self.family]
-        shape, beta, theta, lam = _decode(self.z, len(names))
-        return ParamVector(beta=beta, theta=theta, lam=lam, shape=dict(zip(names, shape)))
+        _, vals, lam = _decode(self.z)
+        k = len(names)
+        return ParamVector(beta=vals[k], theta=vals[k + 1], lam=lam, shape=dict(zip(names, vals)))
 
 
 def _objective_value(method: str, params: ParamVector, sample, family: str):
@@ -169,6 +179,8 @@ def fit(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if family not in SUBFAMILY_SHAPES:
         raise ValueError(f"unknown sub-family {family!r}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     xs = np.sort(np.asarray(sample, dtype=float))
     if xs.size == 0:
         raise ValueError("sample is empty")
@@ -180,34 +192,39 @@ def fit(
     min_x = float(xs[0])
     is_gtp1 = family == "gtp1"
     k_shape = len(SUBFAMILY_SHAPES[family])
-    counts = {"evaluations": 0, "gradient_fallbacks": 0}
+    # objective plus gradient evaluations, and overflowing gradients
+    evaluations = gradient_fallbacks = 0
 
     def penalty(s1):
         """(value, d value / d alpha) where gtp1's support (alpha, inf) misses
         a sample point, else None."""
         violation = s1 - min_x
-        if is_gtp1 and violation >= 0.0:
+        if violation >= 0.0:
             return 1e10 * (violation + 1e-6) ** 2 + 1e6, 2e10 * (violation + 1e-6)
         return None
 
     def fun(z):
-        counts["evaluations"] += 1
-        shape, beta, theta, lam = _decode(z, k_shape)
-        s1, s2 = kernel_shapes(shape)
-        pen = penalty(s1)
+        nonlocal evaluations
+        evaluations += 1
+        _, vals, lam = _decode(z)
+        s1, s2 = kernel_shapes(vals[:k_shape])
+        pen = penalty(s1) if is_gtp1 else None
         if pen is not None:
             return pen[0]
+        beta, theta = vals[k_shape:]
         return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, plan)[0]
 
     def fun_and_grad(z):
-        counts["evaluations"] += 2  # one objective and one gradient evaluation
-        shape, beta, theta, lam = _decode(z, k_shape)
-        s1, s2 = kernel_shapes(shape)
-        pen = penalty(s1)
+        nonlocal evaluations, gradient_fallbacks
+        evaluations += 2  # one objective and one gradient evaluation
+        zl, vals, lam = _decode(z)
+        s1, s2 = kernel_shapes(vals[:k_shape])
+        pen = penalty(s1) if is_gtp1 else None
         if pen is not None:
             grad = np.zeros_like(z)
             grad[0] = pen[1] * s1
             return pen[0], grad
+        beta, theta = vals[k_shape:]
         val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, plan)
         # d/dz = p d/dp for the positive parameters, (1 - lam^2) d/dlam for
         # lam = tanh(z); zero where the decoding is flat (the log coordinates'
@@ -216,22 +233,22 @@ def fit(
         gl = grad.tolist()
         out = [
             g * d if d > 0.0 and abs(zj) < 700.0 else 0.0
-            for g, d, zj in zip(gl, (*shape, beta, theta), z.tolist())
+            for g, d, zj in zip(gl, vals, zl)
         ]
         d = 1.0 - lam * lam
         out.append(gl[-1] * d if d > 0.0 else 0.0)
         if not all(map(math.isfinite, out)):
             # an overflowing derivative: treated like a non-finite value
-            counts["gradient_fallbacks"] += 1
+            gradient_fallbacks += 1
             return _BIG, np.zeros_like(z)
         return val, np.array(out)
 
     start0 = init if init is not None else default_init(xs, family)
     z0 = TransformedParams.from_params(start0, family).z
-    rng = np.random.default_rng(seed)
     starts = [z0]
-    for _ in range(max(0, n_starts - 1)):
-        starts.append(z0 + rng.normal(scale=0.35, size=z0.size))
+    if n_starts > 1:
+        rng = np.random.default_rng(seed)
+        starts += [z0 + rng.normal(scale=0.35, size=z0.size) for _ in range(n_starts - 1)]
 
     def _success(res):
         # "precision loss" at a stationary point is convergence for our
@@ -277,10 +294,13 @@ def fit(
         raise FitError(f"all {len(starts)} starts failed for {family}/{method}")
 
     converged, value, res, rescued = best
-    tp = TransformedParams(family=family, z=np.asarray(res.x, dtype=float))
-    estimates = tp.to_params()
-    args = model_from_params(family, estimates).kernel_args
-    _, clamps = _kernels.objective(mid, *args, plan)
+    estimates = TransformedParams(family=family, z=np.asarray(res.x, dtype=float)).to_params()
+    clamps = 0
+    if method in ("ad", "rtad"):  # the only objectives with clamped terms
+        e = estimates
+        clamps = _kernels.objective(
+            mid, fam, *kernel_shapes(e.shape.values()), e.beta, e.theta, e.lam, plan
+        )[1]
 
     std_errors = None
     if method == "ml" and converged:
@@ -296,9 +316,9 @@ def fit(
         family=family,
         clamp_count=int(clamps),
         n_starts=len(starts),
-        evaluations=counts["evaluations"],
+        evaluations=evaluations,
         rescued=rescued,
-        gradient_fallbacks=counts["gradient_fallbacks"],
+        gradient_fallbacks=gradient_fallbacks,
     )
 
 

@@ -43,6 +43,8 @@ class SimConfig:
             raise ValueError("start must be 'heuristic' or 'truth'")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 2")
         bad = [m for m in self.methods if m not in METHODS]

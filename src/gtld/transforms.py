@@ -141,10 +141,16 @@ class InnerTransform:
     edge_coef: float
 
     def _parts(self, x, lgp):
+        """(G(x), log G'(x) when ``lgp``), from the kernels' ``_g_parts``,
+        which work in place on arrays: a scalar x gives scalars."""
+        xv = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _ref._g_parts(
-                self.family_id, *self.kernel_shapes, np.asarray(x, dtype=float), lgp=lgp
-            )
+            G, log_gp = _ref._g_parts(
+                self.family_id, *self.kernel_shapes, 1.0, np.atleast_1d(xv), lgp=lgp
+            )[:2]
+        if xv.ndim == 0:
+            return G[0], None if log_gp is None else log_gp[0]
+        return G, log_gp
 
     def eval(self, x):
         """G(x)."""

@@ -73,6 +73,15 @@ class TestFit:
         assert payload["converged"] is True
         jsonschema.validate(payload, _schema("fit_report.schema.json"))
 
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_starts_below_one_is_usage_error(self, capsys, starts):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", "gauge", "--family", "gte", "--starts", starts
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --starts must be at least 1, got {starts}\n"
+
     def test_bad_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "fit", "--data", "gauge", "--family", "gte",
@@ -184,6 +193,14 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", str(cfg))
         assert code == 2
 
+    def test_starts_below_one_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "nostart.cfg"
+        cfg.write_text("family = gte\ntruth = 1,1,0\nsizes = 40\nN = 2\nstarts = 0\n")
+        code, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}: starts must be at least 1, got 0\n"
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "/no/such.cfg")
         assert code == 2
@@ -211,6 +228,19 @@ class TestSimulate:
 
 
 class TestPrecision:
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_below_one_is_usage_error(self, capsys, precision):
+        # before: -1 ran the command and exited 1 on the format string, and
+        # 0 printed one digit
+        code, out, err = run_cli(
+            capsys,
+            "--precision", precision,
+            "props", "--family", "gte", "--params", "3.0,1.0,0.0", "--moment", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --precision must be at least 1, got {precision}\n"
+
     def test_precision_flag_rounds(self, capsys):
         code, out, _ = run_cli(
             capsys,

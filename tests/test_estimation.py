@@ -248,6 +248,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(gte_sample, "gte", method="mle")
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_no_start_is_refused(self, gte_sample, n_starts):
+        # no longer silently one start reported as n_starts=1
+        with pytest.raises(ValueError, match=f"n_starts must be at least 1, got {n_starts}"):
+            fit(gte_sample, "gte", method="ml", n_starts=n_starts)
+
     def test_deterministic(self, gte_sample):
         a = fit(gte_sample[:100], "gte", method="ols", seed=4, n_starts=3)
         b = fit(gte_sample[:100], "gte", method="ols", seed=4, n_starts=3)

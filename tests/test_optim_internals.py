@@ -2,7 +2,8 @@
 
 ``tests/test_optim.py`` checks whole runs against SciPy; these cases reach
 the corners a run seldom does: a step test on underflowing, overflowing
-and NaN vectors, and the memo's notion of "the same point".
+and NaN vectors, the gradient's inf-norm and Nelder-Mead's stop test on
+floats, and the memo's notion of "the same point".
 """
 
 import itertools
@@ -66,3 +67,41 @@ def test_memo_evaluates_once_per_distinct_point():
     f, g = memo(np.array([1.0, 1e-300]))
     assert len(calls) == 5 and f == 1.0
     np.testing.assert_array_equal(g, [1.0, 1.0])
+
+
+VECTORS = STEPS + POINTS + [
+    [-0.0, 0.0, -0.0, 0.0],
+    [-np.inf, 1.0, 0.0, 0.0],
+    [np.inf, -np.inf, 1.0, 0.0],
+    [1.0, 2.0, np.nan, np.inf],
+    [5e-324, -1e-320, 0.0, 0.0],
+]
+
+
+def test_max_abs_is_numpys_inf_norm():
+    for v in VECTORS:
+        got, want = _optim._max_abs(v), np.abs(np.array(v)).max()
+        assert got == want or (np.isnan(got) and np.isnan(want)), v
+
+
+def test_nelder_mead_stop_test_decides_as_the_maxima_do():
+    rng = np.random.default_rng(5)
+    specials = [np.nan, np.inf, -np.inf, -0.0]
+    # differences exactly at the tolerances stop it
+    assert _optim._nm_converged(np.array([[0.0], [1e-8]]), np.array([0.0, 1e-10]))
+    assert not _optim._nm_converged(np.array([[0.0], [1.0000000000000002e-08]]), np.zeros(2))
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.integers(-12, 0, size=2)
+        sim = rng.standard_normal((n + 1, n)) * scale[0] + rng.standard_normal(n)
+        fsim = rng.standard_normal(n + 1) * scale[1]
+        if rng.random() < 0.3:
+            sim.flat[rng.integers(sim.size)] = rng.choice(specials)
+        if rng.random() < 0.3:
+            fsim[rng.integers(n + 1)] = rng.choice(specials)
+        with np.errstate(invalid="ignore"):
+            want = bool(
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _optim._NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _optim._NM_FATOL
+            )
+        assert _optim._nm_converged(sim, fsim) is want, (sim, fsim)

@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(start="oracle")
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_no_start_is_refused(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            small_config(n_starts=n_starts)
+
     def test_start_modes_accepted(self):
         assert small_config(start="truth").start == "truth"
         assert small_config().start == "heuristic"
