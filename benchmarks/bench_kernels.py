@@ -9,8 +9,10 @@ timed for every family and method at n = 50 and 400 (us per call), so that
 a family the Monte Carlo study does not fit (the real-data fits use gtw,
 gte and gtl) cannot slow down unseen.  It also times three property integrals
 on gtw (ms per call) and counts the integrand calls that their quadrature
-makes: each integral's first call covers the tanh-sinh levels
-h = 1 ... 1/16, and each finer level it needs is one call more.
+makes, through ``numerics.integrate_ranges``, which every quadrature runs
+on: the first call covers the tanh-sinh levels h = 1 ... 1/16 of both
+halves of the split range and the tail probe's points, and each round of
+finer levels that a half still needs is one call more.
 
 Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
@@ -72,23 +74,24 @@ def bench(label, fn, *args):
 
 
 def integrand_calls(fn, *args):
-    """Integrand calls made through ``numerics.integrate`` by one call of fn."""
-    integrate = numerics.integrate
+    """Integrand calls made by the quadrature driver in one call of fn
+    (``numerics.integrate`` runs on the driver too)."""
+    drive = numerics.integrate_ranges
     calls = 0
 
     def counting(f, *rest, **kwargs):
-        def counted(x):
+        def counted(*parts):
             nonlocal calls
             calls += 1
-            return f(x)
+            return f(*parts)
 
-        return integrate(counted, *rest, **kwargs)
+        return drive(counted, *rest, **kwargs)
 
-    numerics.integrate = counting
+    numerics.integrate_ranges = counting
     try:
         fn(*args)
     finally:
-        numerics.integrate = integrate
+        numerics.integrate_ranges = drive
     return calls
 
 

@@ -328,6 +328,14 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a NumericsError (a quadrature or series that failed) can only come
+        # from a loaded gtld.numerics, which only props and fit's GOF load
+        numerics = sys.modules.get(f"{__package__}.numerics")
+        if numerics is None or not isinstance(exc, numerics.NumericsError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

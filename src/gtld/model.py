@@ -160,7 +160,7 @@ class GtldModel:
 
     def quantile(self, p):
         pv = np.asarray(p, dtype=float)
-        if np.any((pv <= 0.0) | (pv >= 1.0)):
+        if not np.all((pv > 0.0) & (pv < 1.0)):  # NaN fails both
             raise ValueError("quantile requires 0 < p < 1")
         out = self._quantile_arr(pv)
         return out if np.ndim(p) else float(out)

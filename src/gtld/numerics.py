@@ -10,13 +10,22 @@ substitution x = lo + t/(1-t).  The node tables for the step sizes
 h = 1, 1/2, ..., 1/128 are built once at import, grouped into the array
 calls of the integrand: one call covers the levels h = 1 ... 1/16, where
 most integrals converge, and each finer level makes one call more.
+
+The rule on one range is a reverse-communication generator (``_rule``):
+it yields each block's nodes and is sent the integrand's values there.
+:func:`integrate_ranges` steps several ranges in lock step, so that one
+array call of the integrand per round covers every range still running,
+and the first call can also take extra points, such as a tail probe's,
+with a verdict on their values before any range uses its block.
+:func:`integrate` is its one-range case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -164,24 +173,177 @@ _TABLES = _node_tables()
 _FRONT = 5  # levels 0..4 (173 nodes) share the first call of the integrand
 
 
+class _Block(NamedTuple):
+    """The nodes of one integrand call, with what ``_rule`` maps them by."""
+
+    t: np.ndarray
+    omt: np.ndarray  # 1 - t
+    w: np.ndarray  # dt/ds
+    levels: list  # (h, start, stop): [start:stop] holds level h's nodes
+    starts: np.ndarray  # each level's start
+    near_lower: np.ndarray  # t < 1/2: a finite range maps from its lower end
+    signed: np.ndarray  # t near the lower end, -(1 - t) near the upper one
+    t_fold: np.ndarray  # t / (1 - t), the semi-infinite map less its lower end
+    jac_fold: np.ndarray  # its Jacobian, dt/ds / (1 - t)^2
+
+
 def _node_blocks():
     """The node tables grouped by integrand call.
 
     The first block concatenates levels 0.._FRONT-1 and each later level is
-    a block of its own.  A block is (t, 1 - t, dt/ds, levels), where levels
-    lists (h, start, stop) with the block arrays' [start:stop] holding that
-    level's nodes in the order of ``_TABLES``.
+    a block of its own; a block lists each level's nodes in the order of
+    ``_TABLES``.
     """
     blocks = []
     for group in [_TABLES[:_FRONT]] + [[level] for level in _TABLES[_FRONT:]]:
         stops = np.cumsum([len(t) for _, t, _, _ in group]).tolist()
         levels = [(h, stop - len(t), stop) for (h, t, _, _), stop in zip(group, stops)]
         t, omt, w = (np.concatenate([level[i] for level in group]) for i in (1, 2, 3))
-        blocks.append((t, omt, w, levels))
+        starts = np.array([a for _, a, _ in levels])
+        near = t < 0.5
+        signed = np.where(near, t, -omt)
+        blocks.append(_Block(t, omt, w, levels, starts, near, signed, t / omt, w / (omt * omt)))
     return blocks
 
 
 _BLOCKS = _node_blocks()
+
+
+def _rule(lower, upper, spec):
+    """The tanh-sinh rule on one range, by reverse communication.
+
+    A generator: it yields the nodes of each block of ``_BLOCKS`` in turn
+    and is sent the integrand's values there (an array of the nodes' shape,
+    or a scalar); it returns the estimate or raises
+    :class:`QuadratureError`.  :func:`integrate_ranges` drives it.
+    """
+    if lower == upper:
+        return 0.0
+    fold = math.isinf(upper)
+    width = upper - lower
+    outer_lo = outer_hi = None  # (t or 1 - t, term) at the outermost node used
+    total = None
+    for t, omt, w, levels, starts, near_lower, signed, t_fold, jac_fold in _BLOCKS:
+        if fold:
+            x = lower + t_fold
+            jac = jac_fold
+            keep = x > lower
+        else:
+            # lower + width*t near the lower end, upper - width*(1 - t) near the upper
+            x = np.where(near_lower, lower, upper) + width * signed
+            jac = width * w
+            keep = (x > lower) & (x < upper)
+        kept = np.add.reduceat(keep, starts, dtype=np.intp).tolist()  # per level
+        if sum(kept) < keep.size:
+            x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
+            stops = itertools.accumulate(kept)
+            levels = [(h, stop - n, stop) for (h, _, _), n, stop in zip(levels, kept, stops)]
+        values = yield x
+        block = np.asarray(values, dtype=float) * jac  # under the driver's errstate
+        for h, a, b in levels:
+            terms = block[a:b]
+            level = float(np.add.reduce(terms))  # terms.sum() without its wrapper
+            if not math.isfinite(level):  # a term is not finite, or the sum overflowed
+                bad = ~np.isfinite(terms)
+                if bad.any():
+                    inner = bad & (np.minimum(t[a:b], omt[a:b]) >= _T_EDGE)
+                    if inner.any():
+                        node = float(x[a:b][inner][0])
+                        raise QuadratureError(
+                            f"integrand not finite at x = {node!r} (level h = {h!r}) "
+                            "inside the range",
+                            estimate=None,
+                            error_bound=None,
+                        )
+                    terms[bad] = 0.0
+                    level = float(np.add.reduce(terms))
+            if b > a:
+                # the tables order nodes by s, and each level reaches at least as far
+                if outer_lo is None or t[a] <= outer_lo[0]:
+                    outer_lo = (t[a], float(terms[0]))
+                if outer_hi is None or omt[b - 1] <= outer_hi[0]:
+                    outer_hi = (omt[b - 1], float(terms[-1]))
+            level *= h
+            if total is None:
+                total = level
+                continue
+            prev, total = total, 0.5 * total + level
+            outer = h * (abs(outer_lo[1]) + abs(outer_hi[1])) if outer_lo else 0.0
+            err = abs(total - prev) + outer
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return total
+    raise QuadratureError(
+        f"quadrature did not converge (estimate {total!r}, error bound {err!r})",
+        estimate=total,
+        error_bound=err,
+    )
+
+
+def _step(rule, values):
+    """Send ``values`` to a rule: (its next nodes, None), or (None, its outcome)."""
+    try:
+        return rule.send(values), None
+    except StopIteration as stop:
+        return None, stop.value
+    except QuadratureError as exc:
+        return None, exc
+
+
+_NO_NODES = np.empty(0)
+
+
+def integrate_ranges(
+    f: Callable[..., np.ndarray],
+    ranges,
+    spec: QuadratureSpec | None = None,
+    probe=None,
+) -> list:
+    """Tanh-sinh quadrature of ``f`` over several ranges in lock step.
+
+    Each range (lower, upper) is integrated by the rule of
+    :func:`integrate`, and one call of ``f`` per round serves every range
+    still running.  The call is ``f(*parts)``: with ``probe = (points,
+    verdict)`` the first part holds ``points`` on the first call and is
+    empty after it; then comes one part per range, holding the nodes of its
+    next block, or empty once the range has finished.  ``f`` returns its
+    values on the concatenation of the parts (a scalar is broadcast), and
+    is called inside ``np.errstate(all="ignore")``; so an elementwise ``f``
+    sees, besides its own range's nodes, those of the other ranges and the
+    probe points.  ``verdict`` receives the values at ``points`` right after
+    the first call, before any range takes its block: an exception it
+    raises ends the quadrature with no further call.  Ranges are checked as
+    in :func:`integrate` before any call.
+
+    Returns, per range, its estimate or the :class:`QuadratureError` that
+    ended it, for the caller to raise or accept in its own order.
+    """
+    spec = spec or QuadratureSpec()
+    for lower, upper in ranges:
+        if not lower <= upper or math.isinf(lower):
+            raise ValueError(f"integrate needs finite lower <= upper, got ({lower}, {upper})")
+    rules = [_rule(lower, upper, spec) for lower, upper in ranges]
+    steps = [_step(rule, None) for rule in rules]
+    nodes, out = [x for x, _ in steps], [outcome for _, outcome in steps]
+    points = None if probe is None else np.asarray(probe[0], dtype=float)
+    first = 0 if probe is None else 1  # the parts index of the first range
+    while points is not None or any(x is not None for x in nodes):
+        parts = [_NO_NODES if x is None else x for x in nodes]
+        if probe is not None:
+            parts.insert(0, _NO_NODES if points is None else points)
+        stops = list(itertools.accumulate(part.size for part in parts))
+        # the rules scale the values by their weights in this errstate too
+        with np.errstate(all="ignore"):
+            values = np.asarray(f(*parts), dtype=float)
+            if values.shape != (stops[-1],):
+                values = np.broadcast_to(values, (stops[-1],))
+            if points is not None:
+                points = None
+                probe[1](values[: stops[0]])
+            for i, x in enumerate(nodes):
+                if x is not None:
+                    stop = stops[first + i]
+                    nodes[i], out[i] = _step(rules[i], values[stop - x.size : stop])
+    return out
 
 
 def integrate(
@@ -206,66 +368,14 @@ def integrate(
     :class:`QuadratureError` carrying the last estimate and that bound.
     Non-finite integrand values are taken as 0 where min(t, 1-t) <
     1e-12, and raise :class:`QuadratureError`, naming the node, anywhere
-    else in a level the rule consumes.
+    else in a level the rule consumes.  This is the one-range case of
+    :func:`integrate_ranges`, whose ``f`` may also see the nodes of other
+    ranges and probe points.
     """
-    spec = spec or QuadratureSpec()
-    if not lower <= upper or math.isinf(lower):
-        raise ValueError(f"integrate needs finite lower <= upper, got ({lower}, {upper})")
-    if lower == upper:
-        return 0.0
-    fold = math.isinf(upper)
-    width = upper - lower
-    outer_lo = outer_hi = None  # (t or 1 - t, term) at the outermost node used
-    total = None
-    for t, omt, w, levels in _BLOCKS:
-        if fold:
-            x = lower + t / omt
-            jac = w / (omt * omt)
-            keep = x > lower
-        else:
-            x = np.where(t < 0.5, lower + width * t, upper - width * omt)
-            jac = width * w
-            keep = (x > lower) & (x < upper)
-        if not keep.all():
-            x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
-            kept = [0] + np.cumsum(keep).tolist()  # surviving nodes before each index
-            levels = [(h, kept[a], kept[b]) for h, a, b in levels]
-        with np.errstate(all="ignore"):
-            block = np.asarray(f(x), dtype=float) * jac
-        for h, a, b in levels:
-            terms, tk, omtk = block[a:b], t[a:b], omt[a:b]
-            bad = ~np.isfinite(terms)
-            if bad.any():
-                inner = bad & (np.minimum(tk, omtk) >= _T_EDGE)
-                if inner.any():
-                    node = float(x[a:b][inner][0])
-                    raise QuadratureError(
-                        f"integrand not finite at x = {node!r} (level h = {h!r}) "
-                        "inside the range",
-                        estimate=None,
-                        error_bound=None,
-                    )
-                terms[bad] = 0.0
-            if terms.size:
-                # the tables order nodes by s, and each level reaches at least as far
-                if outer_lo is None or tk[0] <= outer_lo[0]:
-                    outer_lo = (tk[0], float(terms[0]))
-                if outer_hi is None or omtk[-1] <= outer_hi[0]:
-                    outer_hi = (omtk[-1], float(terms[-1]))
-            level = h * float(terms.sum())
-            if total is None:
-                total = level
-                continue
-            prev, total = total, 0.5 * total + level
-            outer = h * (abs(outer_lo[1]) + abs(outer_hi[1])) if outer_lo else 0.0
-            err = abs(total - prev) + outer
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-                return total
-    raise QuadratureError(
-        f"quadrature did not converge (estimate {total!r}, error bound {err!r})",
-        estimate=total,
-        error_bound=err,
-    )
+    (out,) = integrate_ranges(f, [(lower, upper)], spec)
+    if isinstance(out, QuadratureError):
+        raise out
+    return out
 
 
 def sum_series(term: Callable[[int], float], spec: SeriesSpec | None = None) -> float:

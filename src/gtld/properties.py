@@ -1,9 +1,16 @@
 """Distributional quantities: moments, PWM, MGF, entropies, residual life, CIGF.
 
-Tanh-sinh quadrature (``numerics.integrate``) is the primary computational
-path throughout; every integrand here is elementwise on arrays, so one call
-of the model's vectorised cdf, survival or density covers the rule's levels
-h = 1 ... 1/16, and each finer level it needs is one call more.  The
+Tanh-sinh quadrature (``numerics``) is the primary computational path
+throughout.  Every integrand here is elementwise on arrays, and the
+integrals over an unbounded range are split at Q(0.75): the two halves run
+in lock step through one ``numerics.integrate_ranges`` call, so one call of
+the model's vectorised cdf, survival or density covers the rule's levels
+h = 1 ... 1/16 of both halves and the tail probe's points, and each round
+of finer levels that a half still needs is one call more.  Each half's
+degraded result is accepted or raised in range order, as if the halves ran
+one after the other, and the values are those of separate calls to the
+bit.  The incomplete and reversed residual moments, over one finite
+range, use ``numerics.integrate``.  The
 closed-form series for the Weibull-type sub-family ("gtw") are kept as an
 independent cross-check route; they and the quadrature values must agree
 wherever both apply.
@@ -15,6 +22,8 @@ function decays like a power of x), analytically at the lower support edge
 (the local power of the density is known for every built-in transform) and
 numerically in the tail, by fitting a log-log slope to the integrand at
 quantile-(1 - 1e-6) multiples {1,2,4,8} and requiring decay faster than 1/x.
+The tail's verdict is taken on the first integrand call, before either half
+uses its values, and comes before the edge's.
 """
 
 from __future__ import annotations
@@ -41,45 +50,72 @@ class EntropyDomainError(ArithmeticError):
     """q-entropy needs integral(f^q) < 1; raised when it is not."""
 
 
-def _integrate(f, lo, hi, spec=None):
-    """Quadrature that tolerates a degraded-but-tight error bound."""
-    try:
-        return numerics.integrate(f, lo, hi, spec)
-    except numerics.QuadratureError as exc:
-        est, err = exc.estimate, exc.error_bound
+def _accept(outcome):
+    """A quadrature outcome as a value, tolerating a degraded-but-tight bound."""
+    if isinstance(outcome, numerics.QuadratureError):
+        est, err = outcome.estimate, outcome.error_bound
         if est is not None and err is not None and err <= _ACCEPT_REL * max(
             1.0, abs(est)
         ):
             return est
-        raise
+        raise outcome
+    return outcome
 
 
-def _integrate_support(model: GtldModel, f, lower=None, spec=None):
-    """Integrate f over (lower or support_low, inf), split at an interior point."""
+def _integrate(f, lo, hi, spec=None):
+    """Quadrature over one range that tolerates a degraded-but-tight error bound."""
+    try:
+        return numerics.integrate(f, lo, hi, spec)
+    except numerics.QuadratureError as exc:
+        return _accept(exc)
+
+
+def _on_parts(integrand):
+    """An elementwise integrand as the driver calls it: once on all parts."""
+    return lambda *parts: integrand(np.concatenate(parts))
+
+
+def _integrate_split(f, ranges, probe, spec=None):
+    """The two halves of a split integral in one lock-step driver call, the
+    tail probe's points in its first integrand call; each half's degraded
+    acceptance is applied in range order."""
+    below, above = numerics.integrate_ranges(f, ranges, spec, probe)
+    below = _accept(below)
+    return below + _accept(above)
+
+
+def _integrate_support(model: GtldModel, integrand, probe, lower=None, spec=None):
+    """Integrate over (lower or support_low, inf), split at an interior point."""
     lo = model.support_low if lower is None else lower
     mid = model.quantile(0.75)
     if mid <= lo:
         mid = 2.0 * lo + 1.0
-    return _integrate(f, lo, mid, spec) + _integrate(f, mid, math.inf, spec)
+    return _integrate_split(_on_parts(integrand), [(lo, mid), (mid, math.inf)], probe, spec)
 
 
-def _tail_probe(model: GtldModel, integrand, what: str):
-    """Signal divergence unless the integrand decays faster than 1/x."""
+def _tail_probe(model: GtldModel, what: str):
+    """Tail points and a verdict on the integrand's values there, as
+    ``numerics.integrate_ranges`` takes them: the verdict signals divergence
+    unless the integrand decays faster than 1/x; a non-finite value is a
+    verdict too."""
     xs = model.quantile(_TAIL_Q) * np.array([1.0, 2.0, 4.0, 8.0])
-    with np.errstate(all="ignore"):  # a non-finite value is a verdict, below
-        vals = np.asarray(integrand(xs), dtype=float).tolist()
-    if any(not math.isfinite(v) for v in vals):
-        raise DivergenceError(f"{what}: integrand not finite in the tail")
-    if all(v == 0.0 for v in vals):
-        return
-    if any(b >= a for a, b in zip(vals, vals[1:]) if a > 0.0):
-        raise DivergenceError(f"{what}: integrand not decreasing in the tail")
-    if vals[0] > 0.0 and vals[-1] > 0.0:
-        slope = math.log(vals[-1] / vals[0]) / math.log(8.0)
-        if slope >= -1.0:
-            raise DivergenceError(
-                f"{what}: tail decay x^{slope:.3f} is too slow to integrate"
-            )
+
+    def verdict(values):
+        vals = values.tolist()
+        if any(not math.isfinite(v) for v in vals):
+            raise DivergenceError(f"{what}: integrand not finite in the tail")
+        if all(v == 0.0 for v in vals):
+            return
+        if any(b >= a for a, b in zip(vals, vals[1:]) if a > 0.0):
+            raise DivergenceError(f"{what}: integrand not decreasing in the tail")
+        if vals[0] > 0.0 and vals[-1] > 0.0:
+            slope = math.log(vals[-1] / vals[0]) / math.log(8.0)
+            if slope >= -1.0:
+                raise DivergenceError(
+                    f"{what}: tail decay x^{slope:.3f} is too slow to integrate"
+                )
+
+    return xs, verdict
 
 
 # -- moments ---------------------------------------------------------------
@@ -131,8 +167,7 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     def integrand(x):
         return x**r * model.pdf(x)
 
-    _tail_probe(model, integrand, f"raw moment r={r}")
-    return _integrate_support(model, integrand)
+    return _integrate_support(model, integrand, _tail_probe(model, f"raw moment r={r}"))
 
 
 def incomplete_moment(
@@ -143,6 +178,10 @@ def incomplete_moment(
         raise ValueError("moment order must be >= 1")
     if z < model.support_low:
         raise ValueError("z below the support")
+    if not math.isfinite(z):
+        raise ValueError(
+            f"incomplete moment needs a finite z, got {z}; raw_moment gives the full range"
+        )
     if method == "series":
         if model.transform.name != "gtw":
             raise ValueError("series moments are implemented for 'gtw' only")
@@ -162,9 +201,8 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
     def integrand(x):
         return x**r * model.cdf(x) ** s * model.pdf(x)
 
-    if r > 0:
-        _tail_probe(model, integrand, f"pwm r={r}, s={s}")
-    return _integrate_support(model, integrand)
+    probe = _tail_probe(model, f"pwm r={r}, s={s}") if r > 0 else None
+    return _integrate_support(model, integrand, probe)
 
 
 def mgf(model: GtldModel, t: float) -> float:
@@ -173,13 +211,14 @@ def mgf(model: GtldModel, t: float) -> float:
     def integrand(x):
         return np.exp(t * x + model.logpdf(x))
 
+    probe = None
     if t > 0:
         if model.transform.name in _POWER_TAIL:
             raise DivergenceError(
                 f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
             )
-        _tail_probe(model, integrand, f"mgf t={t}")
-    return _integrate_support(model, integrand)
+        probe = _tail_probe(model, f"mgf t={t}")
+    return _integrate_support(model, integrand, probe)
 
 
 def stress_strength(lambda1: float, lambda2: float) -> float:
@@ -191,7 +230,12 @@ def stress_strength(lambda1: float, lambda2: float) -> float:
 
 
 def order_stat_pdf(model: GtldModel, n: int, r: int, x) -> float:
-    """Density of the r-th order statistic in a sample of size n."""
+    """Density of the r-th order statistic in a sample of size n.
+
+    f(x) F(x)^(r-1) S(x)^(n-r) / B(r, n-r+1), with the last three factors
+    combined in logs: for r near n/2, B(r, n-r+1) alone underflows to 0
+    from n of about 1,070 on, though the density is at most of order n f(x).
+    """
     if not 1 <= r <= n:
         raise ValueError(f"rank r={r} out of range for n={n}")
     log_b = (
@@ -200,7 +244,13 @@ def order_stat_pdf(model: GtldModel, n: int, r: int, x) -> float:
     F = np.asarray(model.cdf(x), dtype=float)
     S = np.asarray(model.survival(x), dtype=float)
     f = np.asarray(model.pdf(x), dtype=float)
-    out = f * F ** (r - 1) * S ** (n - r) / math.exp(log_b)
+    log_w = -log_b
+    with np.errstate(divide="ignore"):  # log 0 = -inf, a weight of 0
+        if r > 1:
+            log_w = log_w + (r - 1) * np.log(F)
+        if n > r:
+            log_w = log_w + (n - r) * np.log(S)
+    out = f * np.exp(log_w)
     return out if np.ndim(x) else float(out)
 
 
@@ -225,26 +275,32 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     def integrand(x):
         return np.exp(rho * model.logpdf(x))
 
-    _tail_probe(model, integrand, f"density-power integral rho={rho}")
+    probe = _tail_probe(model, f"density-power integral rho={rho}")
+    if truncated:
+        return _integrate_support(model, integrand, probe, lower=lower)
+    edge_exp = rho * (k * theta - 1.0)
+    if edge_exp <= -1.0:
+        # the tail's verdict comes before the edge's
+        numerics.integrate_ranges(_on_parts(integrand), [], probe=probe)
+        raise DivergenceError(
+            f"integral of f^{rho:g} diverges at the lower support edge "
+            f"(local power {edge_exp:.3f} <= -1)"
+        )
+    if k * theta >= 1.0:
+        return _integrate_support(model, integrand, probe)
 
-    if not truncated:
-        edge_exp = rho * (k * theta - 1.0)
-        if edge_exp <= -1.0:
-            raise DivergenceError(
-                f"integral of f^{rho:g} diverges at the lower support edge "
-                f"(local power {edge_exp:.3f} <= -1)"
-            )
-        if k * theta < 1.0:
-            # unbounded density at the edge: integrate in u = F(x) below the
-            # split point, in x above it, where u could come no nearer to 1
-            # than 1 - 2^-53
-            def sub_integrand(w):
-                return np.exp((rho - 1.0) * model.logpdf(model.quantile(w)))
+    # unbounded density at the edge: integrate f(Q(u))^(rho-1) in u = F(x)
+    # below the split point, f^rho in x above it, where u could come no
+    # nearer to 1 than 1 - 2^-53; one logpdf call serves the probe points,
+    # Q at the u nodes and the x nodes
+    def split_integrand(points, u, x):
+        y = np.concatenate([points, model.quantile(u) if u.size else u, x])
+        power = np.full(y.size, rho)
+        power[points.size : points.size + u.size] = rho - 1.0
+        return np.exp(power * model.logpdf(y))
 
-            mid = model.quantile(0.75)
-            return _integrate(sub_integrand, 0.0, 0.75) + _integrate(integrand, mid, math.inf)
-        return _integrate_support(model, integrand)
-    return _integrate_support(model, integrand, lower=lower)
+    mid = model.quantile(0.75)
+    return _integrate_split(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
 
 
 def renyi_entropy(model: GtldModel, rho: float, lower: float | None = None) -> float:
@@ -282,6 +338,8 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
     """E[(X - t)^n | X > t]; n = 1 is the mean residual life."""
     if n < 1:
         raise ValueError("residual moment order must be >= 1")
+    if math.isnan(t):
+        raise ValueError("residual moment needs an age t, got nan")
     s = model.survival(t)
     if s <= 0.0:
         raise ZeroDivisionError("survival(t) is 0; residual life undefined")
@@ -289,11 +347,11 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
     def integrand(x):
         return (x - t) ** n * model.pdf(x)
 
-    _tail_probe(model, integrand, f"residual moment n={n}")
+    probe = _tail_probe(model, f"residual moment n={n}")
     mid = model.quantile(0.75)
     if mid <= t:
         mid = 2.0 * abs(t) + 1.0 + t
-    total = _integrate(integrand, t, mid) + _integrate(integrand, mid, math.inf)
+    total = _integrate_split(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
     return total / s
 
 
@@ -329,7 +387,9 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
     def integrand(x):
         return model.cdf(x) ** m * model.survival(x) ** n
 
-    _tail_probe(model, integrand, f"cigf m={m}, n={n}")
     return _integrate_support(
-        model, integrand, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+        model,
+        integrand,
+        _tail_probe(model, f"cigf m={m}, n={n}"),
+        spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10),
     )

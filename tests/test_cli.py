@@ -129,6 +129,27 @@ class TestProps:
         assert code == 2
         assert "error" in err
 
+    def test_infinite_incomplete_moment_bound_is_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "props", "--family", "gtl", "--params", "1,0.8,1,0",
+            "--incomplete-moment", "2,inf",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "raw_moment" in err
+
+    def test_quadrature_failure_is_exit_1(self, capsys):
+        # this gtw density overflows to inf at an inner node of the mgf
+        # integral: a QuadratureError, which is a NumericsError
+        code, out, err = run_cli(
+            capsys, "props", "--family", "gtw",
+            "--params", "0.5476254646566685,1.6505821311814308,2.2225280328677064,0.2737413305556793",
+            "--mgf", "0.05",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: integrand not finite at x = ")
+
 
 class TestCurves:
     def test_csv_output(self, capsys):

@@ -138,6 +138,26 @@ class TestSupport:
         with pytest.raises(ValueError):
             m.quantile(1.0)
 
+    @pytest.mark.parametrize(
+        "p",
+        [math.nan, [0.5, math.nan], np.array(math.nan), [math.nan, 0.2], -math.inf,
+         [0.3, math.inf], [0.5, 1.0], [0.0, 0.5], -0.0],
+        ids=["nan", "nan-in-array", "nan-0d", "nan-first", "-inf", "inf-in-array",
+             "one-in-array", "zero-in-array", "minus-zero"],
+    )
+    def test_quantile_rejects_p_outside_open_unit_interval(self, p):
+        m = make_model("gtw", beta=1.0, theta=1.2, lam=0.3, alpha=1.5)
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            m.quantile(p)
+
+    def test_quantile_check_keeps_valid_outputs(self):
+        m = make_model("gtw", beta=1.0, theta=1.2, lam=0.3, alpha=1.5)
+        ps = np.array([1e-300, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 2.0**-53])
+        assert m.quantile(ps).tobytes() == m._quantile_arr(ps).tobytes()
+        for p in ps.tolist():
+            want = float(m._quantile_arr(np.asarray(p)))
+            assert np.float64(m.quantile(p)).tobytes() == np.float64(want).tobytes()
+
     def test_sample_size_validated(self):
         m = make_model("gte", beta=1.0, theta=1.0, lam=0.0)
         with pytest.raises(ValueError):

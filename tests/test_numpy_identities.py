@@ -1,4 +1,4 @@
-"""NumPy identities that the objective kernel's bit-for-bit results rest on.
+"""NumPy identities that bit-for-bit results rest on.
 
 The ml gradient writes the per-point rows it sums (the log f terms, the
 d log G' / d psi, a, log u and d log f / d lam) into one C-contiguous
@@ -7,11 +7,27 @@ the bytes of the separate 1-D sums only while NumPy reduces each row of
 such a block with the same pairwise summation as a 1-D sum.  A NumPy
 upgrade that breaks this, or the equality of ``np.dot`` and ``@`` on
 vectors, fails here instead of silently moving the study tables.
+
+The property integrals evaluate the distribution functions once on the
+concatenated nodes of both halves of a split range and the tail probe's
+points.  That gives each half the bytes of separate calls only while the
+kernels and the model's pdf, logpdf, cdf and survival are elementwise to
+the bit: no element's value may depend on the array's length or on where
+the element sits in it (SIMD loops and their remainder handling included).
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+
+from gtld import _kernels, numerics
+from gtld.model import model_from_params
+from gtld.transforms import SUBFAMILY_IDS
+
+from conftest import random_params
 
 
 def _values(rng, shape, spread):
@@ -46,3 +62,64 @@ def test_dot_equals_matmul_on_vectors(n, seed, spread):
     rng = np.random.default_rng(seed)
     a, b = _values(rng, n, spread), _values(rng, n, spread)
     assert np.dot(a, b).tobytes() == (a @ b).tobytes(), n
+
+
+def _node_parts(m):
+    """The parts one driver call hands the integrand for a split integral:
+    the tail probe's points, then the first block of each half's nodes."""
+    seen = []
+
+    def record(*parts):
+        seen.append([p.copy() for p in parts])
+        return 0.0
+
+    mid = m.quantile(0.75)
+    probe = m.quantile(1.0 - 1e-6) * np.array([1.0, 2.0, 4.0, 8.0])
+    low = m.support_low
+    numerics.integrate_ranges(record, [(low, mid), (mid, math.inf)], probe=(probe, len))
+    return seen[0]
+
+
+def _same_bytes_on_concatenation(m, parts):
+    functions = {
+        "cdf_arr": lambda x: _kernels.cdf_arr(*m.kernel_args, x),
+        "sf_arr": lambda x: _kernels.sf_arr(*m.kernel_args, x),
+        "logpdf_arr": lambda x: _kernels.logpdf_arr(*m.kernel_args, x),
+        "pdf": m.pdf,
+        "logpdf": m.logpdf,
+        "cdf": m.cdf,
+        "survival": m.survival,
+    }
+    stops = np.cumsum([p.size for p in parts]).tolist()
+    whole = np.concatenate(parts)
+    with np.errstate(all="ignore"):
+        for name, fn in functions.items():
+            joint = np.asarray(fn(whole))
+            for part, stop in zip(parts, stops):
+                piece = joint[stop - part.size : stop]
+                assert piece.tobytes() == np.asarray(fn(part)).tobytes(), (name, part.size)
+
+
+@pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
+def test_distribution_functions_on_the_quadrature_parts(family):
+    m = model_from_params(family, random_params(family, np.random.default_rng(5)))
+    _same_bytes_on_concatenation(m, _node_parts(m))
+
+
+@pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=hs.lists(hs.integers(1, 700), min_size=2, max_size=4),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_distribution_functions_on_concatenations(family, sizes, seed):
+    # points from the support edge to far in the tail: quantiles spread
+    # over (0, 1), stretched by up to 8 from the support's lower end
+    rng = np.random.default_rng(seed)
+    m = model_from_params(family, random_params(family, rng))
+    low = m.support_low
+    parts = []
+    for n in sizes:
+        q = m.quantile(rng.uniform(1e-12, 1.0 - 1e-9, n))
+        parts.append(low + (q - low) * rng.uniform(0.1, 8.0, n))
+    _same_bytes_on_concatenation(m, parts)

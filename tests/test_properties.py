@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import special as sp
+from scipy import stats as st
 
 from gtld import numerics, properties
 from gtld.model import make_model, model_from_params
 
 from conftest import random_params
+from test_lockstep import Composition
 from test_numerics import per_level_integrate
 
 
@@ -46,6 +49,19 @@ class TestMoments:
         m = make_model("gtp1", beta=3.0, theta=1.0, lam=0.0, alpha=2.0)
         with pytest.raises(ValueError):
             properties.incomplete_moment(m, 1, 1.0)
+
+    @pytest.mark.parametrize("method", ["quadrature", "series"])
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_incomplete_rejects_non_finite_z(self, z, method):
+        # an infinite z once reached the quadrature with no tail screen
+        # (QuadratureError here, where raw_moment raises DivergenceError)
+        m = make_model("gtw" if method == "series" else "gtl", beta=0.8, theta=1.0, lam=0.0, alpha=1.0)
+        with pytest.raises(ValueError, match="raw_moment"):
+            properties.incomplete_moment(m, 2, z, method=method)
+
+    def test_residual_moment_rejects_nan_age(self):
+        with pytest.raises(ValueError, match="age"):
+            properties.residual_moment(exp_model(), 1, math.nan)
 
     def test_incomplete_converges_to_full(self, family, rng):
         m = model_from_params(family, _light_tail(random_params(family, rng)))
@@ -152,6 +168,52 @@ class TestOrderStatistics:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             properties.order_stat_pdf(exp_model(), 3, 4, 1.0)
+
+    GTW = dict(beta=1.0, theta=1.2, lam=0.3, alpha=1.5)
+
+    def test_single_draw_is_the_density_itself(self, family, rng):
+        m = model_from_params(family, random_params(family, rng))
+        xs = m.quantile(np.linspace(0.01, 0.99, 25))
+        assert properties.order_stat_pdf(m, 1, 1, xs).tobytes() == m.pdf(xs).tobytes()
+        assert properties.order_stat_pdf(m, 1, 1, float(xs[3])) == m.pdf(float(xs[3]))
+
+    @pytest.mark.parametrize("n", [2, 7, 60, 300])
+    def test_min_and_max(self, family, rng, n):
+        m = model_from_params(family, random_params(family, rng))
+        xs = m.quantile(np.linspace(0.02, 0.98, 13))
+        f, F, S = m.pdf(xs), m.cdf(xs), m.survival(xs)
+        np.testing.assert_allclose(
+            properties.order_stat_pdf(m, n, 1, xs), n * f * S ** (n - 1), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            properties.order_stat_pdf(m, n, n, xs), n * f * F ** (n - 1), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("n, r", [(3, 2), (20, 7), (60, 30), (200, 199)])
+    def test_density_integrates_to_one_by_quadrature(self, n, r):
+        m = make_model("gtw", **self.GTW)
+        val = numerics.integrate(
+            lambda x: properties.order_stat_pdf(m, n, r, x), 0.0, math.inf
+        )
+        assert val == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1500, 2000])
+    @pytest.mark.parametrize(
+        "family, params",
+        [("gtw", GTW), ("gtl", dict(beta=0.8, theta=1.0, lam=0.0, alpha=1.0))],
+    )
+    def test_large_samples_at_the_median(self, family, params, n):
+        # B(r, n-r+1) alone underflows to 0 here: the density once came out
+        # NaN, with a RuntimeWarning; n f(x) times a binomial probability is
+        # an independent route to it
+        m = make_model(family, **params)
+        med = m.quantile(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = properties.order_stat_pdf(m, n, n // 2, med)
+        want = n * m.pdf(med) * st.binom.pmf(n // 2 - 1, n - 1, m.cdf(med))
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestEntropies:
@@ -261,22 +323,22 @@ class TestCigf:
 BENCH_MODEL = make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
 
 
-def _catalog(m):
+def _catalog(m, props=properties):
     """Every quadrature property at fixed arguments: value, or the error's type."""
     med = m.quantile(0.5)
     calls = [
-        (properties.raw_moment, (1,)),
-        (properties.raw_moment, (2,)),
-        (properties.incomplete_moment, (2, med)),
-        (properties.pwm, (1, 1)),
-        (properties.mgf, (-0.5,)),
-        (properties.renyi_entropy, (0.5,)),
-        (properties.renyi_entropy, (2.0,)),
-        (properties.q_entropy, (0.5,)),
-        (properties.q_entropy, (2.0,)),
-        (properties.residual_moment, (1, med)),
-        (properties.reversed_residual_moment, (1, med)),
-        (properties.cigf, (1, 1)),
+        (props.raw_moment, (1,)),
+        (props.raw_moment, (2,)),
+        (props.incomplete_moment, (2, med)),
+        (props.pwm, (1, 1)),
+        (props.mgf, (-0.5,)),
+        (props.renyi_entropy, (0.5,)),
+        (props.renyi_entropy, (2.0,)),
+        (props.q_entropy, (0.5,)),
+        (props.q_entropy, (2.0,)),
+        (props.residual_moment, (1, med)),
+        (props.reversed_residual_moment, (1, med)),
+        (props.cigf, (1, 1)),
     ]
     out = []
     for fn, args in calls:
@@ -287,14 +349,30 @@ def _catalog(m):
     return out
 
 
+def _count_integrand_calls(monkeypatch):
+    """Count every integrand call the quadrature driver makes from now on."""
+    drive = numerics.integrate_ranges
+    calls = []
+
+    def counting(f, *rest, **kwargs):
+        def counted(*parts):
+            calls.append(len(parts))
+            return f(*parts)
+
+        return drive(counted, *rest, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_ranges", counting)
+    return calls
+
+
 class TestQuadratureRule:
-    def test_catalog_matches_per_level_rule(self, family, monkeypatch):
+    def test_catalog_matches_per_level_rule(self, family):
+        # the lock-step catalog against the former composition of
+        # separate calls of the one-call-per-level rule
         m = model_from_params(
             family, _light_tail(random_params(family, np.random.default_rng(17)))
         )
-        got = _catalog(m)
-        monkeypatch.setattr(numerics, "integrate", per_level_integrate)
-        assert got == _catalog(m)
+        assert _catalog(m) == _catalog(m, Composition(per_level_integrate))
 
     @pytest.mark.parametrize(
         "fn, args",
@@ -308,19 +386,32 @@ class TestQuadratureRule:
         ids=["raw_moment", "renyi", "cigf", "mgf", "q_entropy"],
     )
     def test_integrand_calls(self, fn, args, monkeypatch):
-        # two integrals: one converges within the first call's levels, the
-        # other takes one finer level
-        integrate = numerics.integrate
-        calls = 0
-
-        def counting(f, *rest):
-            def counted(x):
-                nonlocal calls
-                calls += 1
-                return f(x)
-
-            return integrate(counted, *rest)
-
-        monkeypatch.setattr(numerics, "integrate", counting)
+        # two halves: one converges within the first call's levels, the
+        # other takes one finer level; the first call also serves the tail
+        # probe, where the property has one
+        calls = _count_integrand_calls(monkeypatch)
         fn(BENCH_MODEL, *args)
-        assert calls == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "params, calls",
+        [
+            # both halves converge within h = 1/16
+            (dict(alpha=2.6695, beta=1.0909, theta=1.7512, lam=-0.6366), 1),
+            # one half needs h = 1/32
+            (dict(alpha=1.5, beta=1.0, theta=1.2, lam=0.3), 2),
+        ],
+    )
+    def test_first_call_serves_probe_and_both_halves(self, params, calls, monkeypatch):
+        m = make_model("gtw", **params)
+        seen = _count_integrand_calls(monkeypatch)
+        properties.raw_moment(m, 1)
+        assert len(seen) == calls
+        assert seen == [3] * calls  # the probe points, then each half
+
+    def test_divergence_makes_no_further_call(self, monkeypatch):
+        m = make_model("gtl", beta=0.8, theta=1.0, lam=0.0, alpha=1.0)
+        seen = _count_integrand_calls(monkeypatch)
+        with pytest.raises(properties.DivergenceError, match="tail"):
+            properties.raw_moment(m, 2)
+        assert len(seen) == 1
