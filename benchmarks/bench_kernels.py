@@ -33,7 +33,6 @@ import timeit
 import numpy as np
 
 from gtld import ParamVector, _kernels, estimation, make_model, numerics, properties
-from gtld._kernels import _ref
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 200
 REPEATS = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
@@ -41,7 +40,7 @@ REPEATS = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
 rng = np.random.default_rng(7)
 xs = np.sort(rng.weibull(1.4, size=N) + 0.05)
 ARGS = (4, 2.5, 0.0, 3.0, 0.5, 0.2)  # gtwe at the study's truth
-METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
+METHODS = estimation.METHODS
 # (family id, s1, s2, beta, theta, lam) per family, for the all-family
 # gradient table; gtp1's alpha lies below the smallest sample point
 FAMILY_ARGS = {
@@ -166,13 +165,13 @@ def fit_layer(method, n):
 
 
 print(f"kernels (n={N}, {REPEATS} calls):")
-bench("cdf_arr", _ref.cdf_arr, *ARGS, xs)
-bench("logpdf_arr", _ref.logpdf_arr, *ARGS, xs)
+bench("cdf_arr", _kernels.cdf_arr, *ARGS, xs)
+bench("logpdf_arr", _kernels.logpdf_arr, *ARGS, xs)
 for mid, mname in enumerate(METHODS):
-    bench(mname, _ref.objective, mid, *ARGS, _ref.Plan(xs, ARGS[0], mid))
+    bench(mname, _kernels.objective, mid, *ARGS, _kernels.Plan(xs, ARGS[0], mid))
 print(f"value and gradient (n={N}, {REPEATS} calls):")
 for mid, mname in enumerate(METHODS):
-    bench(f"{mname}+grad", _ref.objective_grad, mid, *ARGS, _ref.Plan(xs, ARGS[0], mid))
+    bench(f"{mname}+grad", _kernels.objective_grad, mid, *ARGS, _kernels.Plan(xs, ARGS[0], mid))
 
 print(f"value and gradient, every family ({REPEATS} calls, us/call):")
 print(f"  {'family':<6} {'n':>4}" + "".join(f"{m:>8}" for m in METHODS))
@@ -182,9 +181,9 @@ for n in GRAD_SIZES:
     for fname, args in FAMILY_ARGS.items():
         row = []
         for mid in range(len(METHODS)):
-            plan = _ref.Plan(xs_n, args[0], mid)
-            assert _ref.objective(mid, *args, plan)[0] != _ref._BIG, (fname, mid)
-            t = timeit.timeit(lambda: _ref.objective_grad(mid, *args, plan), number=REPEATS)
+            plan = _kernels.Plan(xs_n, args[0], mid)
+            assert _kernels.objective(mid, *args, plan)[0] != _kernels._BIG, (fname, mid)
+            t = timeit.timeit(lambda: _kernels.objective_grad(mid, *args, plan), number=REPEATS)
             row.append(t / REPEATS * 1e6)
         print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
 

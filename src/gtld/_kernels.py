@@ -1,7 +1,11 @@
-"""The NumPy kernels: per-point cdf, sf and log-density, and the six fit
-objectives with their exact gradients.
+"""The hot numerical kernels, in NumPy: per-point cdf, sf and log-density,
+the six fit objectives (``objective``) and their exact gradients
+(``objective_grad``), and the per-fit ``Plan`` those two take in place of a
+bare sample.  ``BACKEND`` names the implementation, ``"python"``, for the
+reports that record it.
 
-Family and method identifiers are small integers:
+This module alone numbers the families and the methods, by their positions
+in ``_FAMILIES`` and ``METHOD_IDS``:
 
     families: 0=gte 1=gtr 2=gtw 3=gtmw 4=gtwe 5=gtb12 6=gtl 7=gtp1
     methods:  0=ml 1=ols 2=wls 3=cvm 4=ad 5=rtad
@@ -28,7 +32,7 @@ import math
 
 import numpy as np
 
-NAME = "python"
+BACKEND = "python"
 
 _LOG_CLAMP = 1e-300
 _BIG = 1e10
@@ -46,12 +50,24 @@ def _const(value):
 
 _ZERO, _ONE, _TWO, _LOG2_0D, _CLAMP_0D = map(_const, (0.0, 1.0, 2.0, _LOG2, _LOG_CLAMP))
 
-# families whose G needs log x always (gtw, gtmw, gtwe, gtb12), and those
-# whose log G' alone needs it (gtr, gtp1)
-_LOG_X = (False, False, True, True, True, True, False, False)
-_LOG_X_ML = (False, True, True, True, True, True, False, True)
-# shape parameters per family: gte and gtr have none, gtmw two
-_N_SHAPES = (0, 0, 1, 2, 1, 1, 1, 1)
+# one row per family, its id the row's position: name, number of shape
+# parameters, whether G needs log x, whether log G' does
+_FAMILIES = (
+    ("gte", 0, False, False),
+    ("gtr", 0, False, True),
+    ("gtw", 1, True, True),
+    ("gtmw", 2, True, True),
+    ("gtwe", 1, True, True),
+    ("gtb12", 1, True, True),
+    ("gtl", 1, False, False),
+    ("gtp1", 1, False, True),
+)
+FAMILY_IDS = {name: fam for fam, (name, *_) in enumerate(_FAMILIES)}
+_N_SHAPES = tuple(k for _, k, _, _ in _FAMILIES)
+# a plan keeps log x where G needs it, and for ml also where log G' does
+_LOG_X = tuple(g for _, _, g, _ in _FAMILIES)
+_LOG_X_ML = tuple(g or gp for _, _, g, gp in _FAMILIES)
+METHOD_IDS = {name: mid for mid, name in enumerate(("ml", "ols", "wls", "cvm", "ad", "rtad"))}
 
 
 class Plan:
@@ -73,8 +89,10 @@ class Plan:
     )
 
     def __init__(self, xs, fam, method):
-        if fam not in range(8):
+        if fam not in range(len(_FAMILIES)):
             raise ValueError(f"unknown family id {fam}")
+        if method not in range(len(METHOD_IDS)):
+            raise ValueError(f"unknown method id {method}")
         xs = np.asarray(xs, dtype=np.float64)
         n = xs.shape[0]
         self.fam, self.method, self.xs, self.n = fam, method, xs, n
@@ -94,13 +112,11 @@ class Plan:
                 self.w = (n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
         elif method == 3:  # cvm
             self.target = (2.0 * i - 1.0) / (2.0 * n)
-        elif method in (4, 5):  # ad, rtad
+        else:  # ad, rtad
             self.ww = np.empty((2, n))
             self.w, self.w_rev = self.ww
             np.subtract(2.0 * i, 1.0, out=self.w)
             self.w_rev[:] = self.w[::-1]
-        else:
-            raise ValueError(f"unknown method id {method}")
 
     def __len__(self):
         return self.n

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, _optim
-from ._kernels._ref import _BIG
+from ._kernels import _BIG
 from .model import ParamVector, model_from_params, param_names
 from .transforms import FAMILIES, SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
-METHODS = ("ml", "ols", "wls", "cvm", "ad", "rtad")
+METHODS = tuple(_kernels.METHOD_IDS)
 
 _LAM_CAP = 1.0 - 1e-10  # |lambda| bound inside the atanh coordinates
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _LOG_CLAMP
 from .estimation import FitError, FitResult, fit, neg_log_likelihood
 from .model import GtldModel, model_from_params, param_names
 
-_LOG_CLAMP = 1e-300
 _KOLMOG_CUTOVER = 0.82
 _KOLMOG_TERMS = 12
 _CVM_TERMS = 12

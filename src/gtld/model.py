@@ -159,11 +159,13 @@ class GtldModel:
         return self.transform.inverse(G)
 
     def quantile(self, p):
-        pv = np.asarray(p, dtype=float)
-        if not np.all((pv > 0.0) & (pv < 1.0)):  # NaN fails both
+        # a scalar p runs as a one-element array: a 0-d one would take other
+        # NumPy loops and could round differently from ``sample``
+        pv = np.array(p, dtype=float, ndmin=1, copy=None)
+        if not ((pv > 0.0) & (pv < 1.0)).all():  # NaN fails both
             raise ValueError("quantile requires 0 < p < 1")
         out = self._quantile_arr(pv)
-        return out if np.ndim(p) else float(out)
+        return out if np.ndim(p) else float(out[0])
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse-CDF over a seeded PCG64 generator."""

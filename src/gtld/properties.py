@@ -9,11 +9,10 @@ h = 1 ... 1/16 of both halves and the tail probe's points, and each round
 of finer levels that a half still needs is one call more.  Each half's
 degraded result is accepted or raised in range order, as if the halves ran
 one after the other, and the values are those of separate calls to the
-bit.  The incomplete and reversed residual moments, over one finite
-range, use ``numerics.integrate``.  The
-closed-form series for the Weibull-type sub-family ("gtw") are kept as an
-independent cross-check route; they and the quadrature values must agree
-wherever both apply.
+bit.  The incomplete and reversed residual moments take the same route
+over one finite range.  The closed-form series for the Weibull-type
+sub-family ("gtw") are kept as an independent cross-check route; they and
+the quadrature values must agree wherever both apply.
 
 Integrals that do not exist raise :class:`DivergenceError` rather than
 returning a number.  Existence is screened before integrating: from the
@@ -28,7 +27,9 @@ uses its values, and comes before the edge's.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -62,26 +63,17 @@ def _accept(outcome):
     return outcome
 
 
-def _integrate(f, lo, hi, spec=None):
-    """Quadrature over one range that tolerates a degraded-but-tight error bound."""
-    try:
-        return numerics.integrate(f, lo, hi, spec)
-    except numerics.QuadratureError as exc:
-        return _accept(exc)
-
-
 def _on_parts(integrand):
     """An elementwise integrand as the driver calls it: once on all parts."""
     return lambda *parts: integrand(np.concatenate(parts))
 
 
-def _integrate_split(f, ranges, probe, spec=None):
-    """The two halves of a split integral in one lock-step driver call, the
-    tail probe's points in its first integrand call; each half's degraded
-    acceptance is applied in range order."""
-    below, above = numerics.integrate_ranges(f, ranges, spec, probe)
-    below = _accept(below)
-    return below + _accept(above)
+def _integrate(f, ranges, probe=None, spec=None):
+    """The sum of the integrals over ``ranges``, in one lock-step driver
+    call, the tail probe's points in its first integrand call; each range's
+    degraded acceptance is applied, and its value added, in range order."""
+    outcomes = numerics.integrate_ranges(f, ranges, spec, probe)
+    return functools.reduce(operator.add, map(_accept, outcomes))
 
 
 def _integrate_support(model: GtldModel, integrand, probe, lower=None, spec=None):
@@ -90,7 +82,7 @@ def _integrate_support(model: GtldModel, integrand, probe, lower=None, spec=None
     mid = model.quantile(0.75)
     if mid <= lo:
         mid = 2.0 * lo + 1.0
-    return _integrate_split(_on_parts(integrand), [(lo, mid), (mid, math.inf)], probe, spec)
+    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], probe, spec)
 
 
 def _tail_probe(model: GtldModel, what: str):
@@ -190,7 +182,7 @@ def incomplete_moment(
         raise ValueError(f"unknown method {method!r}")
     if z == model.support_low:
         return 0.0
-    return _integrate(lambda x: x**r * model.pdf(x), model.support_low, z)
+    return _integrate(lambda x: x**r * model.pdf(x), [(model.support_low, z)])
 
 
 def pwm(model: GtldModel, r: int, s: int) -> float:
@@ -300,7 +292,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
         return np.exp(power * model.logpdf(y))
 
     mid = model.quantile(0.75)
-    return _integrate_split(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
+    return _integrate(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
 
 
 def renyi_entropy(model: GtldModel, rho: float, lower: float | None = None) -> float:
@@ -351,7 +343,7 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
     mid = model.quantile(0.75)
     if mid <= t:
         mid = 2.0 * abs(t) + 1.0 + t
-    total = _integrate_split(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
+    total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
     return total / s
 
 
@@ -364,7 +356,7 @@ def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
     F = model.cdf(t)
     if F <= 0.0:
         raise ZeroDivisionError("cdf(t) is 0; reversed residual life undefined")
-    val = _integrate(lambda x: (t - x) ** n * model.pdf(x), model.support_low, t)
+    val = _integrate(lambda x: (t - x) ** n * model.pdf(x), [(model.support_low, t)])
     return val / F
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import _ref
 
 
 def _gtmw_inverse(y, alpha: float, gamma: float) -> np.ndarray:
@@ -145,7 +144,7 @@ class InnerTransform:
         which work in place on arrays: a scalar x gives scalars."""
         xv = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            G, log_gp = _ref._g_parts(
+            G, log_gp = _kernels._g_parts(
                 self.family_id, *self.kernel_shapes, 1.0, np.atleast_1d(xv), lgp=lgp
             )[:2]
         if xv.ndim == 0:

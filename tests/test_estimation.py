@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from gtld import _kernels, estimation
-from gtld._kernels import FAMILY_IDS, METHOD_IDS, _ref
+from gtld._kernels import FAMILY_IDS, METHOD_IDS
 from gtld.datasets import load_values
 from gtld.estimation import (
     METHODS,
@@ -118,8 +118,8 @@ def _central_differences(method, family, vec, xs):
         up[j] += h
         down[j] -= h
         return (
-            _ref.objective(mid, *_kernel_vec(family, up), xs)[0]
-            - _ref.objective(mid, *_kernel_vec(family, down), xs)[0]
+            _kernels.objective(mid, *_kernel_vec(family, up), xs)[0]
+            - _kernels.objective(mid, *_kernel_vec(family, down), xs)[0]
         ) / (2.0 * h)
 
     out = np.empty_like(vec)
@@ -140,9 +140,6 @@ def _assert_grad_matches(method, family, vec, xs):
 
 class TestObjectiveGrad:
     """The exact gradients of the six objectives."""
-
-    def test_same_kernel_on_either_backend(self):
-        assert _kernels.objective_grad is _ref.objective_grad
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
@@ -176,7 +173,7 @@ class TestObjectiveGrad:
         # F(1e-8) = 1e-8^40 and S(800) = e^-800 lie below the 1e-300 clamp
         xs = np.array([1e-8, 0.3, 0.7, 1.1, 2.0, 800.0])
         vec = np.array([1.0, 40.0, 0.2])
-        clamps = _ref.objective(METHOD_IDS[method], *_kernel_vec("gte", vec), xs)[1]
+        clamps = _kernels.objective(METHOD_IDS[method], *_kernel_vec("gte", vec), xs)[1]
         assert clamps == 2
         _assert_grad_matches(method, "gte", vec, xs)
 
@@ -187,7 +184,7 @@ class TestObjectiveGrad:
         args = _kernel_vec(family, p.as_array(family))
         for mid in METHOD_IDS.values():
             value, clamps, grad = _kernels.objective_grad(mid, *args, xs)
-            assert (value, clamps) == _ref.objective(mid, *args, xs)
+            assert (value, clamps) == _kernels.objective(mid, *args, xs)
             assert grad.shape == (len(SUBFAMILY_SHAPES[family]) + 3,)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -204,7 +201,7 @@ class TestObjectiveGrad:
         value, _, grad = _kernels.objective_grad(
             METHOD_IDS[method], FAMILY_IDS["gtwe"], alpha, 0.0, beta, 0.5, 0.2, xs
         )
-        if np.isfinite(value) and value != _ref._BIG:
+        if np.isfinite(value) and value != _kernels._BIG:
             assert np.all(np.isfinite(grad))
         else:
             assert np.all(grad == 0.0)
@@ -311,7 +308,7 @@ class TestFitDiagnostics:
         # parameters: every evaluation returns the 1e10 sentinel, whose
         # gradient is zero, so BFGS reports success at once
         res = fit(np.array([0.0, 0.5, 1.0, 2.0, 3.0]), "gte", method="ml", n_starts=2)
-        assert res.objective_value == _ref._BIG
+        assert res.objective_value == _kernels._BIG
         assert not res.converged
 
     def test_evaluations_sum_over_starts(self):

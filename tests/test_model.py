@@ -155,8 +155,18 @@ class TestSupport:
         ps = np.array([1e-300, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 2.0**-53])
         assert m.quantile(ps).tobytes() == m._quantile_arr(ps).tobytes()
         for p in ps.tolist():
-            want = float(m._quantile_arr(np.asarray(p)))
-            assert np.float64(m.quantile(p)).tobytes() == np.float64(want).tobytes()
+            want = m._quantile_arr(np.array([p]))[0]
+            assert np.float64(m.quantile(p)).tobytes() == want.tobytes()
+
+    def test_scalar_quantile_has_the_bytes_of_a_one_element_array(self, family, rng):
+        # a 0-d argument once took other NumPy loops (np.power among them)
+        # and moved the last bits; the split point Q(0.75) and the tail
+        # probe's Q(1 - 1e-6) of the property integrals are scalar calls
+        for _ in range(40):
+            m = model_from_params(family, random_params(family, rng))
+            for p in (0.75, 1.0 - 1e-6, 0.5):
+                want = m.quantile(np.array([p]))[0]
+                assert np.float64(m.quantile(p)).tobytes() == want.tobytes()
 
     def test_sample_size_validated(self):
         m = make_model("gte", beta=1.0, theta=1.0, lam=0.0)

@@ -14,7 +14,7 @@ import pytest
 
 import gtld
 from gtld import _kernels
-from gtld._kernels import FAMILY_IDS, METHOD_IDS, Plan, _ref
+from gtld._kernels import FAMILY_IDS, METHOD_IDS, Plan
 from gtld.estimation import METHODS, fit
 from gtld.model import ParamVector, model_from_params
 from gtld.simulation import replication_seed
@@ -257,8 +257,8 @@ def check(method, fam, args, xs):
     plan = Plan(xs, fid, mid)
     for want_grad in (False, True):
         want = oracle_objective(mid, fid, *args, xs, want_grad)
-        assert_same(_ref._objective(mid, fid, *args, plan, want_grad), want)
-        assert_same(_ref._objective(mid, fid, *args, xs, want_grad), want)
+        assert_same(_kernels._objective(mid, fid, *args, plan, want_grad), want)
+        assert_same(_kernels._objective(mid, fid, *args, xs, want_grad), want)
     assert _kernels.objective(mid, fid, *args, plan) == oracle_objective(
         mid, fid, *args, xs, False
     )[:2]
@@ -343,7 +343,7 @@ def test_plan_pieces():
 def test_plan_for_another_objective_is_refused():
     plan = Plan(np.array([0.5, 1.0, 2.0]), FAMILY_IDS["gtw"], METHOD_IDS["ols"])
     with pytest.raises(ValueError, match="plan built for"):
-        _ref.objective(METHOD_IDS["wls"], FAMILY_IDS["gtw"], 1.5, 0.0, 1.0, 1.0, 0.0, plan)
+        _kernels.objective(METHOD_IDS["wls"], FAMILY_IDS["gtw"], 1.5, 0.0, 1.0, 1.0, 0.0, plan)
     with pytest.raises(ValueError, match="unknown family"):
         Plan(np.array([1.0]), 8, 0)
     with pytest.raises(ValueError, match="unknown method"):
