@@ -161,7 +161,7 @@ class GtldModel:
     def quantile(self, p):
         # a scalar p runs as a one-element array: a 0-d one would take other
         # NumPy loops and could round differently from ``sample``
-        pv = np.array(p, dtype=float, ndmin=1, copy=None)
+        pv = np.array(p, dtype=float, ndmin=1)
         if not ((pv > 0.0) & (pv < 1.0)).all():  # NaN fails both
             raise ValueError("quantile requires 0 < p < 1")
         out = self._quantile_arr(pv)

@@ -344,10 +344,12 @@ def test_plan_for_another_objective_is_refused():
     plan = Plan(np.array([0.5, 1.0, 2.0]), FAMILY_IDS["gtw"], METHOD_IDS["ols"])
     with pytest.raises(ValueError, match="plan built for"):
         _kernels.objective(METHOD_IDS["wls"], FAMILY_IDS["gtw"], 1.5, 0.0, 1.0, 1.0, 0.0, plan)
-    with pytest.raises(ValueError, match="unknown family"):
-        Plan(np.array([1.0]), 8, 0)
-    with pytest.raises(ValueError, match="unknown method"):
-        Plan(np.array([1.0]), 0, 6)
+    for fam in (-1, 8):
+        with pytest.raises(ValueError, match="unknown family"):
+            Plan(np.array([1.0]), fam, 0)
+    for method in (-1, 6):
+        with pytest.raises(ValueError, match="unknown method"):
+            Plan(np.array([1.0]), 0, method)
 
 
 # -- fit level -----------------------------------------------------------------
