@@ -4,6 +4,13 @@ the six fit objectives (``objective``) and their exact gradients
 bare sample.  ``BACKEND`` names the implementation, ``"python"``, for the
 reports that record it.
 
+Each per-point quantity has one core (``_cdf_core``, ``_sf_core``,
+``_logpdf_core``): one formula, on a float array, under its caller's
+errstate.  The property integrals call the cores straight on their
+quadrature nodes; ``cdf_arr``, ``sf_arr`` and ``logpdf_arr`` are the same
+cores wrapped for any x, with the errstate, ``atleast_1d`` and the scalar
+unwrap.
+
 This module alone numbers the families and the methods, by their positions
 in ``_FAMILIES`` and ``METHOD_IDS``:
 
@@ -304,34 +311,52 @@ def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
     return a, log_gp, dlog_g, dlog_gp, phi
 
 
-def cdf_arr(fam, s1, s2, beta, theta, lam, x):
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_u = _log_u(_g_parts(fam, s1, s2, beta, xv)[0])
-        v = np.exp(theta * log_u)
-    out = v * ((1.0 + lam) - lam * v)
-    return out if np.ndim(x) else out[0]
+def _cdf_core(fam, s1, s2, beta, theta, lam, x):
+    """F(x) = (1+lam) v - lam v^2, v = u^theta, on a float array, under
+    the caller's errstate."""
+    log_u = _log_u(_g_parts(fam, s1, s2, beta, x)[0])
+    v = np.exp(theta * log_u)
+    return v * ((1.0 + lam) - lam * v)
 
 
-def sf_arr(fam, s1, s2, beta, theta, lam, x):
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_u = _log_u(_g_parts(fam, s1, s2, beta, xv)[0])
-        v = np.exp(theta * log_u)
-        one_minus_v = -np.expm1(theta * log_u)
-    out = one_minus_v * (1.0 - lam * v)
-    return out if np.ndim(x) else out[0]
+def _sf_core(fam, s1, s2, beta, theta, lam, x):
+    """S(x) = (1 - v)(1 - lam v), 1 - v through expm1, on a float array,
+    under the caller's errstate."""
+    log_u = _log_u(_g_parts(fam, s1, s2, beta, x)[0])
+    v = np.exp(theta * log_u)
+    one_minus_v = -np.expm1(theta * log_u)
+    return one_minus_v * (1.0 - lam * v)
 
 
-def logpdf_arr(fam, s1, s2, beta, theta, lam, x):
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, log_gp = _g_parts(fam, s1, s2, beta, xv, lgp=True)[:2]
-        log_u = _log_u(a)
-        v = np.exp(theta * log_u)
-        tail = (1.0 + lam) - 2.0 * lam * v
-        out = np.log(theta * beta) + log_gp - a + (theta - 1.0) * log_u + np.log(tail)
-    return out if np.ndim(x) else out[0]
+def _logpdf_core(fam, s1, s2, beta, theta, lam, x):
+    """log f(x) on a float array, under the caller's errstate; NaN where
+    its terms meet as inf - inf or 0 * inf (u = 0 among them), which
+    ``GtldModel._logpdf`` fills in."""
+    a, log_gp = _g_parts(fam, s1, s2, beta, x, lgp=True)[:2]
+    log_u = _log_u(a)
+    v = np.exp(theta * log_u)
+    tail = (1.0 + lam) - 2.0 * lam * v
+    return np.log(theta * beta) + log_gp - a + (theta - 1.0) * log_u + np.log(tail)
+
+
+def _on_points(core, name):
+    """The public form ``name`` of a core: x of any shape, a scalar giving
+    a scalar, in the errstate the core's discarded branches and limits need."""
+
+    def public(fam, s1, s2, beta, theta, lam, x):
+        xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = core(fam, s1, s2, beta, theta, lam, xv)
+        return out if np.ndim(x) else out[0]
+
+    public.__name__ = public.__qualname__ = name
+    public.__doc__ = f"``{core.__name__}`` at any x; a scalar x gives a scalar."
+    return public
+
+
+cdf_arr = _on_points(_cdf_core, "cdf_arr")
+sf_arr = _on_points(_sf_core, "sf_arr")
+logpdf_arr = _on_points(_logpdf_core, "logpdf_arr")
 
 
 def objective(method, fam, s1, s2, beta, theta, lam, xs):

@@ -6,6 +6,10 @@ F, the survival function and log f are evaluated by the kernels
 (``_kernels``), which work in log u; the survival function uses the exact
 factorization 1 - (1+lam)*v + lam*v^2 = (1-v)*(1-lam*v), with 1-v
 evaluated through expm1 so the deep right tail keeps relative accuracy.
+The public ``cdf``, ``survival``, ``logpdf`` and ``pdf`` check the support
+and hold the errstate around the kernels' cores; ``_logpdf`` is the log f
+core with the density's limits filled in where the kernel gives NaN, which
+the property integrals call straight on their quadrature nodes.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ class GtldModel:
         return out if np.ndim(x) else float(out)
 
     def _logpdf(self, xv):
-        out = _kernels.logpdf_arr(*self.kernel_args, xv)
+        """log f on a float array of points in the support, under the
+        caller's errstate: the kernel's core, its NaNs filled."""
+        out = _kernels._logpdf_core(*self.kernel_args, xv)
         if np.isnan(out).any():
             out = self._fill_nan(xv, out)
         return out
@@ -130,13 +136,16 @@ class GtldModel:
         return np.where(nan & (tr.eval(xv) <= 0.0), edge, np.where(nan, -np.inf, out))
 
     def logpdf(self, x):
-        out = self._logpdf(self._check_support(x))
-        return out if np.ndim(x) else float(out)
+        xv = np.atleast_1d(self._check_support(x))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = self._logpdf(xv)
+        return out if np.ndim(x) else float(out[0])
 
     def pdf(self, x):
-        with np.errstate(over="ignore"):
-            out = np.exp(self._logpdf(self._check_support(x)))
-        return out if np.ndim(x) else float(out)
+        xv = np.atleast_1d(self._check_support(x))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = self._logpdf(xv)
+            return np.exp(out) if np.ndim(x) else float(np.exp(out[0]))
 
     def hazard(self, x):
         s = self.survival(x)

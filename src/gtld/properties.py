@@ -6,7 +6,15 @@ integrals over an unbounded range are split at Q(0.75): the two halves run
 in lock step through one ``numerics.integrate_ranges`` call, so one call of
 the model's vectorised cdf, survival or density covers the rule's levels
 h = 1 ... 1/16 of both halves and the tail probe's points, and each round
-of finer levels that a half still needs is one call more.  Each half's
+of finer levels that a half still needs is one call more.  The integrands
+evaluate the kernels' cores (``_kernels._cdf_core``, ``_sf_core``) and the
+model's log f core (``GtldModel._logpdf``) straight on the nodes, inside
+the driver's errstate: the nodes lie in the support by construction, so
+the public functions' support check, errstate and scalar handling would
+only cost time there.  Arguments are refused before the first integrand
+call instead (an age below the support by the scalar ``survival`` or
+``cdf``).  The split point Q(0.75) and the probe's base Q(1 - 1e-6) come
+from one quantile call on a two-element array (``_split_points``).  Each half's
 degraded result is accepted or raised in range order, as if the halves ran
 one after the other, and the values are those of separate calls to the
 bit.  The incomplete and reversed residual moments take the same route
@@ -33,11 +41,14 @@ import operator
 
 import numpy as np
 
-from . import numerics
+from . import _kernels, numerics
 from .model import GtldModel, ParamVector
 from .numerics import QuadratureSpec, SeriesSpec
 
 _TAIL_Q = 1.0 - 1e-6
+# the split point of an unbounded range and the tail probe's base quantile
+_SPLIT_P = np.array([0.75, _TAIL_Q])
+_SPLIT_P.flags.writeable = False
 _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
 # G grows like log x, so S decays like a power of x and E[e^(tX)] = inf for t > 0
 _POWER_TAIL = frozenset({"gtb12", "gtl", "gtp1"})
@@ -68,6 +79,29 @@ def _on_parts(integrand):
     return lambda *parts: integrand(np.concatenate(parts))
 
 
+# The distribution functions on quadrature nodes: float arrays inside the
+# support, under the driver's errstate, so the kernels' cores take them
+# as they are, without the public functions' support check and errstate.
+
+
+def _pdf(model: GtldModel, x):
+    return np.exp(model._logpdf(x))
+
+
+def _cdf(model: GtldModel, x):
+    return _kernels._cdf_core(*model.kernel_args, x)
+
+
+def _sf(model: GtldModel, x):
+    return _kernels._sf_core(*model.kernel_args, x)
+
+
+def _split_points(model: GtldModel):
+    """[Q(0.75), Q(1 - 1e-6)], the split point of an unbounded range and
+    the tail probe's base, from one quantile call."""
+    return model._quantile_arr(_SPLIT_P).tolist()
+
+
 def _integrate(f, ranges, probe=None, spec=None):
     """The sum of the integrals over ``ranges``, in one lock-step driver
     call, the tail probe's points in its first integrand call; each range's
@@ -76,21 +110,24 @@ def _integrate(f, ranges, probe=None, spec=None):
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
-def _integrate_support(model: GtldModel, integrand, probe, lower=None, spec=None):
-    """Integrate over (lower or support_low, inf), split at an interior point."""
+def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None):
+    """Integrate over (lower or support_low, inf), split at Q(0.75) or, if
+    that is not above the lower end, at 2*lower + 1; with the tail probe
+    named ``what``, none if it is None."""
     lo = model.support_low if lower is None else lower
-    mid = model.quantile(0.75)
+    mid, q_tail = _split_points(model)
     if mid <= lo:
         mid = 2.0 * lo + 1.0
+    probe = None if what is None else _tail_probe(q_tail, what)
     return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], probe, spec)
 
 
-def _tail_probe(model: GtldModel, what: str):
-    """Tail points and a verdict on the integrand's values there, as
-    ``numerics.integrate_ranges`` takes them: the verdict signals divergence
-    unless the integrand decays faster than 1/x; a non-finite value is a
-    verdict too."""
-    xs = model.quantile(_TAIL_Q) * np.array([1.0, 2.0, 4.0, 8.0])
+def _tail_probe(q_tail: float, what: str):
+    """Tail points, multiples of Q(1 - 1e-6) = ``q_tail``, and a verdict on
+    the integrand's values there, as ``numerics.integrate_ranges`` takes
+    them: the verdict signals divergence unless the integrand decays faster
+    than 1/x; a non-finite value is a verdict too."""
+    xs = q_tail * np.array([1.0, 2.0, 4.0, 8.0])
 
     def verdict(values):
         vals = values.tolist()
@@ -157,9 +194,9 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
         raise ValueError(f"unknown method {method!r}")
 
     def integrand(x):
-        return x**r * model.pdf(x)
+        return x**r * _pdf(model, x)
 
-    return _integrate_support(model, integrand, _tail_probe(model, f"raw moment r={r}"))
+    return _integrate_support(model, integrand, f"raw moment r={r}")
 
 
 def incomplete_moment(
@@ -182,7 +219,7 @@ def incomplete_moment(
         raise ValueError(f"unknown method {method!r}")
     if z == model.support_low:
         return 0.0
-    return _integrate(lambda x: x**r * model.pdf(x), [(model.support_low, z)])
+    return _integrate(lambda x: x**r * _pdf(model, x), [(model.support_low, z)])
 
 
 def pwm(model: GtldModel, r: int, s: int) -> float:
@@ -191,26 +228,25 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
         raise ValueError("pwm orders must be nonnegative")
 
     def integrand(x):
-        return x**r * model.cdf(x) ** s * model.pdf(x)
+        return x**r * _cdf(model, x) ** s * _pdf(model, x)
 
-    probe = _tail_probe(model, f"pwm r={r}, s={s}") if r > 0 else None
-    return _integrate_support(model, integrand, probe)
+    return _integrate_support(model, integrand, f"pwm r={r}, s={s}" if r > 0 else None)
 
 
 def mgf(model: GtldModel, t: float) -> float:
     """Moment generating function E[e^(tX)]."""
 
     def integrand(x):
-        return np.exp(t * x + model.logpdf(x))
+        return np.exp(t * x + model._logpdf(x))
 
-    probe = None
+    what = None
     if t > 0:
         if model.transform.name in _POWER_TAIL:
             raise DivergenceError(
                 f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
             )
-        probe = _tail_probe(model, f"mgf t={t}")
-    return _integrate_support(model, integrand, probe)
+        what = f"mgf t={t}"
+    return _integrate_support(model, integrand, what)
 
 
 def stress_strength(lambda1: float, lambda2: float) -> float:
@@ -265,33 +301,35 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     truncated = lower is not None and lower > low
 
     def integrand(x):
-        return np.exp(rho * model.logpdf(x))
+        return np.exp(rho * model._logpdf(x))
 
-    probe = _tail_probe(model, f"density-power integral rho={rho}")
+    what = f"density-power integral rho={rho}"
     if truncated:
-        return _integrate_support(model, integrand, probe, lower=lower)
+        return _integrate_support(model, integrand, what, lower=lower)
     edge_exp = rho * (k * theta - 1.0)
     if edge_exp <= -1.0:
         # the tail's verdict comes before the edge's
+        probe = _tail_probe(_split_points(model)[1], what)
         numerics.integrate_ranges(_on_parts(integrand), [], probe=probe)
         raise DivergenceError(
             f"integral of f^{rho:g} diverges at the lower support edge "
             f"(local power {edge_exp:.3f} <= -1)"
         )
     if k * theta >= 1.0:
-        return _integrate_support(model, integrand, probe)
+        return _integrate_support(model, integrand, what)
 
     # unbounded density at the edge: integrate f(Q(u))^(rho-1) in u = F(x)
     # below the split point, f^rho in x above it, where u could come no
-    # nearer to 1 than 1 - 2^-53; one logpdf call serves the probe points,
+    # nearer to 1 than 1 - 2^-53; one log f call serves the probe points,
     # Q at the u nodes and the x nodes
     def split_integrand(points, u, x):
-        y = np.concatenate([points, model.quantile(u) if u.size else u, x])
+        y = np.concatenate([points, model._quantile_arr(u) if u.size else u, x])
         power = np.full(y.size, rho)
         power[points.size : points.size + u.size] = rho - 1.0
-        return np.exp(power * model.logpdf(y))
+        return np.exp(power * model._logpdf(y))
 
-    mid = model.quantile(0.75)
+    mid, q_tail = _split_points(model)
+    probe = _tail_probe(q_tail, what)
     return _integrate(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
 
 
@@ -337,12 +375,12 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
         raise ZeroDivisionError("survival(t) is 0; residual life undefined")
 
     def integrand(x):
-        return (x - t) ** n * model.pdf(x)
+        return (x - t) ** n * _pdf(model, x)
 
-    probe = _tail_probe(model, f"residual moment n={n}")
-    mid = model.quantile(0.75)
+    mid, q_tail = _split_points(model)
     if mid <= t:
         mid = 2.0 * abs(t) + 1.0 + t
+    probe = _tail_probe(q_tail, f"residual moment n={n}")
     total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
     return total / s
 
@@ -356,7 +394,7 @@ def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
     F = model.cdf(t)
     if F <= 0.0:
         raise ZeroDivisionError("cdf(t) is 0; reversed residual life undefined")
-    val = _integrate(lambda x: (t - x) ** n * model.pdf(x), [(model.support_low, t)])
+    val = _integrate(lambda x: (t - x) ** n * _pdf(model, x), [(model.support_low, t)])
     return val / F
 
 
@@ -377,11 +415,11 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
         )
 
     def integrand(x):
-        return model.cdf(x) ** m * model.survival(x) ** n
+        return _cdf(model, x) ** m * _sf(model, x) ** n
 
     return _integrate_support(
         model,
         integrand,
-        _tail_probe(model, f"cigf m={m}, n={n}"),
+        f"cigf m={m}, n={n}",
         spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10),
     )

@@ -304,10 +304,12 @@ class TestSameBitsAsSeparateCalls:
 
     def test_tail_verdict_comes_before_the_edge_verdict(self):
         # f^3 diverges at the edge here (k*theta = 0.6); a density made
-        # infinite in the tail must still fail the tail's screen first
+        # infinite in the tail must still fail the tail's screen first.
+        # The fault goes into ``_logpdf``, the log f that the property
+        # integrals evaluate on their nodes and that ``logpdf`` wraps
         m = chosen_model("gtw-u")
-        tail, logpdf = m.quantile(0.999), m.logpdf
-        object.__setattr__(m, "logpdf", lambda x: np.where(x > tail, np.inf, logpdf(x)))
+        tail, logpdf = m.quantile(0.999), m._logpdf
+        object.__setattr__(m, "_logpdf", lambda x: np.where(x > tail, np.inf, logpdf(x)))
         got = outcome(properties.renyi_entropy, m, 3.0)
         assert got == outcome(ORACLE.renyi_entropy, m, 3.0)
         assert "not finite in the tail" in got[1]

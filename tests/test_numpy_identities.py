@@ -14,6 +14,11 @@ points.  That gives each half the bytes of separate calls only while the
 kernels and the model's pdf, logpdf, cdf and survival are elementwise to
 the bit: no element's value may depend on the array's length or on where
 the element sits in it (SIMD loops and their remainder handling included).
+The same holds for the quantile function: a split integral takes Q(0.75)
+and Q(1 - 1e-6) from one call on a two-element array, which must give the
+bytes of two scalar ``quantile`` calls.  And the integrands call the
+kernels' cores (and the model's ``_logpdf``) straight on the nodes, which
+must give the bytes of the public functions there.
 """
 
 import math
@@ -23,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from gtld import _kernels, numerics
+from gtld import _kernels, numerics, properties
 from gtld.model import model_from_params
 from gtld.transforms import SUBFAMILY_IDS
 
@@ -123,3 +128,34 @@ def test_distribution_functions_on_concatenations(family, sizes, seed):
         q = m.quantile(rng.uniform(1e-12, 1.0 - 1e-9, n))
         parts.append(low + (q - low) * rng.uniform(0.1, 8.0, n))
     _same_bytes_on_concatenation(m, parts)
+
+
+def _random_models(family, count=40):
+    rng = np.random.default_rng([sorted(SUBFAMILY_IDS).index(family), 40])
+    return [model_from_params(family, random_params(family, rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
+def test_split_points_equal_two_scalar_quantile_calls(family):
+    for m in _random_models(family):
+        both = m._quantile_arr(np.array([0.75, 1.0 - 1e-6]))
+        want = np.array([m.quantile(0.75), m.quantile(1.0 - 1e-6)])
+        assert both.tobytes() == want.tobytes(), m.params
+        assert np.array(properties._split_points(m)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
+def test_node_path_equals_the_public_functions(family):
+    # what a split integral's first integrand call sees: the probe's points
+    # and both halves' first blocks, concatenated, under the driver's errstate
+    for m in _random_models(family):
+        whole = np.concatenate(_node_parts(m))
+        with np.errstate(all="ignore"):
+            node = {
+                "logpdf": m._logpdf(whole),
+                "pdf": properties._pdf(m, whole),
+                "cdf": properties._cdf(m, whole),
+                "survival": properties._sf(m, whole),
+            }
+        for name, got in node.items():
+            assert got.tobytes() == getattr(m, name)(whole).tobytes(), (name, m.params)

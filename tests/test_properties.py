@@ -8,7 +8,7 @@ from scipy import special as sp
 from scipy import stats as st
 
 from gtld import numerics, properties
-from gtld.model import make_model, model_from_params
+from gtld.model import SupportError, make_model, model_from_params
 
 from conftest import random_params
 from test_lockstep import Composition
@@ -277,6 +277,32 @@ class TestEntropies:
         want = math.log1p(-val) / (q - 1.0)
         assert properties.q_entropy(m, q) == pytest.approx(want, rel=1e-9)
 
+    # gtr parameters at which the rule meets its bound on the upper half by
+    # coincidence: |T(1/8) - T(1/4)| = 2.8e-10, and T(1/16) moves by 2.9e-7
+    FALSE_CONVERGENCE = (
+        dict(beta=0.9681764988469315, theta=1.2315253166071585, lam=0.5892629762645271),
+        1.2165227430160896,
+        0.7709207022028898,  # by SciPy's quad below
+    )
+
+    def test_false_convergence_reference(self):
+        params, rho, want = self.FALSE_CONVERGENCE
+        m = make_model("gtr", **params)
+        f_rho = lambda x: m.pdf(x) ** rho  # noqa: E731
+        val = sp_integrate.quad(f_rho, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert math.log(val) / (1.0 - rho) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="tanh-sinh accepts the upper half at h = 1/8 on a coincidental "
+        "agreement of two levels, and the integral is off by 1.6e-6 relative; "
+        "see CHANGES.md",
+    )
+    def test_renyi_entropy_meets_its_tolerance_on_gtr(self):
+        params, rho, want = self.FALSE_CONVERGENCE
+        m = make_model("gtr", **params)
+        assert properties.renyi_entropy(m, rho) == pytest.approx(want, rel=1e-8)
+
 
 class TestResidualLife:
     def test_exponential_memoryless(self):
@@ -298,6 +324,31 @@ class TestResidualLife:
             want, rel=1e-8
         )
         assert properties.reversed_residual_moment(m, 0, t) == pytest.approx(1.0)
+
+
+class TestSupportRefusal:
+    """Arguments below the support are refused before any integrand call;
+    gtp1 with alpha = 2 has the support (2, inf)."""
+
+    MODEL = make_model("gtp1", beta=2.0, theta=1.5, lam=0.3, alpha=2.0)
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(numerics, "integrate_ranges", refused)
+
+    @pytest.mark.parametrize(
+        "fn", [properties.residual_moment, properties.reversed_residual_moment]
+    )
+    def test_age_below_the_support(self, fn):
+        with pytest.raises(SupportError, match="argument below the support infimum 2.0 of gtp1"):
+            fn(self.MODEL, 1, 1.5)
+
+    def test_incomplete_moment_below_the_support(self):
+        with pytest.raises(ValueError, match="z below the support"):
+            properties.incomplete_moment(self.MODEL, 1, 1.5)
 
 
 class TestCigf:
