@@ -1,6 +1,7 @@
 """Time the kernels (layer 1) and the fits built on them (layer 2).
 
 Layer 1: the six fitting objectives and the array cdf/logpdf evaluations
+(the kernels' cores through ``_at_points``, their one way in for points)
 on a synthetic sample, which is exactly the workload the simulation harness
 hammers (thousands of quasi-Newton objective evaluations), and the
 objectives' value-and-gradient kernel; the objectives take the per-fit
@@ -165,8 +166,8 @@ def fit_layer(method, n):
 
 
 print(f"kernels (n={N}, {REPEATS} calls):")
-bench("cdf_arr", _kernels.cdf_arr, *ARGS, xs)
-bench("logpdf_arr", _kernels.logpdf_arr, *ARGS, xs)
+bench("cdf", _kernels._at_points, xs, _kernels._cdf_core, *ARGS)
+bench("logpdf", _kernels._at_points, xs, _kernels._logpdf_core, *ARGS)
 for mid, mname in enumerate(METHODS):
     bench(mname, _kernels.objective, mid, *ARGS, _kernels.Plan(xs, ARGS[0], mid))
 print(f"value and gradient (n={N}, {REPEATS} calls):")

@@ -7,9 +7,10 @@ reports that record it.
 Each per-point quantity has one core (``_cdf_core``, ``_sf_core``,
 ``_logpdf_core``): one formula, on a float array, under its caller's
 errstate.  The property integrals call the cores straight on their
-quadrature nodes; ``cdf_arr``, ``sf_arr`` and ``logpdf_arr`` are the same
-cores wrapped for any x, with the errstate, ``atleast_1d`` and the scalar
-unwrap.
+quadrature nodes; points from outside take one way in, ``_at_points``
+(x of any shape as a float array, the cores' errstate, a scalar x giving
+a Python float), through which the model's cdf, survival, logpdf and pdf
+and the transform's G and G' run.
 
 This module alone numbers the families and the methods, by their positions
 in ``_FAMILIES`` and ``METHOD_IDS``:
@@ -20,8 +21,9 @@ in ``_FAMILIES`` and ``METHOD_IDS``:
 The objectives take their sample as a ``Plan``: the sorted sample with the
 pieces that do not depend on the parameters (log x, the rank weights),
 built once per fit, so an evaluation does only the arithmetic that changes
-from one parameter vector to the next.  Given a bare sorted array they
-build the plan on the spot.
+from one parameter vector to the next.  They take nothing else: the fits,
+the objective functions of ``estimation`` and the GOF statistics' W^2 and
+A^2 each build their plan.
 
 At the sample sizes a fit sees, an evaluation's cost is NumPy's per-call
 overhead, so ``_objective`` makes as few calls as it can, each on the
@@ -339,37 +341,28 @@ def _logpdf_core(fam, s1, s2, beta, theta, lam, x):
     return np.log(theta * beta) + log_gp - a + (theta - 1.0) * log_u + np.log(tail)
 
 
-def _on_points(core, name):
-    """The public form ``name`` of a core: x of any shape, a scalar giving
-    a scalar, in the errstate the core's discarded branches and limits need."""
-
-    def public(fam, s1, s2, beta, theta, lam, x):
-        xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = core(fam, s1, s2, beta, theta, lam, xv)
-        return out if np.ndim(x) else out[0]
-
-    public.__name__ = public.__qualname__ = name
-    public.__doc__ = f"``{core.__name__}`` at any x; a scalar x gives a scalar."
-    return public
+def _at_points(x, fn, *args):
+    """``fn(*args, xv)``, xv the points x as a float array of at least one
+    dimension, in the errstate the cores' discarded branches and limits
+    need; a scalar x gives a Python float.  The one way in from outside
+    for points: a scalar runs as a one-element array, whose bytes it keeps."""
+    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = fn(*args, xv)
+    return out if np.ndim(x) else float(out[0])
 
 
-cdf_arr = _on_points(_cdf_core, "cdf_arr")
-sf_arr = _on_points(_sf_core, "sf_arr")
-logpdf_arr = _on_points(_logpdf_core, "logpdf_arr")
+def objective(method, fam, s1, s2, beta, theta, lam, plan):
+    """Evaluate one fitting objective on the sample of ``plan``.
 
-
-def objective(method, fam, s1, s2, beta, theta, lam, xs):
-    """Evaluate one fitting objective on the ascending-sorted sample ``xs``.
-
-    ``xs`` is a ``Plan`` for (fam, method) or a sorted array.  Returns
+    ``plan`` is a ``Plan`` built for (fam, method).  Returns
     (value, clamp_count).  Non-finite values are replaced by a large finite
     constant so quasi-Newton line searches never see NaN.
     """
-    return _objective(method, fam, s1, s2, beta, theta, lam, xs, False)[:2]
+    return _objective(method, fam, s1, s2, beta, theta, lam, plan, False)[:2]
 
 
-def objective_grad(method, fam, s1, s2, beta, theta, lam, xs):
+def objective_grad(method, fam, s1, s2, beta, theta, lam, plan):
     """``objective`` plus its exact gradient.
 
     Returns (value, clamp_count, grad): value and clamp count are those of
@@ -377,7 +370,7 @@ def objective_grad(method, fam, s1, s2, beta, theta, lam, xs):
     held at the log clamp (ad, rtad) contribute no derivative, and where
     the value is replaced by the large constant the gradient is zero.
     """
-    return _objective(method, fam, s1, s2, beta, theta, lam, xs, True)
+    return _objective(method, fam, s1, s2, beta, theta, lam, plan, True)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -404,9 +397,7 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     same layout: a transcendental ufunc can round differently on a strided
     view (log of a reversed array is not the reversed log, bit for bit).
     """
-    if not isinstance(plan, Plan):
-        plan = Plan(plan, fam, method)
-    elif plan.fam != fam or plan.method != method:
+    if plan.fam != fam or plan.method != method:
         raise ValueError(
             f"plan built for family {plan.fam}, method {plan.method}; "
             f"called with family {fam}, method {method}"

@@ -129,13 +129,7 @@ class _Memo:
     def at(self, xl):
         if xl != self._xl:
             self._xl = xl
-            f, g = self._fun_and_grad(np.array(xl, dtype=float))
-            # np.isscalar and np.atleast_1d, skipped for a float and a vector
-            if not isinstance(f, float) and not np.isscalar(f):
-                f = np.asarray(f).item()
-            if type(g) is not np.ndarray or g.ndim == 0:
-                g = np.atleast_1d(g)
-            self._f, self._g = f, g
+            self._f, self._g = self._fun_and_grad(np.array(xl, dtype=float))
         return self._f, self._g
 
 
@@ -167,7 +161,8 @@ def _step_rounds_to_zero(alpha_k, pk, xk):
 
 
 def bfgs(fun_and_grad, x0) -> OptimResult:
-    """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient)."""
+    """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient), a
+    float and a 1-d array, which are taken as they are."""
     x0 = np.asarray(x0).flatten()
     memo = _Memo(fun_and_grad, x0)
     old_fval, gfk = memo(x0)
@@ -611,16 +606,14 @@ def _nm_converged(sim, fsim):
 
 
 def nelder_mead(fun, x0) -> OptimResult:
-    """Minimize ``fun(x)`` with the (non-adaptive) Nelder-Mead simplex."""
+    """Minimize ``fun(x)``, a float, with the (non-adaptive) Nelder-Mead
+    simplex."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt = 0.05
     zdelt = 0.00025
 
     def func(x):
-        fx = fun(x.copy())
-        if not isinstance(fx, float) and not np.isscalar(fx):
-            fx = np.asarray(fx).item()
-        return fx
+        return fun(x.copy())
 
     x0 = np.asarray(x0, dtype=float).flatten()
     N = len(x0)

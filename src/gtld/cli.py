@@ -52,9 +52,12 @@ def _parse_params(family: str, text: str) -> ParamVector:
         except ValueError:
             raise UsageError(f"cannot parse parameter {name}={part!r}") from None
     shape = {n: vals[n] for n in SUBFAMILY_SHAPES[family]}
-    return ParamVector(
-        beta=vals["beta"], theta=vals["theta"], lam=vals["lambda"], shape=shape
-    )
+    try:
+        return ParamVector(
+            beta=vals["beta"], theta=vals["theta"], lam=vals["lambda"], shape=shape
+        )
+    except ValueError as exc:  # a value out of its range is a usage error
+        raise UsageError(str(exc)) from None
 
 
 def _pair(text: str, what: str, count: int = 2):

@@ -102,15 +102,26 @@ class TransformedParams:
         return ParamVector(beta=vals[k], theta=vals[k + 1], lam=lam, shape=dict(zip(names, vals)))
 
 
+def _finite_sample(sample) -> np.ndarray:
+    """The sample as a float array, refused if a point is NaN or infinite:
+    the objectives would turn it into their non-finite sentinel."""
+    xs = np.asarray(sample, dtype=float)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"sample point at index {int(np.argmin(finite))} is not finite")
+    return xs
+
+
 def _objective_value(method: str, params: ParamVector, sample, family: str):
     args = model_from_params(family, params).kernel_args
-    xs = np.sort(np.asarray(sample, dtype=float))
-    return _kernels.objective(_kernels.METHOD_IDS[method], *args, xs)
+    mid = _kernels.METHOD_IDS[method]
+    plan = _kernels.Plan(np.sort(np.asarray(sample, dtype=float)), args[0], mid)
+    return _kernels.objective(mid, *args, plan)
 
 
 def neg_log_likelihood(params: ParamVector, sample, family: str) -> float:
     """-log L; equals -sum(log pdf) over the sample."""
-    xs = np.asarray(sample, dtype=float)
+    xs = _finite_sample(sample)
     model = model_from_params(family, params)
     if np.any(xs <= model.support_low):
         idx = int(np.argmax(xs <= model.support_low))
@@ -181,7 +192,7 @@ def fit(
         raise ValueError(f"unknown sub-family {family!r}")
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    xs = np.sort(np.asarray(sample, dtype=float))
+    xs = np.sort(_finite_sample(sample))
     if xs.size == 0:
         raise ValueError("sample is empty")
 

@@ -1,5 +1,9 @@
 """Goodness-of-fit statistics, p-values, and AIC-based model selection.
 
+W^2 and A^2 are the fit kernels' cvm and ad objectives (``_kernels.objective``)
+at the fitted model, on the sorted sample; a statistic refuses a sample with
+a NaN or infinite point, or one below the support, before any evaluation.
+
 The p-values use the classical asymptotic null distributions of the
 statistics, ignoring the effect of parameter estimation (as standard
 statistical software reports them); they are approximate by construction.
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _LOG_CLAMP
-from .estimation import FitError, FitResult, fit, neg_log_likelihood
+from . import _kernels
+from .estimation import FitError, FitResult, _finite_sample, fit, neg_log_likelihood
 from .model import GtldModel, model_from_params, param_names
 
 _KOLMOG_CUTOVER = 0.82
@@ -61,8 +65,19 @@ class GofReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _fitted_cdf(sample, model: GtldModel) -> np.ndarray:
-    return np.asarray(model.cdf(np.sort(np.asarray(sample, dtype=float))))
+def _sorted_sample(sample, model: GtldModel) -> np.ndarray:
+    """The sample sorted, refused if a point is not finite (ValueError) or
+    lies below the support (SupportError)."""
+    return np.sort(model._check_support(_finite_sample(sample)))
+
+
+def _fit_statistic(method: str, sample, model: GtldModel) -> float:
+    """The fit objective ``method`` at the model, on the sorted sample: W^2
+    for cvm, A^2 (log terms clamped at 1e-300) for ad."""
+    xs = _sorted_sample(sample, model)
+    mid = _kernels.METHOD_IDS[method]
+    args = model.kernel_args
+    return float(_kernels.objective(mid, *args, _kernels.Plan(xs, args[0], mid))[0])
 
 
 def _kolmogorov_sf(y: float) -> float:
@@ -91,7 +106,7 @@ def _kolmogorov_sf(y: float) -> float:
 
 def ks_statistic(sample, model: GtldModel):
     """Two-sided sup-distance D and its asymptotic p-value."""
-    F = _fitted_cdf(sample, model)
+    F = model.cdf(_sorted_sample(sample, model))
     n = F.size
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
@@ -169,10 +184,7 @@ def _cvm_sf(x: float) -> float:
 
 def cvm_statistic(sample, model: GtldModel):
     """W^2 statistic and asymptotic p-value."""
-    F = _fitted_cdf(sample, model)
-    n = F.size
-    i = np.arange(1, n + 1)
-    w2 = 1.0 / (12.0 * n) + float(np.sum((F - (2.0 * i - 1.0) / (2.0 * n)) ** 2))
+    w2 = _fit_statistic("cvm", sample, model)
     return w2, _cvm_sf(w2)
 
 
@@ -220,12 +232,8 @@ def _ad_errfix(n: int, x: float) -> float:
 
 def ad_statistic(sample, model: GtldModel):
     """A^2 statistic and p-value via adinf + finite-n correction."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    n = xs.size
-    i = np.arange(1, n + 1)
-    Fc = np.maximum(model.cdf(xs), _LOG_CLAMP)
-    Sc = np.maximum(model.survival(xs), _LOG_CLAMP)
-    a2 = -n - float(np.sum((2.0 * i - 1.0) * (np.log(Fc) + np.log(Sc[::-1])))) / n
+    n = np.size(sample)
+    a2 = _fit_statistic("ad", sample, model)
     cdf_val = _adinf(a2)
     cdf_val = min(max(cdf_val + _ad_errfix(n, cdf_val), 0.0), 1.0)
     return a2, 1.0 - cdf_val

@@ -7,9 +7,10 @@ F, the survival function and log f are evaluated by the kernels
 factorization 1 - (1+lam)*v + lam*v^2 = (1-v)*(1-lam*v), with 1-v
 evaluated through expm1 so the deep right tail keeps relative accuracy.
 The public ``cdf``, ``survival``, ``logpdf`` and ``pdf`` check the support
-and hold the errstate around the kernels' cores; ``_logpdf`` is the log f
-core with the density's limits filled in where the kernel gives NaN, which
-the property integrals call straight on their quadrature nodes.
+and run the kernels' cores through ``_kernels._at_points``, the one way in
+for points; ``_logpdf`` is the log f core with the density's limits filled
+in where the kernel gives NaN, and ``_pdf`` its exp, which the property
+integrals call straight on their quadrature nodes.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ class GtldModel:
         return xv
 
     def cdf(self, x):
-        out = _kernels.cdf_arr(*self.kernel_args, self._check_support(x))
-        return out if np.ndim(x) else float(out)
+        return _kernels._at_points(self._check_support(x), _kernels._cdf_core, *self.kernel_args)
 
     def survival(self, x):
-        out = _kernels.sf_arr(*self.kernel_args, self._check_support(x))
-        return out if np.ndim(x) else float(out)
+        return _kernels._at_points(self._check_support(x), _kernels._sf_core, *self.kernel_args)
 
     def _logpdf(self, xv):
         """log f on a float array of points in the support, under the
@@ -135,17 +134,16 @@ class GtldModel:
         nan = np.isnan(out)
         return np.where(nan & (tr.eval(xv) <= 0.0), edge, np.where(nan, -np.inf, out))
 
+    def _pdf(self, xv):
+        """f on a float array of points in the support, under the caller's
+        errstate."""
+        return np.exp(self._logpdf(xv))
+
     def logpdf(self, x):
-        xv = np.atleast_1d(self._check_support(x))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._logpdf(xv)
-        return out if np.ndim(x) else float(out[0])
+        return _kernels._at_points(self._check_support(x), self._logpdf)
 
     def pdf(self, x):
-        xv = np.atleast_1d(self._check_support(x))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._logpdf(xv)
-            return np.exp(out) if np.ndim(x) else float(np.exp(out[0]))
+        return _kernels._at_points(self._check_support(x), self._pdf)
 
     def hazard(self, x):
         s = self.survival(x)

@@ -8,10 +8,11 @@ the model's vectorised cdf, survival or density covers the rule's levels
 h = 1 ... 1/16 of both halves and the tail probe's points, and each round
 of finer levels that a half still needs is one call more.  The integrands
 evaluate the kernels' cores (``_kernels._cdf_core``, ``_sf_core``) and the
-model's log f core (``GtldModel._logpdf``) straight on the nodes, inside
-the driver's errstate: the nodes lie in the support by construction, so
-the public functions' support check, errstate and scalar handling would
-only cost time there.  Arguments are refused before the first integrand
+model's log f core and its exp (``GtldModel._logpdf``, ``_pdf``)
+straight on the nodes, inside the quadrature's errstate: the nodes lie in the
+support by construction, so the public functions' support check and their
+wrapper ``_kernels._at_points`` (errstate and scalar handling) would only
+cost time there.  Arguments are refused before the first integrand
 call instead (an age below the support by the scalar ``survival`` or
 ``cdf``).  The split point Q(0.75) and the probe's base Q(1 - 1e-6) come
 from one quantile call on a two-element array (``_split_points``).  Each half's
@@ -83,9 +84,7 @@ def _on_parts(integrand):
 # support, under the driver's errstate, so the kernels' cores take them
 # as they are, without the public functions' support check and errstate.
 
-
-def _pdf(model: GtldModel, x):
-    return np.exp(model._logpdf(x))
+_pdf = GtldModel._pdf
 
 
 def _cdf(model: GtldModel, x):

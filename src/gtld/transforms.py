@@ -139,25 +139,19 @@ class InnerTransform:
     edge_order: float
     edge_coef: float
 
-    def _parts(self, x, lgp):
-        """(G(x), log G'(x) when ``lgp``), from the kernels' ``_g_parts``,
-        which work in place on arrays: a scalar x gives scalars."""
-        xv = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            G, log_gp = _kernels._g_parts(
-                self.family_id, *self.kernel_shapes, 1.0, np.atleast_1d(xv), lgp=lgp
-            )[:2]
-        if xv.ndim == 0:
-            return G[0], None if log_gp is None else log_gp[0]
-        return G, log_gp
+    def _g(self, xv):
+        return _kernels._g_parts(self.family_id, *self.kernel_shapes, 1.0, xv)[0]
+
+    def _gp(self, xv):
+        return np.exp(_kernels._g_parts(self.family_id, *self.kernel_shapes, 1.0, xv, lgp=True)[1])
 
     def eval(self, x):
-        """G(x)."""
-        return self._parts(x, False)[0]
+        """G(x), from the kernels' ``_g_parts`` with beta = 1."""
+        return _kernels._at_points(x, self._g)
 
     def deriv(self, x):
         """G'(x), as exp of the kernel's log G'."""
-        return np.exp(self._parts(x, True)[1])
+        return _kernels._at_points(x, self._gp)
 
     def inverse(self, y):
         return FAMILIES[self.name].inverse(np.asarray(y, dtype=float), *self.kernel_shapes)

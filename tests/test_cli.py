@@ -73,6 +73,16 @@ class TestFit:
         assert payload["converged"] is True
         jsonschema.validate(payload, _schema("fit_report.schema.json"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_exit_1(self, capsys, tmp_path, bad):
+        # a non-finite point would reach the objectives as their 1e10 sentinel
+        data = tmp_path / "bad.txt"
+        data.write_text(f"0.5\n1.25\n{bad}\n2.0\n0.75\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--family", "gte")
+        assert code == 1
+        assert out == ""
+        assert err == "error: sample point at index 2 is not finite\n"
+
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_starts_below_one_is_usage_error(self, capsys, starts):
         code, out, err = run_cli(
@@ -184,6 +194,25 @@ class TestCurves:
         assert code == 2
         assert out == ""
         assert err == f"error: --grid COUNT must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("props", "--family", "gte", "--params=-1,1,0", "--moment", "1"),
+         "beta must be positive, got -1.0"),
+        (("curves", "--family", "gtw", "--params=0,1,1,0", "--grid", "0.1:2:3"),
+         "shape parameter alpha must be positive, got 0.0"),
+        (("props", "--family", "gte", "--params=1,1,1.5", "--moment", "1"),
+         "lambda must lie in [-1, 1], got 1.5"),
+    ],
+)
+def test_out_of_range_params_are_usage_errors(capsys, argv, message):
+    # exit 2, as the same values give in a simulate config
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestSimulate:

@@ -112,14 +112,15 @@ def _central_differences(method, family, vec, xs):
     h and h/2: a sample point close to gtp1's alpha bends the objective
     within a step of 1e-6."""
     mid = METHOD_IDS[method]
+    plan = _kernels.Plan(xs, FAMILY_IDS[family], mid)
 
     def diff(j, h):
         up, down = vec.copy(), vec.copy()
         up[j] += h
         down[j] -= h
         return (
-            _kernels.objective(mid, *_kernel_vec(family, up), xs)[0]
-            - _kernels.objective(mid, *_kernel_vec(family, down), xs)[0]
+            _kernels.objective(mid, *_kernel_vec(family, up), plan)[0]
+            - _kernels.objective(mid, *_kernel_vec(family, down), plan)[0]
         ) / (2.0 * h)
 
     out = np.empty_like(vec)
@@ -130,9 +131,9 @@ def _central_differences(method, family, vec, xs):
 
 
 def _assert_grad_matches(method, family, vec, xs):
-    _, _, grad = _kernels.objective_grad(
-        METHOD_IDS[method], *_kernel_vec(family, vec), xs
-    )
+    mid = METHOD_IDS[method]
+    plan = _kernels.Plan(xs, FAMILY_IDS[family], mid)
+    _, _, grad = _kernels.objective_grad(mid, *_kernel_vec(family, vec), plan)
     want = _central_differences(method, family, vec, xs)
     scale = 1.0 + float(np.max(np.abs(want)))
     np.testing.assert_allclose(grad, want, rtol=1e-4, atol=1e-6 * scale)
@@ -173,7 +174,9 @@ class TestObjectiveGrad:
         # F(1e-8) = 1e-8^40 and S(800) = e^-800 lie below the 1e-300 clamp
         xs = np.array([1e-8, 0.3, 0.7, 1.1, 2.0, 800.0])
         vec = np.array([1.0, 40.0, 0.2])
-        clamps = _kernels.objective(METHOD_IDS[method], *_kernel_vec("gte", vec), xs)[1]
+        mid = METHOD_IDS[method]
+        plan = _kernels.Plan(xs, FAMILY_IDS["gte"], mid)
+        clamps = _kernels.objective(mid, *_kernel_vec("gte", vec), plan)[1]
         assert clamps == 2
         _assert_grad_matches(method, "gte", vec, xs)
 
@@ -183,8 +186,9 @@ class TestObjectiveGrad:
         xs[-1] *= 1e3  # far into the tail: at the clamp for the light tails
         args = _kernel_vec(family, p.as_array(family))
         for mid in METHOD_IDS.values():
-            value, clamps, grad = _kernels.objective_grad(mid, *args, xs)
-            assert (value, clamps) == _kernels.objective(mid, *args, xs)
+            plan = _kernels.Plan(xs, args[0], mid)
+            value, clamps, grad = _kernels.objective_grad(mid, *args, plan)
+            assert (value, clamps) == _kernels.objective(mid, *args, plan)
             assert grad.shape == (len(SUBFAMILY_SHAPES[family]) + 3,)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -198,8 +202,9 @@ class TestObjectiveGrad:
     )
     def test_finite_where_value_finite_gtwe(self, method, alpha, beta):
         xs = np.array([0.2, 0.5, 0.9, 1.0, 1.2, 2.0, 3.0])
+        mid, fam = METHOD_IDS[method], FAMILY_IDS["gtwe"]
         value, _, grad = _kernels.objective_grad(
-            METHOD_IDS[method], FAMILY_IDS["gtwe"], alpha, 0.0, beta, 0.5, 0.2, xs
+            mid, fam, alpha, 0.0, beta, 0.5, 0.2, _kernels.Plan(xs, fam, mid)
         )
         if np.isfinite(value) and value != _kernels._BIG:
             assert np.all(np.isfinite(grad))
@@ -310,6 +315,16 @@ class TestFitDiagnostics:
         res = fit(np.array([0.0, 0.5, 1.0, 2.0, 3.0]), "gte", method="ml", n_starts=2)
         assert res.objective_value == _kernels._BIG
         assert not res.converged
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        # a non-finite point would reach the objectives as their 1e10 sentinel
+        xs = np.array([0.5, 1.0, 2.0, bad, 3.0])
+        msg = "sample point at index 3 is not finite"
+        with pytest.raises(ValueError, match=msg):
+            fit(xs, "gte", method="ml", n_starts=1)
+        with pytest.raises(ValueError, match=msg):
+            neg_log_likelihood(ParamVector(beta=1.0, theta=1.0, lam=0.0), xs, "gte")
 
     def test_evaluations_sum_over_starts(self):
         xs = model_from_params("gtwe", self.TRUTH).sample(100, seed=32)

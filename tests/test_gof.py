@@ -16,7 +16,9 @@ from gtld.gof import (
     ks_statistic,
     model_select,
 )
-from gtld.model import make_model
+from gtld.model import SupportError, make_model, model_from_params
+
+from conftest import random_params
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,45 @@ class TestAd:
         xs = m.quantile((np.arange(1, 101) - 0.5) / 100)
         _, p = ad_statistic(np.sort(xs), m)
         assert p > 0.9
+
+
+def test_w2_and_a2_have_the_bytes_of_their_formulas(family, rng):
+    # W^2 and A^2 come from the fit kernels' cvm and ad objectives; written
+    # out on the public cdf and survival they have the same bytes
+    for _ in range(25):
+        m = model_from_params(family, random_params(family, rng))
+        xs = np.sort(m.sample(int(rng.integers(5, 300)), seed=int(rng.integers(2**31))))
+        n = xs.size
+        i = np.arange(1, n + 1)
+        F = m.cdf(xs)
+        w2 = 1.0 / (12.0 * n) + float(np.sum((F - (2.0 * i - 1.0) / (2.0 * n)) ** 2))
+        Fc = np.maximum(F, 1e-300)
+        Sc = np.maximum(m.survival(xs), 1e-300)
+        a2 = -n - float(np.sum((2.0 * i - 1.0) * (np.log(Fc) + np.log(Sc[::-1])))) / n
+        got_w2, got_a2 = cvm_statistic(xs, m)[0], ad_statistic(xs, m)[0]
+        assert type(got_w2) is type(got_a2) is float
+        assert np.float64(got_w2).tobytes() == np.float64(w2).tobytes(), m.params
+        assert np.float64(got_a2).tobytes() == np.float64(a2).tobytes(), m.params
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("statistic", [ks_statistic, cvm_statistic, ad_statistic])
+def test_non_finite_sample_refused(model_and_sample, statistic, bad):
+    # a NaN would reach W^2 and A^2 as the kernels' non-finite sentinel
+    m, xs = model_and_sample
+    xs = xs.copy()
+    xs[7] = bad
+    with pytest.raises(ValueError, match="sample point at index 7 is not finite"):
+        statistic(xs, m)
+    with pytest.raises(ValueError, match="sample point at index 7 is not finite"):
+        gof_report(xs, m, "gte")
+
+
+@pytest.mark.parametrize("statistic", [ks_statistic, cvm_statistic, ad_statistic])
+def test_sample_below_the_support_refused(statistic):
+    m = make_model("gtp1", beta=1.0, theta=1.0, lam=0.0, alpha=2.0)
+    with pytest.raises(SupportError):
+        statistic(np.array([2.5, 1.5, 3.0]), m)
 
 
 class TestReport:

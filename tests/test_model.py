@@ -161,12 +161,23 @@ class TestSupport:
     def test_scalar_quantile_has_the_bytes_of_a_one_element_array(self, family, rng):
         # a 0-d argument once took other NumPy loops (np.power among them)
         # and moved the last bits; the split point Q(0.75) and the tail
-        # probe's Q(1 - 1e-6) of the property integrals are scalar calls
+        # probe's Q(1 - 1e-6) of the property integrals are scalar calls.
+        # The point functions share one wrapper that runs a scalar x as a
+        # one-element array and hands back a Python float.
         for _ in range(40):
             m = model_from_params(family, random_params(family, rng))
             for p in (0.75, 1.0 - 1e-6, 0.5):
                 want = m.quantile(np.array([p]))[0]
                 assert np.float64(m.quantile(p)).tobytes() == want.tobytes()
+            tr = m.transform
+            points = m.quantile(np.array([1e-3, 0.1, 0.5, 0.9])).tolist()
+            for fn in (m.cdf, m.survival, m.logpdf, m.pdf, m.hazard, tr.eval, tr.deriv):
+                for x in [m.support_low, *points]:
+                    want = fn(np.array([x]))[0]
+                    for scalar in (x, np.float64(x), np.array(x)):
+                        got = fn(scalar)
+                        assert type(got) is float, (fn.__name__, type(got))
+                        assert np.float64(got).tobytes() == want.tobytes(), (fn.__name__, x)
 
     def test_sample_size_validated(self):
         m = make_model("gte", beta=1.0, theta=1.0, lam=0.0)

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from gtld import _kernels, numerics, properties
+from gtld import numerics, properties
 from gtld.model import model_from_params
 from gtld.transforms import SUBFAMILY_IDS
 
@@ -87,9 +87,6 @@ def _node_parts(m):
 
 def _same_bytes_on_concatenation(m, parts):
     functions = {
-        "cdf_arr": lambda x: _kernels.cdf_arr(*m.kernel_args, x),
-        "sf_arr": lambda x: _kernels.sf_arr(*m.kernel_args, x),
-        "logpdf_arr": lambda x: _kernels.logpdf_arr(*m.kernel_args, x),
         "pdf": m.pdf,
         "logpdf": m.logpdf,
         "cdf": m.cdf,
