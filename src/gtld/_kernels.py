@@ -18,6 +18,11 @@ in ``_FAMILIES`` and ``METHOD_IDS``:
     families: 0=gte 1=gtr 2=gtw 3=gtmw 4=gtwe 5=gtb12 6=gtl 7=gtp1
     methods:  0=ml 1=ols 2=wls 3=cvm 4=ad 5=rtad
 
+``_FAMILIES`` is the only per-family table (shape names, log x needs,
+support and edge, start shapes, tail type).  G and log G' are one dispatch
+on the family id, ``_g_parts``, and G^-1, which the quantile function
+Q(p) = G^-1(-log(1 - y) / beta) takes, is one beside it, ``_g_inverse``.
+
 The objectives take their sample as a ``Plan``: the sorted sample with the
 pieces that do not depend on the parameters (log x, the rank weights),
 built once per fit, so an evaluation does only the arithmetic that changes
@@ -38,6 +43,7 @@ one array at a time (``tests/test_plan_kernel.py`` holds that oracle).
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,23 +65,43 @@ def _const(value):
 
 _ZERO, _ONE, _TWO, _LOG2_0D, _CLAMP_0D = map(_const, (0.0, 1.0, 2.0, _LOG2, _LOG_CLAMP))
 
-# one row per family, its id the row's position: name, number of shape
-# parameters, whether G needs log x, whether log G' does
+
+class _Family(NamedTuple):
+    """A row of ``_FAMILIES``, its position the family id.  The first shape,
+    alpha, is a power for gtw/gtmw/gtwe/gtb12, the Lomax inner scale for gtl
+    and the Pareto lower bound for gtp1, whose support is (alpha, inf)."""
+
+    name: str
+    shapes: tuple  # the shape parameters' names, in kernel slot order
+    g_log_x: bool  # G needs log x
+    gp_log_x: bool  # log G' needs log x
+    edge: Callable  # alpha -> (k, c, low), G(x) ~ c*(x - low)^k at the low end
+    start: Callable  # the sample -> the shape values ``fit`` starts from
+    power_tail: bool = False  # G grows like log x, so S decays like a power of x
+
+
 _FAMILIES = (
-    ("gte", 0, False, False),
-    ("gtr", 0, False, True),
-    ("gtw", 1, True, True),
-    ("gtmw", 2, True, True),
-    ("gtwe", 1, True, True),
-    ("gtb12", 1, True, True),
-    ("gtl", 1, False, False),
-    ("gtp1", 1, False, True),
+    _Family("gte", (), False, False, lambda a: (1.0, 1.0, 0.0), lambda xs: ()),
+    _Family("gtr", (), False, True, lambda a: (2.0, 0.5, 0.0), lambda xs: ()),
+    _Family("gtw", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,)),
+    _Family(
+        "gtmw", ("alpha", "gamma"), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0, 0.1)
+    ),
+    _Family("gtwe", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,)),
+    _Family("gtb12", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,), True),
+    _Family(
+        "gtl", ("alpha",), False, False, lambda a: (1.0, 1.0 / a, 0.0), lambda xs: (1.0,), True
+    ),
+    _Family(
+        "gtp1", ("alpha",), False, True, lambda a: (1.0, 1.0 / a, a),
+        lambda xs: (0.9 * float(np.min(xs)),), True,
+    ),
 )
-FAMILY_IDS = {name: fam for fam, (name, *_) in enumerate(_FAMILIES)}
-_N_SHAPES = tuple(k for _, k, _, _ in _FAMILIES)
+FAMILY_IDS = {row.name: fam for fam, row in enumerate(_FAMILIES)}
+_N_SHAPES = tuple(len(row.shapes) for row in _FAMILIES)
 # a plan keeps log x where G needs it, and for ml also where log G' does
-_LOG_X = tuple(g for _, _, g, _ in _FAMILIES)
-_LOG_X_ML = tuple(g or gp for _, _, g, gp in _FAMILIES)
+_LOG_X = tuple(row.g_log_x for row in _FAMILIES)
+_LOG_X_ML = tuple(row.g_log_x or row.gp_log_x for row in _FAMILIES)
 METHOD_IDS = {name: mid for mid, name in enumerate(("ml", "ols", "wls", "cvm", "ad", "rtad"))}
 
 
@@ -311,6 +337,55 @@ def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
     if grad and phi is None:
         phi = _x_over_expm1(a)
     return a, log_gp, dlog_g, dlog_gp, phi
+
+
+def _gtmw_inverse(y, alpha: float, gamma: float) -> np.ndarray:
+    """Inverse of G(x) = x^alpha * exp(gamma*x), elementwise.
+
+    Newton's method on h(z) = alpha*z + gamma*e^z - log y in z = log x, so
+    that x keeps its relative accuracy however small y is.  h is increasing
+    and convex: from a start right of the root the iterates fall onto it
+    monotonically, and from one left of it the first step lands right of
+    it.  The start min(log(y)/alpha, log(log(y)/gamma)), the second term
+    only where log y > 0, is right of the root or one short step left of it.
+    """
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log(np.atleast_1d(y))
+        z = np.minimum(ly / alpha, np.where(ly > 0.0, np.log(ly / gamma), np.inf))
+    idx = np.flatnonzero(np.isfinite(z))  # y = 0 gives x = 0, y = inf gives inf
+    for _ in range(100):
+        if idx.size == 0:
+            break
+        zi, ez = z[idx], np.exp(z[idx])
+        step = (alpha * zi + gamma * ez - ly[idx]) / (alpha + gamma * ez)
+        z[idx] = zi - step
+        idx = idx[np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(zi))]
+    return np.exp(z).reshape(y.shape)
+
+
+def _g_inverse(fam, s1, s2, y):
+    """x with G(x) = y for family ``fam`` with shapes (s1, s2) on the float
+    array y, under the caller's errstate: an x past the float range is inf.
+    y keeps its layout, 0-d or 1-d: a ufunc can round a 0-d operand
+    differently from a 1-d one."""
+    if fam == 0:  # gte
+        return y + 0.0
+    if fam == 1:  # gtr
+        return np.sqrt(2.0 * y)
+    if fam == 2:  # gtw
+        return y ** (1.0 / s1)
+    if fam == 3:  # gtmw
+        return _gtmw_inverse(y, s1, s2)
+    if fam == 4:  # gtwe
+        return np.log1p(y) ** (1.0 / s1)
+    if fam == 5:  # gtb12
+        return np.expm1(y) ** (1.0 / s1)
+    if fam == 6:  # gtl
+        return s1 * np.expm1(y)
+    if fam == 7:  # gtp1
+        return s1 * np.exp(y)
+    raise ValueError(f"unknown family id {fam}")
 
 
 def _cdf_core(fam, s1, s2, beta, theta, lam, x):

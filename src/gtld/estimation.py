@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels, _optim
 from ._kernels import _BIG
 from .model import ParamVector, model_from_params, param_names
-from .transforms import FAMILIES, SUBFAMILY_SHAPES, kernel_shapes, make_transform
+from .transforms import SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
 METHODS = tuple(_kernels.METHOD_IDS)
 
@@ -102,31 +102,31 @@ class TransformedParams:
         return ParamVector(beta=vals[k], theta=vals[k + 1], lam=lam, shape=dict(zip(names, vals)))
 
 
-def _finite_sample(sample) -> np.ndarray:
-    """The sample as a float array, refused if a point is NaN or infinite:
-    the objectives would turn it into their non-finite sentinel."""
+def _finite_sample(sample, low=None) -> np.ndarray:
+    """The sample as a float array, refused if a point is NaN, infinite or,
+    given ``low``, not above it, where the objectives give their sentinel."""
     xs = np.asarray(sample, dtype=float)
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"sample point at index {int(np.argmin(finite))} is not finite")
+    if low is not None and (xs <= low).any():
+        idx = int(np.argmax(xs <= low))
+        raise ValueError(f"sample point at index {idx} is outside the support ({low}, inf)")
     return xs
 
 
 def _objective_value(method: str, params: ParamVector, sample, family: str):
-    args = model_from_params(family, params).kernel_args
+    """The objective at ``params``; the sample is checked against the support."""
+    model = model_from_params(family, params)
+    xs = _finite_sample(sample, model.support_low)
     mid = _kernels.METHOD_IDS[method]
-    plan = _kernels.Plan(np.sort(np.asarray(sample, dtype=float)), args[0], mid)
-    return _kernels.objective(mid, *args, plan)
+    args = model.kernel_args
+    return _kernels.objective(mid, *args, _kernels.Plan(np.sort(xs), args[0], mid))
 
 
 def neg_log_likelihood(params: ParamVector, sample, family: str) -> float:
     """-log L; equals -sum(log pdf) over the sample."""
-    xs = _finite_sample(sample)
-    model = model_from_params(family, params)
-    if np.any(xs <= model.support_low):
-        idx = int(np.argmax(xs <= model.support_low))
-        raise ValueError(f"sample point at index {idx} is outside the support")
-    return _objective_value("ml", params, xs, family)[0]
+    return _objective_value("ml", params, sample, family)[0]
 
 
 def ols_objective(params: ParamVector, sample, family: str) -> float:
@@ -164,7 +164,8 @@ def _median(xs):
 def default_init(sample, family: str) -> ParamVector:
     """Moment-style starting point: theta=1, lambda=0, beta from the median."""
     xs = np.asarray(sample, dtype=float)
-    shape = dict(zip(SUBFAMILY_SHAPES[family], FAMILIES[family].start(xs)))
+    row = _kernels._FAMILIES[_kernels.FAMILY_IDS[family]]
+    shape = dict(zip(row.shapes, row.start(xs)))
     g_med = float(make_transform(family, **shape).eval(_median(xs)))
     beta = math.log(2.0) / g_med if g_med > 0 else 1.0
     return ParamVector(beta=beta, theta=1.0, lam=0.0, shape=shape)
@@ -192,7 +193,8 @@ def fit(
         raise ValueError(f"unknown sub-family {family!r}")
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    xs = np.sort(_finite_sample(sample))
+    # every family's support lies in (0, inf), gtp1's (alpha, inf) with alpha fitted
+    xs = np.sort(_finite_sample(sample, 0.0))
     if xs.size == 0:
         raise ValueError("sample is empty")
 
@@ -359,17 +361,19 @@ def standard_errors_from_params(params: ParamVector, sample, family: str):
 
     h = 1e-5 * np.maximum(np.abs(v0), 1.0)
     H = np.empty((d, d))
-    for i in range(d):
-        up, down = v0.copy(), v0.copy()
-        if v0[i] + h[i] <= high[i]:
-            up[i] += h[i]
-        if v0[i] - h[i] > low[i]:
-            down[i] -= h[i]
-        g_up, g_down = grad_at(up), grad_at(down)
-        if g_up is None or g_down is None:
-            return None
-        H[:, i] = (g_up - g_down) / (up[i] - down[i])
-    H = 0.5 * (H + H.T)
+    # a quotient past the float range leaves H non-finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            up, down = v0.copy(), v0.copy()
+            if v0[i] + h[i] <= high[i]:
+                up[i] += h[i]
+            if v0[i] - h[i] > low[i]:
+                down[i] -= h[i]
+            g_up, g_down = grad_at(up), grad_at(down)
+            if g_up is None or g_down is None:
+                return None
+            H[:, i] = (g_up - g_down) / (up[i] - down[i])
+        H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
         return None
     try:

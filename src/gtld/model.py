@@ -10,7 +10,9 @@ The public ``cdf``, ``survival``, ``logpdf`` and ``pdf`` check the support
 and run the kernels' cores through ``_kernels._at_points``, the one way in
 for points; ``_logpdf`` is the log f core with the density's limits filled
 in where the kernel gives NaN, and ``_pdf`` its exp, which the property
-integrals call straight on their quadrature nodes.
+integrals call straight on their quadrature nodes.  Quantiles take G^-1
+from the kernels' ``_g_inverse``, under their errstate: a Q past the float
+range is inf, and ``sample`` refuses such a draw with ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -156,14 +158,16 @@ class GtldModel:
     # -- quantiles and sampling ------------------------------------------
 
     def _quantile_arr(self, p):
+        """Q(p) = G^-1(-log(1 - y) / beta), (1+lam) y^theta - lam y^(2 theta) = p,
+        on a float array of levels; inf where Q lies past the float range."""
         par = self.params
         lam = par.lam
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             disc = np.sqrt(np.maximum((1.0 + lam) ** 2 - 4.0 * p * lam, 0.0))
             A = 2.0 * p / ((1.0 + lam) + disc)
             y = np.minimum(A ** (1.0 / par.theta), _V_CLIP)
-        G = -np.log1p(-y) / par.beta
-        return self.transform.inverse(G)
+            G = -np.log1p(-y) / par.beta
+            return _kernels._g_inverse(*self.kernel_args[:3], G)
 
     def quantile(self, p):
         # a scalar p runs as a one-element array: a 0-d one would take other
@@ -181,7 +185,10 @@ class GtldModel:
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         u = np.maximum(u, 1e-300)  # keep strictly inside (0, 1)
-        return np.asarray(self._quantile_arr(u), dtype=float)
+        x = self._quantile_arr(u)
+        if not np.isfinite(x).all():
+            raise OverflowError("a draw lies past the float range (Q(u) = inf)")
+        return x
 
     def quantile_measures(self) -> QuantileMeasures:
         """Median, Moors coefficient of kurtosis, Bowley coefficient of skewness."""

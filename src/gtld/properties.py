@@ -15,7 +15,8 @@ wrapper ``_kernels._at_points`` (errstate and scalar handling) would only
 cost time there.  Arguments are refused before the first integrand
 call instead (an age below the support by the scalar ``survival`` or
 ``cdf``).  The split point Q(0.75) and the probe's base Q(1 - 1e-6) come
-from one quantile call on a two-element array (``_split_points``).  Each half's
+from one quantile call on a two-element array (``_split_points``), and a
+property where either is inf raises :class:`DivergenceError`.  Each half's
 degraded result is accepted or raised in range order, as if the halves ran
 one after the other, and the values are those of separate calls to the
 bit.  The incomplete and reversed residual moments take the same route
@@ -51,8 +52,6 @@ _TAIL_Q = 1.0 - 1e-6
 _SPLIT_P = np.array([0.75, _TAIL_Q])
 _SPLIT_P.flags.writeable = False
 _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
-# G grows like log x, so S decays like a power of x and E[e^(tX)] = inf for t > 0
-_POWER_TAIL = frozenset({"gtb12", "gtl", "gtp1"})
 
 
 class DivergenceError(ArithmeticError):
@@ -95,10 +94,14 @@ def _sf(model: GtldModel, x):
     return _kernels._sf_core(*model.kernel_args, x)
 
 
-def _split_points(model: GtldModel):
+def _split_points(model: GtldModel, what: str):
     """[Q(0.75), Q(1 - 1e-6)], the split point of an unbounded range and
-    the tail probe's base, from one quantile call."""
-    return model._quantile_arr(_SPLIT_P).tolist()
+    the tail probe's base, from one quantile call; a DivergenceError naming
+    ``what`` where one lies past the float range."""
+    mid, q_tail = model._quantile_arr(_SPLIT_P).tolist()
+    if not (math.isfinite(mid) and math.isfinite(q_tail)):
+        raise DivergenceError(f"{what}: Q(0.75) or Q(1 - 1e-6) lies past the float range")
+    return mid, q_tail
 
 
 def _integrate(f, ranges, probe=None, spec=None):
@@ -109,16 +112,16 @@ def _integrate(f, ranges, probe=None, spec=None):
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
-def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None):
-    """Integrate over (lower or support_low, inf), split at Q(0.75) or, if
-    that is not above the lower end, at 2*lower + 1; with the tail probe
-    named ``what``, none if it is None."""
+def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None, probe=True):
+    """Integrate the property named ``what`` over (lower or support_low, inf),
+    split at Q(0.75) or, if that is not above the lower end, at
+    2*lower + 1; with the tail probe unless ``probe`` is false."""
     lo = model.support_low if lower is None else lower
-    mid, q_tail = _split_points(model)
+    mid, q_tail = _split_points(model, what)
     if mid <= lo:
         mid = 2.0 * lo + 1.0
-    probe = None if what is None else _tail_probe(q_tail, what)
-    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], probe, spec)
+    tail = _tail_probe(q_tail, what) if probe else None
+    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], tail, spec)
 
 
 def _tail_probe(q_tail: float, what: str):
@@ -229,7 +232,7 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
     def integrand(x):
         return x**r * _cdf(model, x) ** s * _pdf(model, x)
 
-    return _integrate_support(model, integrand, f"pwm r={r}, s={s}" if r > 0 else None)
+    return _integrate_support(model, integrand, f"pwm r={r}, s={s}", probe=r > 0)
 
 
 def mgf(model: GtldModel, t: float) -> float:
@@ -238,14 +241,11 @@ def mgf(model: GtldModel, t: float) -> float:
     def integrand(x):
         return np.exp(t * x + model._logpdf(x))
 
-    what = None
-    if t > 0:
-        if model.transform.name in _POWER_TAIL:
-            raise DivergenceError(
-                f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
-            )
-        what = f"mgf t={t}"
-    return _integrate_support(model, integrand, what)
+    if t > 0 and _kernels._FAMILIES[model.transform.family_id].power_tail:
+        raise DivergenceError(
+            f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
+        )
+    return _integrate_support(model, integrand, f"mgf t={t}", probe=t > 0)
 
 
 def stress_strength(lambda1: float, lambda2: float) -> float:
@@ -308,7 +308,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     edge_exp = rho * (k * theta - 1.0)
     if edge_exp <= -1.0:
         # the tail's verdict comes before the edge's
-        probe = _tail_probe(_split_points(model)[1], what)
+        probe = _tail_probe(_split_points(model, what)[1], what)
         numerics.integrate_ranges(_on_parts(integrand), [], probe=probe)
         raise DivergenceError(
             f"integral of f^{rho:g} diverges at the lower support edge "
@@ -327,7 +327,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
         power[points.size : points.size + u.size] = rho - 1.0
         return np.exp(power * model._logpdf(y))
 
-    mid, q_tail = _split_points(model)
+    mid, q_tail = _split_points(model, what)
     probe = _tail_probe(q_tail, what)
     return _integrate(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
 
@@ -376,10 +376,11 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
     def integrand(x):
         return (x - t) ** n * _pdf(model, x)
 
-    mid, q_tail = _split_points(model)
+    what = f"residual moment n={n}"
+    mid, q_tail = _split_points(model, what)
     if mid <= t:
         mid = 2.0 * abs(t) + 1.0 + t
-    probe = _tail_probe(q_tail, f"residual moment n={n}")
+    probe = _tail_probe(q_tail, what)
     total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
     return total / s
 

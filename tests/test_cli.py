@@ -122,6 +122,18 @@ class TestProps:
         payload = json.loads(out)
         assert "error" in payload["moment_2"]
 
+    def test_quantile_past_the_float_range_reported_inline(self, capsys):
+        # gtw with alpha = 0.00145 has Q(0.75) = inf
+        code, out, _ = run_cli(
+            capsys,
+            "props", "--family", "gtw", "--params", "0.00145,0.1,1,0",
+            "--moment", "1", "--mgf=-0.5", "--cigf", "1,1", "--residual", "1,1.0",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        for key in ("moment_1", "mgf_-0.5", "cigf_1,1", "residual_1,1.0"):
+            assert "past the float range" in payload[key]["error"]
+
     def test_stress_strength(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ from gtld.model import ParamVector, make_model, model_from_params
 from gtld.transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES, kernel_shapes
 
 from conftest import random_params
+
+# each method's public objective function
+OBJECTIVE_FNS = {
+    "ml": neg_log_likelihood, "ols": ols_objective, "wls": wls_objective,
+    "cvm": cvm_objective, "ad": ad_objective, "rtad": rtad_objective,
+}
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +98,33 @@ class TestObjectives:
         assert ad_objective(p, xs, "gte") == pytest.approx(ad_want, rel=1e-12)
         rtad_want = n / 2 - 2 * np.sum(F) - np.sum((2 * i - 1) * np.log(S[::-1])) / n
         assert rtad_objective(p, xs, "gte") == pytest.approx(rtad_want, rel=1e-12)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "family, xs, message",
+        [
+            ("gte", [0.5, math.inf, 2.0], "index 1 is not finite"),
+            ("gte", [0.5, math.nan, 2.0], "index 1 is not finite"),
+            ("gte", [0.5, 2.0, -1.0], "index 2 is outside the support"),
+            ("gte", [0.0, 0.5, 2.0], "index 0 is outside the support"),
+            ("gtp1", [2.5, 1.5, 3.0], r"index 1 is outside the support \(2.0, inf\)"),
+        ],
+    )
+    def test_every_objective_refuses_what_ml_refuses(self, method, family, xs, message):
+        # ad_objective on [0.5, inf, 2.0] once returned a finite 230.548
+        shape = {"alpha": 2.0} if family == "gtp1" else {}
+        p = ParamVector(beta=1.0, theta=1.0, lam=0.0, shape=shape)
+        with pytest.raises(ValueError, match=message):
+            OBJECTIVE_FNS[method](p, np.array(xs), family)
+
+    def test_objective_functions_have_the_kernels_bytes(self, family, rng):
+        p = random_params(family, rng)
+        m = model_from_params(family, p)
+        xs = m.sample(40, seed=4)
+        for method, mid in METHOD_IDS.items():
+            plan = _kernels.Plan(np.sort(xs), FAMILY_IDS[family], mid)
+            want = _kernels.objective(mid, *m.kernel_args, plan)[0]
+            assert OBJECTIVE_FNS[method](p, xs, family) == want
 
     def test_objectives_sorting_invariant(self, rng):
         m = make_model("gtw", beta=1.0, theta=1.0, lam=0.1, alpha=1.5)
@@ -309,12 +343,22 @@ class TestFitDiagnostics:
         assert res.gradient_fallbacks == 0
 
     def test_sentinel_is_not_convergence(self):
-        # x = 0 is the support edge, where log f is not finite for any
-        # parameters: every evaluation returns the 1e10 sentinel, whose
-        # gradient is zero, so BFGS reports success at once
-        res = fit(np.array([0.0, 0.5, 1.0, 2.0, 3.0]), "gte", method="ml", n_starts=2)
+        # gtr's G = x^2/2 overflows at x = 1e200 whatever beta is, so log f
+        # is -inf there for any parameters: every evaluation returns the
+        # 1e10 sentinel, whose gradient is zero, so BFGS reports success at once
+        res = fit(np.array([0.5, 1.0, 2.0, 3.0, 1e200]), "gtr", method="ml", n_starts=2)
         assert res.objective_value == _kernels._BIG
         assert not res.converged
+
+    @pytest.mark.parametrize("method", ["ml", "ols"])
+    @pytest.mark.parametrize("family", ["gte", "gtp1"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_sample_outside_the_support_refused(self, method, family, bad):
+        # every family's support lies in (0, inf); the objectives would take
+        # such a point as their 1e10 sentinel
+        xs = np.array([0.5, 1.0, bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="sample point at index 2 is outside the support"):
+            fit(xs, family, method=method, n_starts=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_refused(self, bad):
@@ -351,6 +395,19 @@ class TestStandardErrors:
         xs = np.linspace(0.1, 1.0, 10)
         out = standard_errors_from_params(p, xs, "gte")
         assert out is None or all(math.isfinite(s) for s in out)
+
+    def test_hessian_quotient_past_the_float_range_gives_none(self):
+        # the central-difference quotient overflowed at this fit's optimum
+        truth = make_model(
+            "gtw", beta=2.6508648573850326, theta=0.038591380519462405,
+            lam=0.9040585374523695, alpha=1.4802846353468357,
+        )
+        xs = truth.sample(8, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit(xs, "gtw", "ml", n_starts=2, seed=6)
+            assert res.converged and res.std_errors is None
+            assert standard_errors_from_params(res.estimates, xs, "gtw") is None
 
     def test_methods_other_than_ml_rejected(self, gte_sample):
         res = fit(gte_sample[:50], "gte", method="ols", n_starts=1)

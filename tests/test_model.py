@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,27 @@ class TestGtb12LargePower:
         assert m.logpdf(20.0) == pytest.approx(
             math.log(0.3) - 1.3 * math.log(20.0), rel=1e-12
         )
+
+
+class TestQuantilePastTheFloatRange:
+    """gtw with alpha = 0.00145: Q(p) = G^-1(-log(1 - p) / beta) =
+    (-log(1 - p) / beta)^(1/alpha) passes the float range from p = 0.244 on."""
+
+    MODEL = make_model("gtw", beta=0.1, theta=1.0, lam=0.0, alpha=0.00145)
+
+    def test_quantile_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.MODEL.quantile(0.5) == math.inf
+            q = self.MODEL.quantile(np.array([0.01, 0.5]))
+            assert self.MODEL.transform.inverse(10.0) == math.inf
+        assert math.isfinite(q[0]) and q[1] == math.inf
+
+    def test_sample_raises_overflow_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="past the float range"):
+                self.MODEL.sample(5, 1)
 
 
 class TestQuantileMeasures:

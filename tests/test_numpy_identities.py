@@ -138,7 +138,7 @@ def test_split_points_equal_two_scalar_quantile_calls(family):
         both = m._quantile_arr(np.array([0.75, 1.0 - 1e-6]))
         want = np.array([m.quantile(0.75), m.quantile(1.0 - 1e-6)])
         assert both.tobytes() == want.tobytes(), m.params
-        assert np.array(properties._split_points(m)).tobytes() == want.tobytes()
+        assert np.array(properties._split_points(m, "mean")).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))

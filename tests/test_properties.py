@@ -326,18 +326,20 @@ class TestResidualLife:
         assert properties.reversed_residual_moment(m, 0, t) == pytest.approx(1.0)
 
 
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(numerics, "integrate_ranges", refused)
+
+
+@pytest.mark.usefixtures("no_quadrature")
 class TestSupportRefusal:
     """Arguments below the support are refused before any integrand call;
     gtp1 with alpha = 2 has the support (2, inf)."""
 
     MODEL = make_model("gtp1", beta=2.0, theta=1.5, lam=0.3, alpha=2.0)
-
-    @pytest.fixture(autouse=True)
-    def no_quadrature(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("the quadrature ran")
-
-        monkeypatch.setattr(numerics, "integrate_ranges", refused)
 
     @pytest.mark.parametrize(
         "fn", [properties.residual_moment, properties.reversed_residual_moment]
@@ -349,6 +351,31 @@ class TestSupportRefusal:
     def test_incomplete_moment_below_the_support(self):
         with pytest.raises(ValueError, match="z below the support"):
             properties.incomplete_moment(self.MODEL, 1, 1.5)
+
+
+@pytest.mark.usefixtures("no_quadrature")
+class TestQuantilePastTheFloatRange:
+    """A split property whose split point Q(0.75) or tail base Q(1 - 1e-6)
+    lies past the float range is refused, naming the property, before any
+    integrand call; in gtw with alpha = 0.00145 both are inf."""
+
+    MODEL = make_model("gtw", beta=0.1, theta=1.0, lam=0.0, alpha=0.00145)
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda m: properties.raw_moment(m, 1), "raw moment r=1"),
+            (lambda m: properties.mgf(m, -0.5), "mgf t=-0.5"),
+            (lambda m: properties.cigf(m, 1, 1), "cigf m=1, n=1"),
+            (lambda m: properties.residual_moment(m, 1, 1.0), "residual moment n=1"),
+        ],
+        ids=["raw_moment", "mgf", "cigf", "residual_moment"],
+    )
+    def test_divergence_names_the_property(self, call, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(properties.DivergenceError, match=f"^{what}: Q"):
+                call(self.MODEL)
 
 
 class TestCigf:
