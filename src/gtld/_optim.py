@@ -14,11 +14,16 @@ y'k sk is exactly 0, the first step length taken from the previous
 objective value, the stop when the step rounds to zero, the fallback line
 search (used when the More-Thuente search fails) getting only c1, c2 and
 amax, and the Nelder-Mead simplex sorted twice after the first evaluations.
-The objective is evaluated once per distinct x, and always on a copy of x.
+
+Each method is a core, which evaluates nothing, and a driver.  The cores,
+``bfgs_steps`` and ``nelder_mead_steps``, are generators: they yield each
+point whose (f, gradient), or f, they need, are sent it, and return an
+``OptimResult``, as MINPACK-2's dcsrch asks its caller for phi and its
+slope.  ``bfgs`` and ``nelder_mead`` each run one through ``_drive``.
 
 What SciPy computes with NumPy and the port computes with fewer NumPy
 calls is the bookkeeping whose result does not depend on how it is
-computed: the memo compares points as lists, the line search forms its
+computed: the BFGS driver compares points as lists, the line search forms its
 trial points xk + s pk on Python floats (NumPy's elementwise roundings),
 the gradient's inf-norm and the Nelder-Mead convergence test compare
 Python floats, and the errstate of the More-Thuente step is set once per
@@ -110,29 +115,6 @@ class OptimResult(NamedTuple):
         return self.status == 0
 
 
-class _Memo:
-    """``fun_and_grad`` called once per distinct x, on a copy of x.
-
-    Points are compared as lists of floats, which is how np.array_equal
-    compares them: -0.0 == 0.0, and a NaN is never equal, so a NaN point is
-    re-evaluated.  ``memo(x)`` takes an array, ``memo.at(xl)`` a fresh list.
-    """
-
-    def __init__(self, fun_and_grad, x0):
-        self._fun_and_grad = fun_and_grad
-        self._xl = None
-        self(x0)
-
-    def __call__(self, x):
-        return self.at(x.tolist())
-
-    def at(self, xl):
-        if xl != self._xl:
-            self._xl = xl
-            self._f, self._g = self._fun_and_grad(np.array(xl, dtype=float))
-        return self._f, self._g
-
-
 def _max_abs(v):
     """``np.abs(v).max()`` of a list of floats, NaN if an entry is NaN."""
     a = list(map(abs, v))
@@ -160,12 +142,45 @@ def _step_rounds_to_zero(alpha_k, pk, xk):
     return bool(alpha_k * _vecnorm(pk) <= 0 * (0 + _vecnorm(xk)))
 
 
+def _drive(steps, evaluate):
+    """Run a core to its end, sending it ``evaluate`` of each point it asks
+    for; the core's result."""
+    value = None
+    while True:
+        try:
+            point = steps.send(value)
+        except StopIteration as done:
+            return done.value
+        value = evaluate(point)
+
+
 def bfgs(fun_and_grad, x0) -> OptimResult:
     """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient), a
-    float and a 1-d array, which are taken as they are."""
+    float and a 1-d array, which are taken as they are.
+
+    ``fun_and_grad`` is called once per distinct point, on a fresh array.
+    Points are compared as lists of floats, which is how np.array_equal
+    compares them: -0.0 == 0.0, and a NaN is never equal, so a NaN point is
+    evaluated again.
+    """
+    last = value = None
+
+    def evaluate(xl):
+        nonlocal last, value
+        if xl != last:
+            last, value = xl, fun_and_grad(np.array(xl, dtype=float))
+        return value
+
+    return _drive(bfgs_steps(x0), evaluate)
+
+
+def bfgs_steps(x0):
+    """The BFGS core: yields each point whose (f, gradient) it needs, as a
+    list of floats, is sent that pair, and returns its OptimResult.  It may
+    ask again for the point it asked for last, which ``bfgs`` answers
+    without a call."""
     x0 = np.asarray(x0).flatten()
-    memo = _Memo(fun_and_grad, x0)
-    old_fval, gfk = memo(x0)
+    old_fval, gfk = yield x0.tolist()
     k = 0
     N = len(x0)
     Hk = np.eye(N, dtype=int)
@@ -177,15 +192,16 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
     gnorm = _max_abs(gfk.tolist())
     while (gnorm > _GTOL) and (k < _MAXITER):
         pk = -np.dot(Hk, gfk)
-        step = _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval)
+        step = yield from _line_search_wolfe12(xk, pk, gfk, old_fval, old_old_fval)
         if step is None:
             warnflag = 2
             break
-        alpha_k, old_fval, old_old_fval, gfkp1 = step
+        old_old_fval = old_fval
+        alpha_k, old_fval, gfkp1 = step
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = memo(xk)[1]
+            gfkp1 = (yield xk.tolist())[1]
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
@@ -218,40 +234,29 @@ def bfgs(fun_and_grad, x0) -> OptimResult:
     return OptimResult(x=xk, fun=old_fval, jac=gfk, nit=k, status=warnflag)
 
 
-def _line_search_wolfe12(memo, xk, pk, gfk, old_fval, old_old_fval):
-    """(step, f there, f at xk, gradient there or None), or None on failure.
+def _line_search_wolfe12(xk, pk, gfk, phi0, old_phi0):
+    """(step, f there, gradient there or None), or None on failure.
 
     The More-Thuente search first; the bracketing-and-zoom search of
-    Nocedal and Wright if that one fails.
+    Nocedal and Wright if that one fails.  Both search along ``line`` (see
+    ``_at_step``) from f = phi0 and the slope derphi0 at xk.
     """
-    step = _line_search_wolfe1(memo, xk, pk, gfk, old_fval, old_old_fval)
-    if step is None:
-        step = _line_search_wolfe2(memo, xk, pk, gfk, old_fval, old_old_fval)
-    return step
+    line = (xk.tolist(), pk.tolist(), pk)
+    derphi0 = np.dot(gfk, pk)
+    found = yield from _dcsrch(line, _initial_step(phi0, old_phi0, derphi0), phi0, derphi0)
+    if found is None:
+        found = yield from _line_search_wolfe2(line, phi0, old_phi0, derphi0)
+    return found
 
 
-def _phi_derphi(memo, xk, pk, gval):
-    """phi(s) = f(xk + s pk) and derphi(s), its slope, which keeps the
-    gradient in gval[0].  Consecutive calls at the same s share one point
-    and one memo lookup.  The point is formed on Python floats, with the
-    roundings of NumPy's xk + s * pk."""
-    xkl, pkl = xk.tolist(), pk.tolist()
-    last = [None, None]  # s, memo(xk + s pk)
-
-    def at(s):
-        if s is not last[0]:
-            sf = float(s)
-            last[0], last[1] = s, memo.at([x + sf * p for x, p in zip(xkl, pkl)])
-        return last[1]
-
-    def phi(s):
-        return at(s)[0]
-
-    def derphi(s):
-        gval[0] = at(s)[1]
-        return np.dot(gval[0], pk)
-
-    return phi, derphi
+def _at_step(line, s):
+    """(f, gradient, slope g'pk) at xk + s pk, asked for as a list of
+    floats; ``line`` is (xk and pk as lists, pk).  The point is formed on
+    Python floats, with the roundings of NumPy's xk + s * pk."""
+    xkl, pkl, pk = line
+    sf = float(s)
+    f, g = yield [x + sf * p for x, p in zip(xkl, pkl)]
+    return f, g, np.dot(g, pk)
 
 
 def _initial_step(phi0, old_phi0, derphi0):
@@ -263,24 +268,14 @@ def _initial_step(phi0, old_phi0, derphi0):
     return 1.0 if alpha1 < 0 else alpha1
 
 
-def _line_search_wolfe1(memo, xk, pk, gfk, phi0, old_phi0):
-    gval = [gfk]
-    phi, derphi = _phi_derphi(memo, xk, pk, gval)
-    derphi0 = np.dot(gfk, pk)
-    alpha1 = _initial_step(phi0, old_phi0, derphi0)
-    found = _dcsrch(phi, derphi, alpha1, phi0, derphi0)
-    if found is None:
-        return None
-    stp, phi1 = found
-    return stp, phi1, phi0, gval[0]
-
-
-def _dcsrch(phi, derphi, stp, finit, ginit):
-    """More-Thuente line search: (step, phi(step)), or None on failure.
+def _dcsrch(line, stp, finit, ginit):
+    """More-Thuente line search along ``line`` (see ``_at_step``):
+    (step, phi(step), gradient there), or None on failure.
 
     A failure is an invalid start, a warning (rounding errors, the
     interval below xtol, a step bound reached), a non-finite step, or 100
-    evaluations of phi without convergence.
+    evaluations of phi without convergence.  phi(s) = f(xk + s pk), and g
+    is its slope.
     """
     if stp < _AMIN or stp > _AMAX or ginit >= 0:
         return None
@@ -294,13 +289,13 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
     sty, fy, gy = 0.0, finit, ginit
     stmin = 0
     stmax = stp + xtrapu * stp
-    f, g = phi(stp), derphi(stp)
+    f, grad, g = yield from _at_step(line, stp)
     for _ in range(99):
         ftest = finit + stp * gtest
         if stage == 1 and f <= ftest and g >= 0:
             stage = 2
         if f <= ftest and abs(g) <= _C2 * -ginit:
-            return stp, f
+            return stp, f, grad
         if (
             brackt and (stp <= stmin or stp >= stmax)
             or brackt and stmax - stmin <= _XTOL * stmax
@@ -353,7 +348,7 @@ def _dcsrch(phi, derphi, stp, finit, ginit):
             stp = stx
         if not math.isfinite(stp):
             return None
-        f, g = phi(stp), derphi(stp)
+        f, grad, g = yield from _at_step(line, stp)
     return None
 
 
@@ -464,40 +459,31 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _line_search_wolfe2(memo, xk, pk, gfk, phi0, old_phi0):
-    gval = [None]
-    phi, derphi = _phi_derphi(memo, xk, pk, gval)
-    derphi0 = np.dot(gfk, pk)
-    alpha_star, phi_star, derphi_star = _scalar_search_wolfe2(
-        phi, derphi, phi0, old_phi0, derphi0
-    )
-    if alpha_star is None:
-        return None
-    # no gradient when the bracketing phase ran out of iterations
-    return alpha_star, phi_star, phi0, None if derphi_star is None else gval[0]
-
-
-def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
-    """(alpha, phi(alpha), phi'(alpha) or None), or Nones on failure."""
+def _line_search_wolfe2(line, phi0, old_phi0, derphi0):
+    """(alpha, phi(alpha), gradient there or None), or None on failure;
+    no gradient when the bracketing phase runs out of iterations."""
     alpha0 = 0
     alpha1 = min(_initial_step(phi0, old_phi0, derphi0), _AMAX)
-    phi_a1 = phi(alpha1)
+    phi_a1, g_a1, derphi_a1 = yield from _at_step(line, alpha1)
     phi_a0 = phi0
     derphi_a0 = derphi0
     for i in range(10):
         if alpha1 == 0 or alpha0 > _AMAX:
-            return None, None, None
+            return None
         if (phi_a1 > phi0 + _C1 * alpha1 * derphi0) or (phi_a1 >= phi_a0 and i > 0):
-            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, phi0, derphi0)
-        derphi_a1 = derphi(alpha1)
+            return (
+                yield from _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, line, phi0, derphi0)
+            )
         if abs(derphi_a1) <= -_C2 * derphi0:
-            return alpha1, phi_a1, derphi_a1
+            return alpha1, phi_a1, g_a1
         if derphi_a1 >= 0:
-            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, phi0, derphi0)
+            return (
+                yield from _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, line, phi0, derphi0)
+            )
         alpha0, alpha1 = alpha1, min(2 * alpha1, _AMAX)
         phi_a0 = phi_a1
-        phi_a1 = phi(alpha1)
         derphi_a0 = derphi_a1
+        phi_a1, g_a1, derphi_a1 = yield from _at_step(line, alpha1)
     return alpha1, phi_a1, None
 
 
@@ -544,7 +530,7 @@ def _quadmin(a, fa, fpa, b, fb):
     return xmin
 
 
-def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, line, phi0, derphi0):
     """Zoom stage of the Wolfe search (Nocedal and Wright, Algorithm 3.6)."""
     maxiter = 10
     i = 0
@@ -568,16 +554,15 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             if (a_j is None) or (a_j > b - qchk) or (a_j < a + qchk):
                 a_j = a_lo + 0.5 * dalpha
 
-        phi_aj = phi(a_j)
+        phi_aj, g_aj, derphi_aj = yield from _at_step(line, a_j)
         if (phi_aj > phi0 + _C1 * a_j * derphi0) or (phi_aj >= phi_lo):
             phi_rec = phi_hi
             a_rec = a_hi
             a_hi = a_j
             phi_hi = phi_aj
         else:
-            derphi_aj = derphi(a_j)
             if abs(derphi_aj) <= -_C2 * derphi0:
-                return a_j, phi_aj, derphi_aj
+                return a_j, phi_aj, g_aj
             if derphi_aj * (a_hi - a_lo) >= 0:
                 phi_rec = phi_hi
                 a_rec = a_hi
@@ -591,7 +576,7 @@ def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0):
             derphi_lo = derphi_aj
         i += 1
         if i > maxiter:
-            return None, None, None
+            return None
 
 
 def _nm_converged(sim, fsim):
@@ -607,13 +592,16 @@ def _nm_converged(sim, fsim):
 
 def nelder_mead(fun, x0) -> OptimResult:
     """Minimize ``fun(x)``, a float, with the (non-adaptive) Nelder-Mead
-    simplex."""
+    simplex; ``fun`` is called on a copy of each point."""
+    return _drive(nelder_mead_steps(x0), lambda x: fun(x.copy()))
+
+
+def nelder_mead_steps(x0):
+    """The Nelder-Mead core: yields each point whose f it needs, an array
+    it may reuse, is sent f, and returns its OptimResult."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt = 0.05
     zdelt = 0.00025
-
-    def func(x):
-        return fun(x.copy())
 
     x0 = np.asarray(x0, dtype=float).flatten()
     N = len(x0)
@@ -629,7 +617,7 @@ def nelder_mead(fun, x0) -> OptimResult:
 
     fsim = np.full((N + 1,), np.inf, dtype=float)
     for k in range(N + 1):
-        fsim[k] = func(sim[k])
+        fsim[k] = yield sim[k]
     ind = np.argsort(fsim)
     sim = sim[ind]
     fsim = fsim[ind]
@@ -643,11 +631,11 @@ def nelder_mead(fun, x0) -> OptimResult:
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = func(xr)
+        fxr = yield xr
         doshrink = 0
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = func(xe)
+            fxe = yield xe
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -661,7 +649,7 @@ def nelder_mead(fun, x0) -> OptimResult:
             # contraction, outside or inside
             if fxr < fsim[-1]:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = func(xc)
+                fxc = yield xc
                 if fxc <= fxr:
                     sim[-1] = xc
                     fsim[-1] = fxc
@@ -669,7 +657,7 @@ def nelder_mead(fun, x0) -> OptimResult:
                     doshrink = 1
             else:
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = func(xcc)
+                fxcc = yield xcc
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
                     fsim[-1] = fxcc
@@ -678,7 +666,7 @@ def nelder_mead(fun, x0) -> OptimResult:
             if doshrink:
                 for j in range(1, N + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
+                    fsim[j] = yield sim[j]
         iterations += 1
         ind = np.argsort(fsim)
         sim = sim[ind]

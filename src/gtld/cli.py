@@ -120,7 +120,9 @@ def cmd_props(args) -> int:
     def run(key, fn):
         try:
             out[key] = fn()
-        except (properties.DivergenceError, properties.EntropyDomainError) as exc:
+        except ArithmeticError as exc:
+            # DivergenceError and EntropyDomainError among them: a quantity
+            # that diverges, lies past the float range or divides by zero
             out[key] = {"error": str(exc)}
 
     for r in args.moment or ():
@@ -144,12 +146,7 @@ def cmd_props(args) -> int:
         l1, l2 = _pair(args.stress_strength, "stress-strength")
         out["stress_strength"] = properties.stress_strength(l1, l2)
     if args.quantiles:
-        qm = model.quantile_measures()
-        out["quantiles"] = {
-            "median": qm.median,
-            "moors_kurtosis": qm.moors_kurtosis,
-            "bowley_skewness": qm.bowley_skewness,
-        }
+        run("quantiles", lambda: model.quantile_measures()._asdict())
     for spec in args.residual or ():
         n, t = _pair(spec, "residual")
         run(f"residual_{spec}",

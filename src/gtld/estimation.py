@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels, _optim
 from ._kernels import _BIG
-from .model import ParamVector, model_from_params, param_names
+from .model import ParamVector, SupportError, model_from_params, param_names
 from .transforms import SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
 METHODS = tuple(_kernels.METHOD_IDS)
@@ -102,16 +102,16 @@ class TransformedParams:
         return ParamVector(beta=vals[k], theta=vals[k + 1], lam=lam, shape=dict(zip(names, vals)))
 
 
-def _finite_sample(sample, low=None) -> np.ndarray:
-    """The sample as a float array, refused if a point is NaN, infinite or,
-    given ``low``, not above it, where the objectives give their sentinel."""
+def _finite_sample(sample, low) -> np.ndarray:
+    """The sample as a float array, refused if a point is not finite (ValueError)
+    or not above ``low`` (SupportError), where the objectives give their sentinel."""
     xs = np.asarray(sample, dtype=float)
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValueError(f"sample point at index {int(np.argmin(finite))} is not finite")
-    if low is not None and (xs <= low).any():
+    if (xs <= low).any():
         idx = int(np.argmax(xs <= low))
-        raise ValueError(f"sample point at index {idx} is outside the support ({low}, inf)")
+        raise SupportError(f"sample point at index {idx} is outside the support ({low}, inf)")
     return xs
 
 

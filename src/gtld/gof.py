@@ -2,7 +2,8 @@
 
 W^2 and A^2 are the fit kernels' cvm and ad objectives (``_kernels.objective``)
 at the fitted model, on the sorted sample; a statistic refuses a sample with
-a NaN or infinite point, or one below the support, before any evaluation.
+a NaN or infinite point, or one not above the support's low end, before
+any evaluation, through the objectives' own check.
 
 The p-values use the classical asymptotic null distributions of the
 statistics, ignoring the effect of parameter estimation (as standard
@@ -66,9 +67,9 @@ class GofReport:
 
 
 def _sorted_sample(sample, model: GtldModel) -> np.ndarray:
-    """The sample sorted, refused if a point is not finite (ValueError) or
-    lies below the support (SupportError)."""
-    return np.sort(model._check_support(_finite_sample(sample)))
+    """The sample sorted, refused as the objectives refuse it: a point not
+    finite (ValueError) or not above the support's low end (SupportError)."""
+    return np.sort(_finite_sample(sample, model.support_low))
 
 
 def _fit_statistic(method: str, sample, model: GtldModel) -> float:

@@ -12,11 +12,13 @@ for points; ``_logpdf`` is the log f core with the density's limits filled
 in where the kernel gives NaN, and ``_pdf`` its exp, which the property
 integrals call straight on their quadrature nodes.  Quantiles take G^-1
 from the kernels' ``_g_inverse``, under their errstate: a Q past the float
-range is inf, and ``sample`` refuses such a draw with ``OverflowError``.
+range is inf, and ``sample`` refuses such a draw with ``OverflowError``, as
+``quantile_measures`` refuses such a level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -191,12 +193,25 @@ class GtldModel:
         return x
 
     def quantile_measures(self) -> QuantileMeasures:
-        """Median, Moors coefficient of kurtosis, Bowley coefficient of skewness."""
+        """Median, Moors coefficient of kurtosis, Bowley coefficient of skewness.
+
+        ``OverflowError`` where one of Q(1/8), ..., Q(7/8) or the Moors
+        coefficient lies past the float range, ``ZeroDivisionError`` where
+        Q(2/8) = Q(6/8) in floating point.
+        """
         q = self.quantile(np.array([1, 2, 3, 4, 5, 6, 7]) / 8.0)
-        median = q[3]
-        mck = (q[6] - q[4] + q[2] - q[0]) / (q[5] - q[1])
-        bcs = (q[5] + q[1] - 2.0 * q[3]) / (q[5] - q[1])
-        return QuantileMeasures(float(median), float(mck), float(bcs))
+        if not np.isfinite(q).all():
+            k = int(np.argmin(np.isfinite(q))) + 1
+            raise OverflowError(f"Q({k}/8) lies past the float range (Q = inf)")
+        # Python floats round as NumPy's scalars do, and never warn
+        q1, q2, q3, q4, q5, q6, q7 = q.tolist()
+        spread = q6 - q2
+        if spread == 0.0:
+            raise ZeroDivisionError("Q(2/8) = Q(6/8) in floating point: no quantile measures")
+        mck = (q7 - q5 + q3 - q1) / spread
+        if mck == math.inf:
+            raise OverflowError("the Moors coefficient lies past the float range")
+        return QuantileMeasures(q4, mck, (q6 + q2 - 2.0 * q4) / spread)
 
 
 def make_model(

@@ -134,6 +134,33 @@ class TestProps:
         for key in ("moment_1", "mgf_-0.5", "cigf_1,1", "residual_1,1.0"):
             assert "past the float range" in payload[key]["error"]
 
+    def test_quantile_measures_past_the_float_range_reported_inline(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "props", "--family", "gtw", "--params", "0.00145,0.1,1,0",
+            "--quantiles", "--moment", "1",
+        )
+        assert code == 0
+
+        def refuse(constant):  # Infinity and NaN are not JSON
+            raise ValueError(constant)
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["quantiles"] == {"error": "Q(2/8) lies past the float range (Q = inf)"}
+        assert "past the float range" in payload["moment_1"]["error"]
+
+    def test_residual_life_where_survival_underflows_reported_inline(self, capsys):
+        # S(1000) = exp(-1000) is 0 in floating point
+        code, out, _ = run_cli(
+            capsys,
+            "props", "--family", "gte", "--params", "1,1,0",
+            "--residual", "1,1000", "--moment", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residual_1,1000"] == {"error": "survival(t) is 0; residual life undefined"}
+        assert payload["moment_1"] == pytest.approx(1.0)
+
     def test_stress_strength(self, capsys):
         code, out, _ = run_cli(
             capsys,

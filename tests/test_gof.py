@@ -7,7 +7,7 @@ import scipy.special as sp
 import scipy.stats as st
 
 from gtld import gof
-from gtld.estimation import FitError
+from gtld.estimation import FitError, cvm_objective
 from gtld.gof import (
     GofReport,
     ad_statistic,
@@ -204,6 +204,17 @@ def test_sample_below_the_support_refused(statistic):
     m = make_model("gtp1", beta=1.0, theta=1.0, lam=0.0, alpha=2.0)
     with pytest.raises(SupportError):
         statistic(np.array([2.5, 1.5, 3.0]), m)
+
+
+@pytest.mark.parametrize("statistic", [ks_statistic, cvm_statistic, ad_statistic])
+def test_sample_at_the_support_low_end_refused_as_the_objectives_refuse_it(statistic):
+    m = make_model("gtp1", beta=2.0, theta=1.5, lam=0.3, alpha=2.0)
+    xs = [2.0, 2.5, 3.0, 4.0]
+    message = r"index 0 is outside the support \(2.0, inf\)"
+    with pytest.raises(SupportError, match=message):
+        cvm_objective(m.params, xs, "gtp1")
+    with pytest.raises(SupportError, match=message):
+        statistic(np.array(xs), m)
 
 
 class TestReport:

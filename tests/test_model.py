@@ -301,6 +301,26 @@ class TestQuantilePastTheFloatRange:
             with pytest.raises(OverflowError, match="past the float range"):
                 self.MODEL.sample(5, 1)
 
+    @pytest.mark.parametrize(
+        "model, level",
+        [
+            (MODEL, "2/8"),
+            # Q(6/8) is finite, Q(7/8) = inf
+            (
+                make_model(
+                    "gtb12", beta=0.001825647520007148, theta=1.5360378294444483,
+                    lam=0.6106682631498841, alpha=12.589517986669724,
+                ),
+                "7/8",
+            ),
+        ],
+    )
+    def test_quantile_measures_name_the_infinite_level(self, model, level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match=f"Q\\({level}\\) lies past the float range"):
+                model.quantile_measures()
+
 
 class TestQuantileMeasures:
     def test_median_consistent(self):

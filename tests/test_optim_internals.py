@@ -3,7 +3,8 @@
 ``tests/test_optim.py`` checks whole runs against SciPy; these cases reach
 the corners a run seldom does: a step test on underflowing, overflowing
 and NaN vectors, the gradient's inf-norm and Nelder-Mead's stop test on
-floats, and the memo's notion of "the same point".
+floats, the BFGS driver's notion of "the same point", and the cores run
+without the drivers.
 """
 
 import itertools
@@ -43,30 +44,74 @@ def test_step_test_decides_as_the_two_norms_do():
                 assert _optim._step_rounds_to_zero(a, pk, xk) is want, (alpha, pk, xk)
 
 
-def test_memo_evaluates_once_per_distinct_point():
+def test_memo_evaluates_once_per_distinct_point(monkeypatch):
     calls = []
 
     def fun_and_grad(x):
         calls.append(x.copy())
         f = float(np.sum(x))
-        x[0] = 99.0  # the memo hands out a copy: its own point is unchanged
+        x[0] = 99.0  # the driver hands out a fresh array: its own point is unchanged
         return f, np.ones_like(x)
 
-    x0 = np.array([1.0, 0.0])
-    memo = _optim._Memo(fun_and_grad, x0)
-    assert len(calls) == 1
-    memo(np.array([1.0, 0.0]))
-    memo(np.array([1.0, -0.0]))  # -0.0 == 0.0, as np.array_equal has it
-    assert len(calls) == 1
-    memo(np.array([1.0, 1e-300]))
-    assert len(calls) == 2
-    nan = np.array([np.nan, 0.0])
-    memo(nan)
-    memo(nan)  # a NaN point is never the same point
-    assert len(calls) == 4
-    f, g = memo(np.array([1.0, 1e-300]))
-    assert len(calls) == 5 and f == 1.0
-    np.testing.assert_array_equal(g, [1.0, 1.0])
+    def scripted(x0):
+        """Asks the driver for points as a core does, and checks its calls."""
+        yield x0.tolist()
+        assert len(calls) == 1
+        yield [1.0, 0.0]
+        yield [1.0, -0.0]  # -0.0 == 0.0, as np.array_equal has it
+        assert len(calls) == 1
+        yield [1.0, 1e-300]
+        assert len(calls) == 2
+        nan = np.array([np.nan, 0.0])
+        yield nan.tolist()
+        yield nan.tolist()  # a NaN point is never the same point
+        assert len(calls) == 4
+        f, g = yield [1.0, 1e-300]
+        assert len(calls) == 5 and f == 1.0
+        np.testing.assert_array_equal(g, [1.0, 1.0])
+        return "done"
+
+    monkeypatch.setattr(_optim, "bfgs_steps", scripted)
+    assert _optim.bfgs(fun_and_grad, np.array([1.0, 0.0])) == "done"
+    assert len(calls) == 5
+
+
+def _by_hand(steps, evaluate):
+    """A core run without ``_drive``: each request answered in turn."""
+    point = next(steps)
+    while True:
+        try:
+            point = steps.send(evaluate(point))
+        except StopIteration as done:
+            return done.value
+
+
+def _result_bits(res):
+    return (
+        res.x.tobytes(), np.float64(res.fun).tobytes(),
+        None if res.jac is None else res.jac.tobytes(), res.nit, res.status,
+    )
+
+
+def test_cores_driven_by_hand_give_the_drivers_results():
+    def rosen(x):
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+    def rosen_and_grad(x):
+        g = [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+        return rosen(x), np.array(g)
+
+    for x0 in ([-1.2, 1.0], [0.0, 0.0], [2.0, -1.5]):
+        x0 = np.array(x0)
+        bfgs = _optim.bfgs(rosen_and_grad, x0)
+        assert bfgs.success and bfgs.nit > 10
+        # every request evaluated, a repeated point too
+        by_hand = _by_hand(_optim.bfgs_steps(x0), lambda xl: rosen_and_grad(np.array(xl)))
+        assert _result_bits(by_hand) == _result_bits(bfgs)
+
+        nm = _optim.nelder_mead(rosen, x0)
+        by_hand = _by_hand(_optim.nelder_mead_steps(x0), lambda x: rosen(x.copy()))
+        assert _result_bits(by_hand) == _result_bits(nm)
 
 
 VECTORS = STEPS + POINTS + [
