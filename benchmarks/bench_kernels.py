@@ -12,8 +12,9 @@ gte and gtl) cannot slow down unseen.  It also times three property integrals
 on gtw (ms per call) and counts the integrand calls that their quadrature
 makes, through ``numerics.integrate_ranges``, which every quadrature runs
 on: the first call covers the tanh-sinh levels h = 1 ... 1/16 of both
-halves of the split range and the tail probe's points, and each round of
-finer levels that a half still needs is one call more.
+halves of the split range, and each round of finer levels that a half
+still needs is one call more.  Whether a property exists is decided from
+the family table before that, with no integrand call.
 
 Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit

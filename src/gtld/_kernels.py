@@ -19,9 +19,10 @@ in ``_FAMILIES`` and ``METHOD_IDS``:
     methods:  0=ml 1=ols 2=wls 3=cvm 4=ad 5=rtad
 
 ``_FAMILIES`` is the only per-family table (shape names, log x needs,
-support and edge, start shapes, tail type).  G and log G' are one dispatch
-on the family id, ``_g_parts``, and G^-1, which the quantile function
-Q(p) = G^-1(-log(1 - y) / beta) takes, is one beside it, ``_g_inverse``.
+support and edge, G's growth at infinity, start shapes).  G and log G'
+are one dispatch on the family id, ``_g_parts``, and G^-1, which the
+quantile function Q(p) = G^-1(-log(1 - y) / beta) takes, is one beside
+it, ``_g_inverse``.
 
 The objectives take their sample as a ``Plan``: the sorted sample with the
 pieces that do not depend on the parameters (log x, the rank weights),
@@ -76,26 +77,29 @@ class _Family(NamedTuple):
     g_log_x: bool  # G needs log x
     gp_log_x: bool  # log G' needs log x
     edge: Callable  # alpha -> (k, c, low), G(x) ~ c*(x - low)^k at the low end
+    # alpha -> (p, c), G(x) ~ c*x^p as x -> inf; p = 0 stands for c*log x,
+    # p = inf for a G that outgrows every power of x
+    tail: Callable
     start: Callable  # the sample -> the shape values ``fit`` starts from
-    power_tail: bool = False  # G grows like log x, so S decays like a power of x
 
 
 _FAMILIES = (
-    _Family("gte", (), False, False, lambda a: (1.0, 1.0, 0.0), lambda xs: ()),
-    _Family("gtr", (), False, True, lambda a: (2.0, 0.5, 0.0), lambda xs: ()),
-    _Family("gtw", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,)),
-    _Family(
-        "gtmw", ("alpha", "gamma"), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0, 0.1)
-    ),
-    _Family("gtwe", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,)),
-    _Family("gtb12", ("alpha",), True, True, lambda a: (a, 1.0, 0.0), lambda xs: (1.0,), True),
-    _Family(
-        "gtl", ("alpha",), False, False, lambda a: (1.0, 1.0 / a, 0.0), lambda xs: (1.0,), True
-    ),
-    _Family(
-        "gtp1", ("alpha",), False, True, lambda a: (1.0, 1.0 / a, a),
-        lambda xs: (0.9 * float(np.min(xs)),), True,
-    ),
+    _Family("gte", (), False, False, lambda a: (1.0, 1.0, 0.0),
+            lambda a: (1.0, 1.0), lambda xs: ()),
+    _Family("gtr", (), False, True, lambda a: (2.0, 0.5, 0.0),
+            lambda a: (2.0, 0.5), lambda xs: ()),
+    _Family("gtw", ("alpha",), True, True, lambda a: (a, 1.0, 0.0),
+            lambda a: (a, 1.0), lambda xs: (1.0,)),
+    _Family("gtmw", ("alpha", "gamma"), True, True, lambda a: (a, 1.0, 0.0),
+            lambda a: (math.inf, 1.0), lambda xs: (1.0, 0.1)),
+    _Family("gtwe", ("alpha",), True, True, lambda a: (a, 1.0, 0.0),
+            lambda a: (math.inf, 1.0), lambda xs: (1.0,)),
+    _Family("gtb12", ("alpha",), True, True, lambda a: (a, 1.0, 0.0),
+            lambda a: (0.0, a), lambda xs: (1.0,)),
+    _Family("gtl", ("alpha",), False, False, lambda a: (1.0, 1.0 / a, 0.0),
+            lambda a: (0.0, 1.0), lambda xs: (1.0,)),
+    _Family("gtp1", ("alpha",), False, True, lambda a: (1.0, 1.0 / a, a),
+            lambda a: (0.0, 1.0), lambda xs: (0.9 * float(np.min(xs)),)),
 )
 FAMILY_IDS = {row.name: fam for fam, row in enumerate(_FAMILIES)}
 _N_SHAPES = tuple(len(row.shapes) for row in _FAMILIES)

@@ -317,7 +317,7 @@ def fit(
 
     std_errors = None
     if method == "ml" and converged:
-        std_errors = standard_errors_from_params(estimates, xs, family)
+        std_errors = _standard_errors(estimates, xs, family)
 
     return FitResult(
         estimates=estimates,
@@ -343,9 +343,15 @@ def standard_errors_from_params(params: ParamVector, sample, family: str):
     a central step would leave the parameter space (lambda in [-1, 1], the
     other parameters positive), then symmetrized.  Returns None (absent,
     not zero) when the likelihood is not finite at a step or the Hessian is
-    not positive definite.
+    not positive definite.  The sample is refused as ``fit`` refuses it,
+    against the support at ``params``.
     """
-    xs = np.sort(np.asarray(sample, dtype=float))
+    low = model_from_params(family, params).support_low
+    return _standard_errors(params, np.sort(_finite_sample(sample, low)), family)
+
+
+def _standard_errors(params: ParamVector, xs, family: str):
+    """``standard_errors_from_params`` on a sorted sample already checked."""
     v0 = params.as_array(family)
     d = v0.size
     k = len(SUBFAMILY_SHAPES[family])
@@ -403,7 +409,7 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
     if not -1.0 < lam < 0.0:
         raise ValueError("the theta bracket applies only for lambda in (-1, 0)")
     tr = make_transform(family, **dict(shape))
-    xs = np.asarray(sample, dtype=float)
+    xs = _finite_sample(sample, tr.support_low)
     y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))
     if np.any((y <= 0.0) | (y >= 1.0)):
         raise ValueError("all y_i = 1 - exp(-beta G(x_i)) must lie in (0, 1)")
@@ -415,7 +421,7 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
 def theta_score(sample, family: str, shape, beta: float, lam: float, theta: float):
     """Profile score dl/dtheta with (shape, beta, lambda) held fixed."""
     tr = make_transform(family, **dict(shape))
-    xs = np.asarray(sample, dtype=float)
+    xs = _finite_sample(sample, tr.support_low)
     y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))
     log_y = np.log(y)
     yt = y**theta

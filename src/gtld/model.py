@@ -211,7 +211,8 @@ class GtldModel:
         mck = (q7 - q5 + q3 - q1) / spread
         if mck == math.inf:
             raise OverflowError("the Moors coefficient lies past the float range")
-        return QuantileMeasures(q4, mck, (q6 + q2 - 2.0 * q4) / spread)
+        # fl(q6 - q4) <= fl(q6 - q2), so the quotient cannot exceed 1
+        return QuantileMeasures(q4, mck, ((q6 - q4) - (q4 - q2)) / spread)
 
 
 def make_model(

@@ -14,10 +14,9 @@ most integrals converge, and each finer level makes one call more.
 The rule on one range is a reverse-communication generator (``_rule``):
 it yields each block's nodes and is sent the integrand's values there.
 :func:`integrate_ranges` steps several ranges in lock step, so that one
-array call of the integrand per round covers every range still running,
-and the first call can also take extra points, such as a tail probe's,
-with a verdict on their values before any range uses its block.
-:func:`integrate` is its one-range case.
+array call of the integrand per round covers every range still running.
+:func:`integrate` is its one-range case.  Whether an integral exists is
+the caller's to decide before it integrates.
 """
 
 from __future__ import annotations
@@ -296,23 +295,18 @@ def integrate_ranges(
     f: Callable[..., np.ndarray],
     ranges,
     spec: QuadratureSpec | None = None,
-    probe=None,
 ) -> list:
     """Tanh-sinh quadrature of ``f`` over several ranges in lock step.
 
     Each range (lower, upper) is integrated by the rule of
     :func:`integrate`, and one call of ``f`` per round serves every range
-    still running.  The call is ``f(*parts)``: with ``probe = (points,
-    verdict)`` the first part holds ``points`` on the first call and is
-    empty after it; then comes one part per range, holding the nodes of its
-    next block, or empty once the range has finished.  ``f`` returns its
-    values on the concatenation of the parts (a scalar is broadcast), and
-    is called inside ``np.errstate(all="ignore")``; so an elementwise ``f``
-    sees, besides its own range's nodes, those of the other ranges and the
-    probe points.  ``verdict`` receives the values at ``points`` right after
-    the first call, before any range takes its block: an exception it
-    raises ends the quadrature with no further call.  Ranges are checked as
-    in :func:`integrate` before any call.
+    still running.  The call is ``f(*parts)``, one part per range, holding
+    the nodes of its next block, or empty once the range has finished.
+    ``f`` returns its values on the concatenation of the parts (a scalar is
+    broadcast), and is called inside ``np.errstate(all="ignore")``; so an
+    elementwise ``f`` sees, besides its own range's nodes, those of the
+    other ranges.  Ranges are checked as in :func:`integrate` before any
+    call.
 
     Returns, per range, its estimate or the :class:`QuadratureError` that
     ended it, for the caller to raise or accept in its own order.
@@ -324,25 +318,17 @@ def integrate_ranges(
     rules = [_rule(lower, upper, spec) for lower, upper in ranges]
     steps = [_step(rule, None) for rule in rules]
     nodes, out = [x for x, _ in steps], [outcome for _, outcome in steps]
-    points = None if probe is None else np.asarray(probe[0], dtype=float)
-    first = 0 if probe is None else 1  # the parts index of the first range
-    while points is not None or any(x is not None for x in nodes):
+    while any(x is not None for x in nodes):
         parts = [_NO_NODES if x is None else x for x in nodes]
-        if probe is not None:
-            parts.insert(0, _NO_NODES if points is None else points)
         stops = list(itertools.accumulate(part.size for part in parts))
         # the rules scale the values by their weights in this errstate too
         with np.errstate(all="ignore"):
             values = np.asarray(f(*parts), dtype=float)
             if values.shape != (stops[-1],):
                 values = np.broadcast_to(values, (stops[-1],))
-            if points is not None:
-                points = None
-                probe[1](values[: stops[0]])
             for i, x in enumerate(nodes):
                 if x is not None:
-                    stop = stops[first + i]
-                    nodes[i], out[i] = _step(rules[i], values[stop - x.size : stop])
+                    nodes[i], out[i] = _step(rules[i], values[stops[i] - x.size : stops[i]])
     return out
 
 
@@ -370,7 +356,7 @@ def integrate(
     1e-12, and raise :class:`QuadratureError`, naming the node, anywhere
     else in a level the rule consumes.  This is the one-range case of
     :func:`integrate_ranges`, whose ``f`` may also see the nodes of other
-    ranges and probe points.
+    ranges.
     """
     (out,) = integrate_ranges(f, [(lower, upper)], spec)
     if isinstance(out, QuadratureError):

@@ -5,34 +5,33 @@ throughout.  Every integrand here is elementwise on arrays, and the
 integrals over an unbounded range are split at Q(0.75): the two halves run
 in lock step through one ``numerics.integrate_ranges`` call, so one call of
 the model's vectorised cdf, survival or density covers the rule's levels
-h = 1 ... 1/16 of both halves and the tail probe's points, and each round
-of finer levels that a half still needs is one call more.  The integrands
-evaluate the kernels' cores (``_kernels._cdf_core``, ``_sf_core``) and the
-model's log f core and its exp (``GtldModel._logpdf``, ``_pdf``)
-straight on the nodes, inside the quadrature's errstate: the nodes lie in the
-support by construction, so the public functions' support check and their
-wrapper ``_kernels._at_points`` (errstate and scalar handling) would only
-cost time there.  Arguments are refused before the first integrand
-call instead (an age below the support by the scalar ``survival`` or
-``cdf``).  The split point Q(0.75) and the probe's base Q(1 - 1e-6) come
-from one quantile call on a two-element array (``_split_points``), and a
-property where either is inf raises :class:`DivergenceError`.  Each half's
-degraded result is accepted or raised in range order, as if the halves ran
-one after the other, and the values are those of separate calls to the
-bit.  The incomplete and reversed residual moments take the same route
-over one finite range.  The closed-form series for the Weibull-type
-sub-family ("gtw") are kept as an independent cross-check route; they and
-the quadrature values must agree wherever both apply.
+h = 1 ... 1/16 of both halves, and each round of finer levels that a half
+still needs is one call more.  The integrands evaluate the kernels' cores
+(``_kernels._cdf_core``, ``_sf_core``) and the model's log f core and its
+exp (``GtldModel._logpdf``, ``_pdf``) straight on the nodes, inside the
+quadrature's errstate: the nodes lie in the support by construction, so
+the public functions' support check and their wrapper
+``_kernels._at_points`` (errstate and scalar handling) would only cost
+time there.  Arguments are refused before the first integrand call
+instead (an age below the support by the scalar ``survival`` or ``cdf``),
+and a property whose split point Q(0.75) lies past the float range raises
+:class:`DivergenceError`.  Each half's degraded result is accepted or
+raised in range order, as if the halves ran one after the other, and the
+values are those of separate calls to the bit.  The incomplete and
+reversed residual moments take the same route over one finite range.  The
+closed-form series for the Weibull-type sub-family ("gtw") are kept as an
+independent cross-check route; they and the quadrature values must agree
+wherever both apply.
 
 Integrals that do not exist raise :class:`DivergenceError` rather than
-returning a number.  Existence is screened before integrating: from the
-family where it decides (the MGF of the sub-families whose survival
-function decays like a power of x), analytically at the lower support edge
-(the local power of the density is known for every built-in transform) and
-numerically in the tail, by fitting a log-log slope to the integrand at
-quantile-(1 - 1e-6) multiples {1,2,4,8} and requiring decay faster than 1/x.
-The tail's verdict is taken on the first integrand call, before either half
-uses its values, and comes before the edge's.
+returning a number, and existence is decided analytically, before any
+integrand call, at both ends of the support.  In the tail it follows from
+the family table's growth of G at infinity (``_kernels._FAMILIES``, column
+``tail``), which fixes how S decays: like the power x^-kappa where G grows
+like log x (gtb12, gtl, gtp1), faster than every power elsewhere
+(``_screen_tail``).  At the lower support edge the local power of the
+density follows from the table's ``edge``.  The tail's verdict comes
+before the edge's.
 """
 
 from __future__ import annotations
@@ -47,10 +46,8 @@ from . import _kernels, numerics
 from .model import GtldModel, ParamVector
 from .numerics import QuadratureSpec, SeriesSpec
 
-_TAIL_Q = 1.0 - 1e-6
-# the split point of an unbounded range and the tail probe's base quantile
-_SPLIT_P = np.array([0.75, _TAIL_Q])
-_SPLIT_P.flags.writeable = False
+_MID_P = np.array([0.75])  # the split point of an unbounded range, as a level
+_MID_P.flags.writeable = False
 _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
 
 
@@ -94,59 +91,58 @@ def _sf(model: GtldModel, x):
     return _kernels._sf_core(*model.kernel_args, x)
 
 
-def _split_points(model: GtldModel, what: str):
-    """[Q(0.75), Q(1 - 1e-6)], the split point of an unbounded range and
-    the tail probe's base, from one quantile call; a DivergenceError naming
-    ``what`` where one lies past the float range."""
-    mid, q_tail = model._quantile_arr(_SPLIT_P).tolist()
-    if not (math.isfinite(mid) and math.isfinite(q_tail)):
-        raise DivergenceError(f"{what}: Q(0.75) or Q(1 - 1e-6) lies past the float range")
-    return mid, q_tail
+def _split_point(model: GtldModel, what: str):
+    """Q(0.75), the split point of an unbounded range; a DivergenceError
+    naming ``what`` where it lies past the float range."""
+    mid = model._quantile_arr(_MID_P)[0]
+    if not math.isfinite(mid):
+        raise DivergenceError(f"{what}: Q(0.75) lies past the float range")
+    return float(mid)
 
 
-def _integrate(f, ranges, probe=None, spec=None):
+def _screen_tail(model: GtldModel, what, e, n, t=0.0):
+    """Raise a DivergenceError naming ``what`` unless an integrand that
+    behaves like x^e * S(x)^n * e^(t*x) as x -> inf is integrable there.
+
+    The table's G(x) ~ c*x^p (p = 0: c*log x) decides it, with no integrand
+    call: S(x) = theta*(1 - lam)*e^(-beta*G(x))*(1 + o(1)), or
+    theta^2*e^(-2*beta*G(x)) at lam = 1.  Where G ~ c*log x, S decays like
+    x^-kappa with kappa = m*beta*c (m = 2 at lam = 1, else 1), and f like
+    kappa*S/x, so a density factor counts as S/x; the integral exists
+    where t = 0 and n*kappa > e + 1, and for every t < 0.  Elsewhere
+    S = e^(-m*beta*c*x^p*(1 + o(1))) outruns every power of x, and only
+    t > 0 can make it diverge: where p < 1, and where p = 1 and
+    t >= n*m*beta*c.
+    """
+    par = model.params
+    p, c = _kernels._FAMILIES[model.transform.family_id].tail(model.transform.kernel_shapes[0])
+    rate = (2.0 if par.lam == 1.0 else 1.0) * par.beta * c
+    if p == 0.0:
+        if t > 0.0 or (t == 0.0 and n * rate <= e + 1.0):
+            raise DivergenceError(f"{what}: diverges in the tail, where S(x) ~ x^-{rate:.6g}")
+    elif t > 0.0 and (p < 1.0 or (p == 1.0 and t >= n * rate)):
+        raise DivergenceError(
+            f"{what}: diverges in the tail, where S(x) ~ exp(-{rate:.6g}*x^{p:.6g})"
+        )
+
+
+def _integrate(f, ranges, spec=None):
     """The sum of the integrals over ``ranges``, in one lock-step driver
-    call, the tail probe's points in its first integrand call; each range's
-    degraded acceptance is applied, and its value added, in range order."""
-    outcomes = numerics.integrate_ranges(f, ranges, spec, probe)
+    call; each range's degraded acceptance is applied, and its value added,
+    in range order."""
+    outcomes = numerics.integrate_ranges(f, ranges, spec)
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
-def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None, probe=True):
+def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None):
     """Integrate the property named ``what`` over (lower or support_low, inf),
     split at Q(0.75) or, if that is not above the lower end, at
-    2*lower + 1; with the tail probe unless ``probe`` is false."""
+    2*lower + 1."""
     lo = model.support_low if lower is None else lower
-    mid, q_tail = _split_points(model, what)
+    mid = _split_point(model, what)
     if mid <= lo:
         mid = 2.0 * lo + 1.0
-    tail = _tail_probe(q_tail, what) if probe else None
-    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], tail, spec)
-
-
-def _tail_probe(q_tail: float, what: str):
-    """Tail points, multiples of Q(1 - 1e-6) = ``q_tail``, and a verdict on
-    the integrand's values there, as ``numerics.integrate_ranges`` takes
-    them: the verdict signals divergence unless the integrand decays faster
-    than 1/x; a non-finite value is a verdict too."""
-    xs = q_tail * np.array([1.0, 2.0, 4.0, 8.0])
-
-    def verdict(values):
-        vals = values.tolist()
-        if any(not math.isfinite(v) for v in vals):
-            raise DivergenceError(f"{what}: integrand not finite in the tail")
-        if all(v == 0.0 for v in vals):
-            return
-        if any(b >= a for a, b in zip(vals, vals[1:]) if a > 0.0):
-            raise DivergenceError(f"{what}: integrand not decreasing in the tail")
-        if vals[0] > 0.0 and vals[-1] > 0.0:
-            slope = math.log(vals[-1] / vals[0]) / math.log(8.0)
-            if slope >= -1.0:
-                raise DivergenceError(
-                    f"{what}: tail decay x^{slope:.3f} is too slow to integrate"
-                )
-
-    return xs, verdict
+    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], spec)
 
 
 # -- moments ---------------------------------------------------------------
@@ -198,7 +194,9 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     def integrand(x):
         return x**r * _pdf(model, x)
 
-    return _integrate_support(model, integrand, f"raw moment r={r}")
+    what = f"raw moment r={r}"
+    _screen_tail(model, what, r - 1, 1)
+    return _integrate_support(model, integrand, what)
 
 
 def incomplete_moment(
@@ -232,7 +230,9 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
     def integrand(x):
         return x**r * _cdf(model, x) ** s * _pdf(model, x)
 
-    return _integrate_support(model, integrand, f"pwm r={r}, s={s}", probe=r > 0)
+    what = f"pwm r={r}, s={s}"
+    _screen_tail(model, what, r - 1, 1)
+    return _integrate_support(model, integrand, what)
 
 
 def mgf(model: GtldModel, t: float) -> float:
@@ -241,11 +241,9 @@ def mgf(model: GtldModel, t: float) -> float:
     def integrand(x):
         return np.exp(t * x + model._logpdf(x))
 
-    if t > 0 and _kernels._FAMILIES[model.transform.family_id].power_tail:
-        raise DivergenceError(
-            f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
-        )
-    return _integrate_support(model, integrand, f"mgf t={t}", probe=t > 0)
+    what = f"mgf t={t}"
+    _screen_tail(model, what, -1, 1, t)
+    return _integrate_support(model, integrand, what)
 
 
 def stress_strength(lambda1: float, lambda2: float) -> float:
@@ -303,13 +301,11 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
         return np.exp(rho * model._logpdf(x))
 
     what = f"density-power integral rho={rho}"
+    _screen_tail(model, what, -rho, rho)  # the tail's verdict comes before the edge's
     if truncated:
         return _integrate_support(model, integrand, what, lower=lower)
     edge_exp = rho * (k * theta - 1.0)
     if edge_exp <= -1.0:
-        # the tail's verdict comes before the edge's
-        probe = _tail_probe(_split_points(model, what)[1], what)
-        numerics.integrate_ranges(_on_parts(integrand), [], probe=probe)
         raise DivergenceError(
             f"integral of f^{rho:g} diverges at the lower support edge "
             f"(local power {edge_exp:.3f} <= -1)"
@@ -319,17 +315,15 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
 
     # unbounded density at the edge: integrate f(Q(u))^(rho-1) in u = F(x)
     # below the split point, f^rho in x above it, where u could come no
-    # nearer to 1 than 1 - 2^-53; one log f call serves the probe points,
-    # Q at the u nodes and the x nodes
-    def split_integrand(points, u, x):
-        y = np.concatenate([points, model._quantile_arr(u) if u.size else u, x])
+    # nearer to 1 than 1 - 2^-53; one log f call serves Q at the u nodes
+    # and the x nodes
+    def split_integrand(u, x):
+        y = np.concatenate([model._quantile_arr(u) if u.size else u, x])
         power = np.full(y.size, rho)
-        power[points.size : points.size + u.size] = rho - 1.0
+        power[: u.size] = rho - 1.0
         return np.exp(power * model._logpdf(y))
 
-    mid, q_tail = _split_points(model, what)
-    probe = _tail_probe(q_tail, what)
-    return _integrate(split_integrand, [(0.0, 0.75), (mid, math.inf)], probe)
+    return _integrate(split_integrand, [(0.0, 0.75), (_split_point(model, what), math.inf)])
 
 
 def renyi_entropy(model: GtldModel, rho: float, lower: float | None = None) -> float:
@@ -377,11 +371,11 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
         return (x - t) ** n * _pdf(model, x)
 
     what = f"residual moment n={n}"
-    mid, q_tail = _split_points(model, what)
+    _screen_tail(model, what, n - 1, 1)
+    mid = _split_point(model, what)
     if mid <= t:
         mid = 2.0 * abs(t) + 1.0 + t
-    probe = _tail_probe(q_tail, what)
-    total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)], probe)
+    total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)])
     return total / s
 
 
@@ -417,9 +411,8 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
     def integrand(x):
         return _cdf(model, x) ** m * _sf(model, x) ** n
 
+    what = f"cigf m={m}, n={n}"
+    _screen_tail(model, what, 0, n)
     return _integrate_support(
-        model,
-        integrand,
-        f"cigf m={m}, n={n}",
-        spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10),
+        model, integrand, what, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
     )

@@ -124,8 +124,9 @@ def _density_inf_where_g_underflows(m, name, value):
 
 
 def _bowley_past_one(m, name, value):
-    """quantile_measures finite but |Bowley| > 1: Q(2/8) = Q(4/8) = the low
-    end and Q(6/8) barely above it, so Q(6/8) + Q(2/8) - 2 Q(4/8) cancels."""
+    """quantile_measures finite but |Bowley| > 1; the sweep meets the case
+    that tests it where Q(2/8) = Q(4/8) = the low end and Q(6/8) lies barely
+    above it."""
     return (
         name == "quantile_measures"
         and not isinstance(value, Exception)
@@ -134,7 +135,7 @@ def _bowley_past_one(m, name, value):
     )
 
 
-KNOWN = (_density_inf_where_g_underflows, _bowley_past_one)
+KNOWN = (_density_inf_where_g_underflows,)
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
@@ -153,11 +154,6 @@ def test_density_finite_where_g_underflows(sweep):
     assert [bad for bad in found if _density_inf_where_g_underflows(*bad)] == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Bowley's numerator cancels where Q(2/8), Q(4/8) and Q(6/8) lie "
-    "within a few ulps of the low end; see CHANGES.md",
-)
 def test_bowley_skewness_within_one(sweep):
     found = [bad for bads in sweep.values() for bad in bads]
     assert [bad for bad in found if _bowley_past_one(*bad)] == []

@@ -188,16 +188,41 @@ class TestProps:
         assert err.startswith("error: ") and "raw_moment" in err
 
     def test_quadrature_failure_is_exit_1(self, capsys):
-        # this gtw density overflows to inf at an inner node of the mgf
-        # integral: a QuadratureError, which is a NumericsError
+        # the quadrature of this gtp1 mean misses its bound (a
+        # QuadratureError, which is a NumericsError; see CHANGES.md)
         code, out, err = run_cli(
-            capsys, "props", "--family", "gtw",
-            "--params", "0.5476254646566685,1.6505821311814308,2.2225280328677064,0.2737413305556793",
-            "--mgf", "0.05",
+            capsys, "props", "--family", "gtp1",
+            "--params", "0.7008003746224082,8.44463274677869,0.23688411746283924,-0.5984752694001021",
+            "--moment", "1",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: integrand not finite at x = ")
+        assert err.startswith("error: quadrature did not converge (estimate 0.5346")
+
+    @pytest.mark.parametrize(
+        "family, params, options, keys",
+        [
+            # gtb12 fitted by ml to the failure data: lam within 6e-13 of 1
+            (
+                "gtb12", f"0.4332,1.4754,4.5517,{1 - 5.9e-13!r}",
+                ["--moment", "1", "--pwm", "1,1", "--renyi", "0.5", "--cigf", "1,1"],
+                ["moment_1", "pwm_1,1", "renyi_0.5", "cigf_1,1"],
+            ),
+            # gtw with alpha < 1: E[e^(tX)] = inf for every t > 0
+            (
+                "gtw",
+                "0.5476254646566685,1.6505821311814308,2.2225280328677064,0.2737413305556793",
+                ["--mgf", "0.05"], ["mgf_0.05"],
+            ),
+        ],
+        ids=["gtb12-lam-near-one", "gtw-mgf"],
+    )
+    def test_tail_divergence_reported_inline(self, capsys, family, params, options, keys):
+        code, out, _ = run_cli(capsys, "props", "--family", family, "--params", params, *options)
+        assert code == 0
+        payload = json.loads(out)
+        for key in keys:
+            assert "diverges in the tail" in payload[key]["error"]
 
 
 class TestCurves:

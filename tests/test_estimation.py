@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from gtld import _kernels, estimation
 from gtld._kernels import FAMILY_IDS, METHOD_IDS
-from gtld.datasets import load_values
+from gtld.datasets import get_dataset, load_values
 from gtld.estimation import (
     METHODS,
     TransformedParams,
@@ -413,6 +413,37 @@ class TestStandardErrors:
         res = fit(gte_sample[:50], "gte", method="ols", n_starts=1)
         with pytest.raises(ValueError):
             estimation.standard_errors(res, gte_sample[:50], "gte")
+
+
+@pytest.fixture(scope="module")
+def failure_fit():
+    xs = get_dataset("failure").as_array()
+    return xs, fit(xs, "gtw", "ml", n_starts=1)
+
+
+# the entry points that take a sample beside fit and the objective functions
+SAMPLE_ENTRY_POINTS = {
+    "standard_errors_from_params": lambda xs, res: standard_errors_from_params(
+        res.estimates, xs, "gtw"
+    ),
+    "standard_errors": lambda xs, res: estimation.standard_errors(res, xs, "gtw"),
+    "mle_theta_bracket": lambda xs, res: mle_theta_bracket(xs, "gtw", {"alpha": 1.0}, 1.0, -0.5),
+    "theta_score": lambda xs, res: theta_score(xs, "gtw", {"alpha": 1.0}, 1.0, -0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [(math.nan, "is not finite"), (-1.0, "is outside the support"),
+     (math.inf, "is not finite"), (0.0, "is outside the support")],
+)
+@pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+def test_entry_points_refuse_the_sample_fit_refuses(failure_fit, entry, bad, why):
+    xs, res = failure_fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^sample point at index 50 {why}"):
+            SAMPLE_ENTRY_POINTS[entry](np.append(xs, bad), res)
 
 
 class TestThetaBracket:

@@ -1,10 +1,11 @@
 """Lock-step quadrature against the property composition it replaced.
 
-A split property integral used to evaluate its tail probe in a call of
-its own, then run ``numerics.integrate`` on each half in turn, applying
-the degraded acceptance to each half.  ``Composition`` keeps that code as
-the oracle: every property must give its value's bytes, or raise the same
-exception type with the same message, estimate and error bound.
+A split property integral used to run ``numerics.integrate`` on each half
+in turn, applying the degraded acceptance to each half.  ``Composition``
+keeps that code as the oracle, behind the same analytic tail screen,
+``properties._screen_tail``: every property must give its value's bytes,
+or raise the same exception type with the same message, estimate and
+error bound.
 """
 
 import math
@@ -18,9 +19,7 @@ from gtld.numerics import QuadratureError, QuadratureSpec
 
 from conftest import random_params
 
-_TAIL_Q = 1.0 - 1e-6
 _ACCEPT_REL = 1e-6
-_POWER_TAIL = frozenset({"gtb12", "gtl", "gtp1"})
 DivergenceError = properties.DivergenceError
 
 
@@ -50,29 +49,11 @@ class Composition:
             mid = 2.0 * lo + 1.0
         return self._integrate(f, lo, mid, spec) + self._integrate(f, mid, math.inf, spec)
 
-    @staticmethod
-    def _tail_probe(model, integrand, what):
-        xs = model.quantile(_TAIL_Q) * np.array([1.0, 2.0, 4.0, 8.0])
-        with np.errstate(all="ignore"):
-            vals = np.asarray(integrand(xs), dtype=float).tolist()
-        if any(not math.isfinite(v) for v in vals):
-            raise DivergenceError(f"{what}: integrand not finite in the tail")
-        if all(v == 0.0 for v in vals):
-            return
-        if any(b >= a for a, b in zip(vals, vals[1:]) if a > 0.0):
-            raise DivergenceError(f"{what}: integrand not decreasing in the tail")
-        if vals[0] > 0.0 and vals[-1] > 0.0:
-            slope = math.log(vals[-1] / vals[0]) / math.log(8.0)
-            if slope >= -1.0:
-                raise DivergenceError(
-                    f"{what}: tail decay x^{slope:.3f} is too slow to integrate"
-                )
-
     def raw_moment(self, model, r):
         def integrand(x):
             return x**r * model.pdf(x)
 
-        self._tail_probe(model, integrand, f"raw moment r={r}")
+        properties._screen_tail(model, f"raw moment r={r}", r - 1, 1)
         return self._integrate_support(model, integrand)
 
     def incomplete_moment(self, model, r, z):
@@ -82,20 +63,14 @@ class Composition:
         def integrand(x):
             return x**r * model.cdf(x) ** s * model.pdf(x)
 
-        if r > 0:
-            self._tail_probe(model, integrand, f"pwm r={r}, s={s}")
+        properties._screen_tail(model, f"pwm r={r}, s={s}", r - 1, 1)
         return self._integrate_support(model, integrand)
 
     def mgf(self, model, t):
         def integrand(x):
             return np.exp(t * x + model.logpdf(x))
 
-        if t > 0:
-            if model.transform.name in _POWER_TAIL:
-                raise DivergenceError(
-                    f"mgf t={t}: {model.transform.name} has a power-law tail, E[e^(tX)] = inf"
-                )
-            self._tail_probe(model, integrand, f"mgf t={t}")
+        properties._screen_tail(model, f"mgf t={t}", -1, 1, t)
         return self._integrate_support(model, integrand)
 
     def _density_power_integral(self, model, rho, lower):
@@ -107,7 +82,7 @@ class Composition:
         def integrand(x):
             return np.exp(rho * model.logpdf(x))
 
-        self._tail_probe(model, integrand, f"density-power integral rho={rho}")
+        properties._screen_tail(model, f"density-power integral rho={rho}", -rho, rho)
         if not truncated:
             edge_exp = rho * (k * theta - 1.0)
             if edge_exp <= -1.0:
@@ -147,7 +122,7 @@ class Composition:
         def integrand(x):
             return (x - t) ** n * model.pdf(x)
 
-        self._tail_probe(model, integrand, f"residual moment n={n}")
+        properties._screen_tail(model, f"residual moment n={n}", n - 1, 1)
         mid = model.quantile(0.75)
         if mid <= t:
             mid = 2.0 * abs(t) + 1.0 + t
@@ -162,7 +137,7 @@ class Composition:
         def integrand(x):
             return model.cdf(x) ** m * model.survival(x) ** n
 
-        self._tail_probe(model, integrand, f"cigf m={m}, n={n}")
+        properties._screen_tail(model, f"cigf m={m}, n={n}", 0, n)
         return self._integrate_support(
             model, integrand, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
         )
@@ -215,7 +190,7 @@ def assert_matches_oracle(m):
 # seeded draws whose quadrature ends in each kind of QuadratureError: a
 # non-finite integrand, an unmet bound the acceptance rejects, and one it
 # accepts
-DEGRADED = [("gtw", 1, "mgf"), ("gtl", 17, "renyi_entropy"), ("gtp1", 4, "raw_moment")]
+DEGRADED = [("gtp1", 4, "renyi_entropy"), ("gtl", 17, "renyi_entropy"), ("gtp1", 4, "raw_moment")]
 
 # chosen parameter sets: k*theta < 1, where the density is unbounded at the
 # edge and the entropies take the u = F(x) branch or diverge there; heavy
@@ -258,8 +233,8 @@ class TestSameBitsAsSeparateCalls:
         assert_matches_oracle(chosen_model(case))
 
     def test_cases_reach_every_branch(self, monkeypatch):
-        # the u = F(x) split, the edge verdict after the tail's, a tail
-        # divergence, and each kind of QuadratureError a half can end in
+        # the u = F(x) split, an edge divergence, a tail divergence, and
+        # each kind of QuadratureError a half can end in
         kinds = set()
         accept = properties._accept
 
@@ -303,16 +278,21 @@ class TestSameBitsAsSeparateCalls:
         assert got[0] is QuadratureError and "did not converge" in got[1]
 
     def test_tail_verdict_comes_before_the_edge_verdict(self):
-        # f^3 diverges at the edge here (k*theta = 0.6); a density made
-        # infinite in the tail must still fail the tail's screen first.
-        # The fault goes into ``_logpdf``, the log f that the property
-        # integrals evaluate on their nodes and that ``logpdf`` wraps
+        # f^3 diverges at the edge here (k*theta = 0.6), and no rho makes
+        # f^rho diverge at both ends (the edge needs rho > 1, the tail
+        # rho < 1); so the tail's screen is made to fail, and its verdict
+        # must still be the one raised, by the property and by the oracle
         m = chosen_model("gtw-u")
-        tail, logpdf = m.quantile(0.999), m._logpdf
-        object.__setattr__(m, "_logpdf", lambda x: np.where(x > tail, np.inf, logpdf(x)))
-        got = outcome(properties.renyi_entropy, m, 3.0)
-        assert got == outcome(ORACLE.renyi_entropy, m, 3.0)
-        assert "not finite in the tail" in got[1]
+        assert "lower support edge" in outcome(properties.renyi_entropy, m, 3.0)[1]
+
+        def failing(model, what, e, n, t=0.0):
+            raise DivergenceError(f"{what}: tail")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(properties, "_screen_tail", failing)
+            got = outcome(properties.renyi_entropy, m, 3.0)
+            assert got == outcome(ORACLE.renyi_entropy, m, 3.0)
+        assert got[1] == "density-power integral rho=3.0: tail"
 
 
 def _separately(f, ranges, spec=None):
@@ -326,8 +306,8 @@ def _separately(f, ranges, spec=None):
     return out
 
 
-def _together(f, ranges, spec=None, probe=None):
-    out = numerics.integrate_ranges(lambda *parts: f(np.concatenate(parts)), ranges, spec, probe)
+def _together(f, ranges, spec=None):
+    out = numerics.integrate_ranges(lambda *parts: f(np.concatenate(parts)), ranges, spec)
     return [
         (str(o), o.estimate, o.error_bound) if isinstance(o, QuadratureError)
         else np.float64(o).tobytes()
@@ -361,20 +341,16 @@ class TestDriver:
             seen.append([p.copy() for p in parts])
             return np.exp(-np.concatenate(parts))
 
-        points = np.array([1.0, 2.0])
-        got = []
-        numerics.integrate_ranges(f, [(0.0, 1.0), (1.0, math.inf)], probe=(points, got.append))
-        assert len(seen) >= 2 and all(len(parts) == 3 for parts in seen)
-        assert seen[0][0].tolist() == [1.0, 2.0]
-        assert all(parts[0].size == 0 for parts in seen[1:])
-        assert got[0].tolist() == np.exp(-points).tolist()
+        numerics.integrate_ranges(f, [(0.0, 1.0), (1.0, math.inf)])
+        assert len(seen) >= 2 and all(len(parts) == 2 for parts in seen)
         # (0, 1) converges within the first call; the tail takes more
-        assert all(parts[1].size == 0 for parts in seen[1:])
-        assert all(parts[2].size > 0 for parts in seen)
+        assert seen[0][0].size > 0
+        assert all(parts[0].size == 0 for parts in seen[1:])
+        assert all(parts[1].size > 0 for parts in seen)
 
-    def test_verdict_comes_before_any_range_uses_its_block(self):
-        # the range's first block holds a NaN at an inner node; the verdict,
-        # not the QuadratureError, ends the quadrature, after one call
+    def test_first_block_error_ends_the_range_after_one_call(self):
+        # the range's first block holds a NaN at an inner node: the range
+        # ends in a QuadratureError naming it, and no further call is made
         calls = []
 
         def f(*parts):
@@ -382,25 +358,18 @@ class TestDriver:
             x = np.concatenate(parts)
             return np.where(x == 0.5, np.nan, x)
 
-        def verdict(values):
-            raise DivergenceError("tail")
-
-        with pytest.raises(DivergenceError):
-            numerics.integrate_ranges(f, [(0.0, 1.0)], probe=(np.ones(4), verdict))
+        (out,) = numerics.integrate_ranges(f, [(0.0, 1.0)])
+        assert isinstance(out, QuadratureError) and "x = 0.5" in str(out)
         assert calls == [1]
-        (out,) = numerics.integrate_ranges(f, [(0.0, 1.0)], probe=(np.ones(4), lambda v: None))
-        assert isinstance(out, QuadratureError)
 
     def test_scalar_values_broadcast(self):
         out = numerics.integrate_ranges(lambda *parts: 2.0, [(0.0, 1.0), (1.0, 4.0)])
         assert out == [numerics.integrate(lambda x: 2.0, 0.0, 1.0), 6.0]
 
-    def test_probe_alone_makes_one_call(self):
+    def test_no_ranges_make_no_call(self):
         calls = []
-        got = numerics.integrate_ranges(
-            lambda x: calls.append(x.copy()) or -x, [], probe=([3.0, 4.0], calls.append)
-        )
-        assert got == [] and len(calls) == 2 and calls[1].tolist() == [-3.0, -4.0]
+        assert numerics.integrate_ranges(lambda *parts: calls.append(parts), []) == []
+        assert calls == []
 
     def test_bad_range_rejected_before_any_call(self):
         def f(*parts):
@@ -408,4 +377,4 @@ class TestDriver:
 
         for bad in ((1.0, 0.0), (-math.inf, 0.0), (math.nan, 1.0)):
             with pytest.raises(ValueError, match="finite lower <= upper"):
-                numerics.integrate_ranges(f, [(0.0, 1.0), bad], probe=([1.0], None))
+                numerics.integrate_ranges(f, [(0.0, 1.0), bad])

@@ -9,14 +9,14 @@ upgrade that breaks this, or the equality of ``np.dot`` and ``@`` on
 vectors, fails here instead of silently moving the study tables.
 
 The property integrals evaluate the distribution functions once on the
-concatenated nodes of both halves of a split range and the tail probe's
-points.  That gives each half the bytes of separate calls only while the
+concatenated nodes of both halves of a split range.  That gives each half
+the bytes of separate calls only while the
 kernels and the model's pdf, logpdf, cdf and survival are elementwise to
 the bit: no element's value may depend on the array's length or on where
 the element sits in it (SIMD loops and their remainder handling included).
 The same holds for the quantile function: a split integral takes Q(0.75)
-and Q(1 - 1e-6) from one call on a two-element array, which must give the
-bytes of two scalar ``quantile`` calls.  And the integrands call the
+from a call on a one-element array, which must give the bytes of a scalar
+``quantile`` call.  And the integrands call the
 kernels' cores (and the model's ``_logpdf``) straight on the nodes, which
 must give the bytes of the public functions there.
 """
@@ -71,7 +71,7 @@ def test_dot_equals_matmul_on_vectors(n, seed, spread):
 
 def _node_parts(m):
     """The parts one driver call hands the integrand for a split integral:
-    the tail probe's points, then the first block of each half's nodes."""
+    the first block of each half's nodes."""
     seen = []
 
     def record(*parts):
@@ -79,9 +79,7 @@ def _node_parts(m):
         return 0.0
 
     mid = m.quantile(0.75)
-    probe = m.quantile(1.0 - 1e-6) * np.array([1.0, 2.0, 4.0, 8.0])
-    low = m.support_low
-    numerics.integrate_ranges(record, [(low, mid), (mid, math.inf)], probe=(probe, len))
+    numerics.integrate_ranges(record, [(m.support_low, mid), (mid, math.inf)])
     return seen[0]
 
 
@@ -133,18 +131,16 @@ def _random_models(family, count=40):
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
-def test_split_points_equal_two_scalar_quantile_calls(family):
+def test_split_point_equals_a_scalar_quantile_call(family):
     for m in _random_models(family):
-        both = m._quantile_arr(np.array([0.75, 1.0 - 1e-6]))
-        want = np.array([m.quantile(0.75), m.quantile(1.0 - 1e-6)])
-        assert both.tobytes() == want.tobytes(), m.params
-        assert np.array(properties._split_points(m, "mean")).tobytes() == want.tobytes()
+        want = np.float64(m.quantile(0.75)).tobytes()
+        assert np.float64(properties._split_point(m, "mean")).tobytes() == want, m.params
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
 def test_node_path_equals_the_public_functions(family):
-    # what a split integral's first integrand call sees: the probe's points
-    # and both halves' first blocks, concatenated, under the driver's errstate
+    # what a split integral's first integrand call sees: both halves' first
+    # blocks, concatenated, under the driver's errstate
     for m in _random_models(family):
         whole = np.concatenate(_node_parts(m))
         with np.errstate(all="ignore"):

@@ -114,6 +114,25 @@ def test_edge_coef_matches_local_coefficient(family, rng):
     assert c == pytest.approx(tr.edge_coef, rel=1e-3)
 
 
+def test_tail_growth_matches_g(family, rng):
+    # G(x) ~ c*x^p as x -> inf, where p = 0 stands for c*log x and p = inf
+    # for a G that outgrows every power of x; taken where G(x) = 200, and
+    # where G(x) = 1e100 for the last
+    tr = make_transform(family, **_shape_for(family, rng))
+    p, c = _kernels._FAMILIES[tr.family_id].tail(tr.kernel_shapes[0])
+    level = 1e100 if p == math.inf else 200.0
+    x = float(tr.inverse(level))
+    slope = math.log(tr.eval(2.0 * x) / level) / math.log(2.0)  # d log G / d log x
+    if p == 0.0:
+        assert level / math.log(x) == pytest.approx(c, rel=1e-2)
+        assert slope < 1e-2
+    elif p == math.inf:
+        assert slope > 10.0
+    else:
+        assert level / x**p == pytest.approx(c, rel=1e-9)
+        assert slope == pytest.approx(p, rel=1e-9)
+
+
 def test_shape_names_frozen():
     assert SUBFAMILY_SHAPES["gte"] == ()
     assert SUBFAMILY_SHAPES["gtr"] == ()
