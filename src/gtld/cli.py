@@ -60,14 +60,16 @@ def _parse_params(family: str, text: str) -> ParamVector:
         raise UsageError(str(exc)) from None
 
 
-def _pair(text: str, what: str, count: int = 2):
+def _pair(text: str, what: str, kinds=(float, float)):
+    """The values of ``--what``, one per type in ``kinds`` (an order is an int)."""
     parts = text.split(",")
-    if len(parts) != count:
-        raise UsageError(f"--{what} takes {count} comma-separated values")
+    if len(parts) != len(kinds):
+        raise UsageError(f"--{what} takes {len(kinds)} comma-separated values")
     try:
-        return [float(p) for p in parts]
+        return [kind(p) for kind, p in zip(kinds, parts)]
     except ValueError:
-        raise UsageError(f"cannot parse --{what} value {text!r}") from None
+        need = " (its orders are integers)" if int in kinds else ""
+        raise UsageError(f"cannot parse --{what} value {text!r}{need}") from None
 
 
 def _emit(payload: dict, args) -> None:
@@ -128,12 +130,12 @@ def cmd_props(args) -> int:
     for r in args.moment or ():
         run(f"moment_{r}", lambda r=r: properties.raw_moment(model, r))
     for spec in args.incomplete_moment or ():
-        r, z = _pair(spec, "incomplete-moment")
+        r, z = _pair(spec, "incomplete-moment", (int, float))
         run(f"incomplete_moment_{spec}",
-            lambda r=int(r), z=z: properties.incomplete_moment(model, r, z))
+            lambda r=r, z=z: properties.incomplete_moment(model, r, z))
     for spec in args.pwm or ():
-        r, s = _pair(spec, "pwm")
-        run(f"pwm_{spec}", lambda r=int(r), s=int(s): properties.pwm(model, r, s))
+        r, s = _pair(spec, "pwm", (int, int))
+        run(f"pwm_{spec}", lambda r=r, s=s: properties.pwm(model, r, s))
     for t in args.mgf or ():
         run(f"mgf_{t:g}", lambda t=t: properties.mgf(model, t))
     for rho in args.renyi or ():
@@ -148,13 +150,13 @@ def cmd_props(args) -> int:
     if args.quantiles:
         run("quantiles", lambda: model.quantile_measures()._asdict())
     for spec in args.residual or ():
-        n, t = _pair(spec, "residual")
+        n, t = _pair(spec, "residual", (int, float))
         run(f"residual_{spec}",
-            lambda n=int(n), t=t: properties.residual_moment(model, n, t))
+            lambda n=n, t=t: properties.residual_moment(model, n, t))
     for spec in args.reversed_residual or ():
-        n, t = _pair(spec, "reversed-residual")
+        n, t = _pair(spec, "reversed-residual", (int, float))
         run(f"reversed_residual_{spec}",
-            lambda n=int(n), t=t: properties.reversed_residual_moment(model, n, t))
+            lambda n=n, t=t: properties.reversed_residual_moment(model, n, t))
     for spec in args.cigf or ():
         m, n = _pair(spec, "cigf")
         run(f"cigf_{spec}", lambda m=m, n=n: properties.cigf(model, m, n))
@@ -325,7 +327,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FitError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, FitError, OSError) as exc:
+        # ArithmeticError: a quantity that overflows or divides by zero,
+        # such as a hazard where the survival function underflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -11,12 +11,14 @@ fitting needs NumPy only.
 A fit builds its objective's sample-only pieces once, in a
 ``_kernels.Plan``: the sorted sample, log x where the family uses it, and
 the rank weights of the distance methods.  Every evaluation of that fit
-(BFGS's values and gradients, the Nelder-Mead rescue's values, the final
-clamp count of ad and rtad, the only objectives with clamped terms) takes
-the plan; the standard errors build an ml plan for their Hessian.  Around
-each kernel call a fit does as little as it can: one exp of the log
-coordinates (skipping their clip when none leaves it), the chain rule on
-Python floats, and one array for the gradient.
+takes the plan: BFGS's values and gradients and the Nelder-Mead rescue's
+values through one function of the optimizer coordinates, and the final
+clamp count of ad and rtad, the only objectives with clamped terms.  The
+standard errors build an ml plan for their Hessian, and the theta helpers
+take u and the theta score from the kernels as well.  Around each kernel
+call a fit does as little as it can: one exp of the log coordinates
+(skipping their clip when none leaves it), the chain rule on Python
+floats, and one array for the gradient.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import _kernels, _optim
 from ._kernels import _BIG
-from .model import ParamVector, SupportError, model_from_params, param_names
+from .model import ParamVector, SupportError, model_from_params
 from .transforms import SUBFAMILY_SHAPES, kernel_shapes, make_transform
 
 METHODS = tuple(_kernels.METHOD_IDS)
@@ -115,38 +117,40 @@ def _finite_sample(sample, low) -> np.ndarray:
     return xs
 
 
-def _objective_value(method: str, params: ParamVector, sample, family: str):
-    """The objective at ``params``; the sample is checked against the support."""
-    model = model_from_params(family, params)
-    xs = _finite_sample(sample, model.support_low)
+def _objective_value(method: str, model, sample, want_grad=False):
+    """``_kernels.objective`` of ``method`` (with ``want_grad``,
+    ``objective_grad``) at the model, on the sample checked against its
+    support and sorted."""
+    xs = np.sort(_finite_sample(sample, model.support_low))
     mid = _kernels.METHOD_IDS[method]
     args = model.kernel_args
-    return _kernels.objective(mid, *args, _kernels.Plan(np.sort(xs), args[0], mid))
+    kernel = _kernels.objective_grad if want_grad else _kernels.objective
+    return kernel(mid, *args, _kernels.Plan(xs, args[0], mid))
 
 
 def neg_log_likelihood(params: ParamVector, sample, family: str) -> float:
     """-log L; equals -sum(log pdf) over the sample."""
-    return _objective_value("ml", params, sample, family)[0]
+    return _objective_value("ml", model_from_params(family, params), sample)[0]
 
 
 def ols_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("ols", params, sample, family)[0]
+    return _objective_value("ols", model_from_params(family, params), sample)[0]
 
 
 def wls_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("wls", params, sample, family)[0]
+    return _objective_value("wls", model_from_params(family, params), sample)[0]
 
 
 def cvm_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("cvm", params, sample, family)[0]
+    return _objective_value("cvm", model_from_params(family, params), sample)[0]
 
 
 def ad_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("ad", params, sample, family)[0]
+    return _objective_value("ad", model_from_params(family, params), sample)[0]
 
 
 def rtad_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("rtad", params, sample, family)[0]
+    return _objective_value("rtad", model_from_params(family, params), sample)[0]
 
 
 def _median(xs):
@@ -208,36 +212,25 @@ def fit(
     # objective plus gradient evaluations, and overflowing gradients
     evaluations = gradient_fallbacks = 0
 
-    def penalty(s1):
-        """(value, d value / d alpha) where gtp1's support (alpha, inf) misses
-        a sample point, else None."""
-        violation = s1 - min_x
-        if violation >= 0.0:
-            return 1e10 * (violation + 1e-6) ** 2 + 1e6, 2e10 * (violation + 1e-6)
-        return None
-
-    def fun(z):
-        nonlocal evaluations
-        evaluations += 1
-        _, vals, lam = _decode(z)
-        s1, s2 = kernel_shapes(vals[:k_shape])
-        pen = penalty(s1) if is_gtp1 else None
-        if pen is not None:
-            return pen[0]
-        beta, theta = vals[k_shape:]
-        return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, plan)[0]
-
-    def fun_and_grad(z):
+    def evaluate(z, want_grad=True):
+        """The objective at z and, if ``want_grad``, its gradient in z."""
         nonlocal evaluations, gradient_fallbacks
-        evaluations += 2  # one objective and one gradient evaluation
+        evaluations += 1 + want_grad  # an objective and, with it, a gradient evaluation
         zl, vals, lam = _decode(z)
         s1, s2 = kernel_shapes(vals[:k_shape])
-        pen = penalty(s1) if is_gtp1 else None
-        if pen is not None:
+        violation = s1 - min_x
+        if is_gtp1 and violation >= 0.0:
+            # gtp1's support (alpha, inf) misses a sample point: a penalty,
+            # whose gradient in z is d/dalpha times alpha
+            value = 1e10 * (violation + 1e-6) ** 2 + 1e6
+            if not want_grad:
+                return value
             grad = np.zeros_like(z)
-            grad[0] = pen[1] * s1
-            return pen[0], grad
+            grad[0] = 2e10 * (violation + 1e-6) * s1
+            return value, grad
         beta, theta = vals[k_shape:]
+        if not want_grad:
+            return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, plan)[0]
         val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, plan)
         # d/dz = p d/dp for the positive parameters, (1 - lam^2) d/dlam for
         # lam = tanh(z); zero where the decoding is flat (the log coordinates'
@@ -279,14 +272,14 @@ def fit(
     for z_init in starts:
         rescued = False
         try:
-            res = _optim.bfgs(fun_and_grad, z_init)
+            res = _optim.bfgs(evaluate, z_init)
             success = _success(res)
             if not success and np.all(np.isfinite(res.x)):
                 # line-search stall against a cliff or along a narrow
                 # valley: simplex rescue, then a fresh quasi-Newton pass
                 rescued = True
-                nm = _optim.nelder_mead(fun, res.x)
-                res2 = _optim.bfgs(fun_and_grad, nm.x)
+                nm = _optim.nelder_mead(lambda z: evaluate(z, False), res.x)
+                res2 = _optim.bfgs(evaluate, nm.x)
                 if res2.fun <= min(res.fun, nm.fun):
                     res, success = res2, _success(res2) or bool(nm.success)
                 elif nm.fun < res.fun:
@@ -404,30 +397,30 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
     """Existence bracket for the theta MLE with the other parameters fixed.
 
     For lam in (-1, 0) the profile score dl/dtheta changes sign on
-    [n / (-2 sum log y), n / (-sum log y)] with y_i = 1 - exp(-beta G(x_i)).
+    [n / (-2 sum log u), n / (-sum log u)] with u_i = 1 - exp(-beta G(x_i)),
+    taken from the kernels as the cdf of the theta = 1, lam = 0 member.
     """
     if not -1.0 < lam < 0.0:
         raise ValueError("the theta bracket applies only for lambda in (-1, 0)")
-    tr = make_transform(family, **dict(shape))
-    xs = _finite_sample(sample, tr.support_low)
-    y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))
-    if np.any((y <= 0.0) | (y >= 1.0)):
-        raise ValueError("all y_i = 1 - exp(-beta G(x_i)) must lie in (0, 1)")
-    s = float(np.sum(np.log(y)))
-    n = xs.size
-    return (n / (-2.0 * s), n / (-s))
+    params = ParamVector(beta=beta, theta=1.0, lam=0.0, shape=dict(shape))
+    model = model_from_params(family, params)
+    u = model.cdf(_finite_sample(sample, model.support_low))
+    if np.any((u <= 0.0) | (u >= 1.0)):
+        raise ValueError("all u_i = 1 - exp(-beta G(x_i)) must lie in (0, 1)")
+    s = float(np.sum(np.log(u)))
+    return (u.size / (-2.0 * s), u.size / (-s))
 
 
 def theta_score(sample, family: str, shape, beta: float, lam: float, theta: float):
-    """Profile score dl/dtheta with (shape, beta, lambda) held fixed."""
-    tr = make_transform(family, **dict(shape))
-    xs = _finite_sample(sample, tr.support_low)
-    y = -np.expm1(-beta * np.asarray(tr.eval(xs), dtype=float))
-    log_y = np.log(y)
-    yt = y**theta
-    n = xs.size
-    return float(
-        n / theta
-        + np.sum(log_y)
-        - 2.0 * lam * np.sum(yt * log_y / ((1.0 + lam) - 2.0 * lam * yt))
-    )
+    """Profile score dl/dtheta with (shape, beta, lambda) held fixed.
+
+    Minus the theta component of the ml objective's gradient
+    (``_kernels.objective_grad``) on the checked and sorted sample; a
+    ValueError where the log-likelihood is not finite (u_i = 0 at a point
+    among those cases).
+    """
+    params = ParamVector(beta=beta, theta=theta, lam=lam, shape=dict(shape))
+    value, _, grad = _objective_value("ml", model_from_params(family, params), sample, True)
+    if value == _BIG:
+        raise ValueError("the log-likelihood is not finite at these parameters")
+    return -float(grad[-2])

@@ -1,9 +1,10 @@
 """Goodness-of-fit statistics, p-values, and AIC-based model selection.
 
-W^2 and A^2 are the fit kernels' cvm and ad objectives (``_kernels.objective``)
-at the fitted model, on the sorted sample; a statistic refuses a sample with
-a NaN or infinite point, or one not above the support's low end, before
-any evaluation, through the objectives' own check.
+-log L, W^2 and A^2 are the fit kernels' ml, cvm and ad objectives
+(``_kernels.objective``) at the fitted model, on the sorted sample, through
+one helper; a statistic refuses a sample with a NaN or infinite point, or
+one not above the support's low end, before any evaluation, through the
+objectives' own check.
 
 The p-values use the classical asymptotic null distributions of the
 statistics, ignoring the effect of parameter estimation (as standard
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .estimation import FitError, FitResult, _finite_sample, fit, neg_log_likelihood
+from .estimation import FitError, FitResult, _finite_sample, _objective_value, fit
 from .model import GtldModel, model_from_params, param_names
 
 _KOLMOG_CUTOVER = 0.82
@@ -66,19 +66,10 @@ class GofReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _sorted_sample(sample, model: GtldModel) -> np.ndarray:
-    """The sample sorted, refused as the objectives refuse it: a point not
-    finite (ValueError) or not above the support's low end (SupportError)."""
-    return np.sort(_finite_sample(sample, model.support_low))
-
-
 def _fit_statistic(method: str, sample, model: GtldModel) -> float:
-    """The fit objective ``method`` at the model, on the sorted sample: W^2
-    for cvm, A^2 (log terms clamped at 1e-300) for ad."""
-    xs = _sorted_sample(sample, model)
-    mid = _kernels.METHOD_IDS[method]
-    args = model.kernel_args
-    return float(_kernels.objective(mid, *args, _kernels.Plan(xs, args[0], mid))[0])
+    """The fit objective ``method`` at the model, on the sorted sample: -log L
+    for ml, W^2 for cvm, A^2 (log terms clamped at 1e-300) for ad."""
+    return float(_objective_value(method, model, sample)[0])
 
 
 def _kolmogorov_sf(y: float) -> float:
@@ -107,7 +98,7 @@ def _kolmogorov_sf(y: float) -> float:
 
 def ks_statistic(sample, model: GtldModel):
     """Two-sided sup-distance D and its asymptotic p-value."""
-    F = model.cdf(_sorted_sample(sample, model))
+    F = model.cdf(np.sort(_finite_sample(sample, model.support_low)))
     n = F.size
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
@@ -243,9 +234,8 @@ def ad_statistic(sample, model: GtldModel):
 def gof_report(sample, model: GtldModel, family: str) -> GofReport:
     """Assemble the full report for a fitted model."""
     xs = np.asarray(sample, dtype=float)
-    nll = neg_log_likelihood(model.params, xs, family)
+    neg2 = 2.0 * _fit_statistic("ml", xs, model)
     k = len(param_names(family))
-    neg2 = 2.0 * nll
     return GofReport(
         neg2_loglik=neg2,
         aic=neg2 + 2.0 * k,

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .transforms import SUBFAMILY_SHAPES, InnerTransform, make_transform
+from .transforms import SUBFAMILY_SHAPES, InnerTransform, _check_positive, make_transform
 
 _V_CLIP = 1.0 - 1e-16  # clamp on v = A^(1/theta) before log1p at p -> 1
 
@@ -44,15 +44,12 @@ class ParamVector:
     shape: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        _check_positive("beta", self.beta)
+        _check_positive("theta", self.theta)
         if not -1.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [-1, 1], got {self.lam}")
         for name, val in self.shape.items():
-            if not val > 0:
-                raise ValueError(f"shape parameter {name} must be positive, got {val}")
+            _check_positive(f"shape parameter {name}", val)
         object.__setattr__(self, "shape", dict(self.shape))
 
     def as_array(self, family: str | None = None) -> np.ndarray:
@@ -76,7 +73,8 @@ class QuantileMeasures(NamedTuple):
 
 @dataclass(frozen=True)
 class GtldModel:
-    """Immutable pairing of an inner transform and a parameter vector."""
+    """Immutable pairing of an inner transform and a parameter vector, whose
+    shape values must agree (ValueError)."""
 
     transform: InnerTransform
     params: ParamVector
@@ -85,6 +83,11 @@ class GtldModel:
 
     def __post_init__(self):
         tr, p = self.transform, self.params
+        if p.shape != tr.shape_params:
+            raise ValueError(
+                f"the parameters' shapes {p.shape} differ from the transform's "
+                f"{tr.shape_params}"
+            )
         args = (tr.family_id, *tr.kernel_shapes, p.beta, p.theta, p.lam)
         object.__setattr__(self, "kernel_args", args)
 

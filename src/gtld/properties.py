@@ -182,8 +182,8 @@ def _gtw_series_value(params: ParamVector, r: int, z: float | None) -> float:
 
 def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     """E[X^r]."""
-    if r < 1:
-        raise ValueError("moment order must be >= 1")
+    if not r >= 1:  # NaN fails it
+        raise ValueError(f"moment order r must be >= 1, got {r}")
     if method == "series":
         if model.transform.name != "gtw":
             raise ValueError("series moments are implemented for 'gtw' only")
@@ -203,8 +203,8 @@ def incomplete_moment(
     model: GtldModel, r: int, z: float, method: str = "quadrature"
 ) -> float:
     """E[X^r; X <= z] = integral of x^r f(x) over (support_low, z]."""
-    if r < 1:
-        raise ValueError("moment order must be >= 1")
+    if not r >= 1:
+        raise ValueError(f"moment order r must be >= 1, got {r}")
     if z < model.support_low:
         raise ValueError("z below the support")
     if not math.isfinite(z):
@@ -224,8 +224,8 @@ def incomplete_moment(
 
 def pwm(model: GtldModel, r: int, s: int) -> float:
     """Probability weighted moment E[X^r F(X)^s]."""
-    if r < 0 or s < 0:
-        raise ValueError("pwm orders must be nonnegative")
+    if not (r >= 0 and s >= 0):
+        raise ValueError(f"pwm orders r, s must be nonnegative, got {r}, {s}")
 
     def integrand(x):
         return x**r * _cdf(model, x) ** s * _pdf(model, x)
@@ -237,6 +237,8 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
 
 def mgf(model: GtldModel, t: float) -> float:
     """Moment generating function E[e^(tX)]."""
+    if math.isnan(t):
+        raise ValueError("mgf needs an argument t, got nan")
 
     def integrand(x):
         return np.exp(t * x + model._logpdf(x))
@@ -292,6 +294,8 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     singularity: the part below the split point Q(0.75) becomes the
     integral over (0, 0.75) of f(Q(u))^(rho-1) du.
     """
+    if lower is not None and math.isnan(lower):
+        raise ValueError("the entropy integral's lower limit is nan")
     low = model.support_low
     theta = model.params.theta
     k = model.transform.edge_order
@@ -359,8 +363,8 @@ def q_entropy(model: GtldModel, q: float, lower: float | None = None) -> float:
 
 def residual_moment(model: GtldModel, n: int, t: float) -> float:
     """E[(X - t)^n | X > t]; n = 1 is the mean residual life."""
-    if n < 1:
-        raise ValueError("residual moment order must be >= 1")
+    if not n >= 1:
+        raise ValueError(f"residual moment order n must be >= 1, got {n}")
     if math.isnan(t):
         raise ValueError("residual moment needs an age t, got nan")
     s = model.survival(t)
@@ -372,17 +376,15 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
 
     what = f"residual moment n={n}"
     _screen_tail(model, what, n - 1, 1)
-    mid = _split_point(model, what)
-    if mid <= t:
-        mid = 2.0 * abs(t) + 1.0 + t
-    total = _integrate(_on_parts(integrand), [(t, mid), (mid, math.inf)])
-    return total / s
+    return _integrate_support(model, integrand, what, lower=t) / s
 
 
 def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
     """E[(t - X)^n | X <= t]; n = 1 is the mean waiting time."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    if not n >= 0:
+        raise ValueError(f"reversed residual moment order n must be >= 0, got {n}")
+    if math.isnan(t):
+        raise ValueError("reversed residual moment needs an age t, got nan")
     if n == 0:
         return 1.0
     F = model.cdf(t)
@@ -399,10 +401,10 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
     marginal cigf(m, 0) diverges on an unbounded support because F -> 1;
     it is reported as an explicit divergence, never a number.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not m >= 0:
+        raise ValueError(f"cigf order m must be >= 0, got {m}")
+    if not n >= 0:
+        raise ValueError(f"cigf order n must be >= 0, got {n}")
     if n == 0:
         raise DivergenceError(
             "cigf(m, 0) diverges: F^m tends to 1 on an unbounded support"

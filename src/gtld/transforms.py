@@ -23,6 +23,12 @@ SUBFAMILY_SHAPES: dict[str, tuple[str, ...]] = {r.name: r.shapes for r in _kerne
 SUBFAMILY_IDS = tuple(SUBFAMILY_SHAPES)
 
 
+def _check_positive(name: str, value) -> None:
+    """Refuse (ValueError) a parameter that is not a positive finite number."""
+    if not 0 < value < np.inf:  # NaN fails it too
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
+
+
 def kernel_shapes(values) -> tuple[float, float]:
     """The kernels' shape slots (s1, s2): shape values in table order, zero-padded."""
     s1, s2 = (*values, 0.0, 0.0)[:2]
@@ -82,8 +88,7 @@ def make_transform(sub_id: str, **shape: float) -> InnerTransform:
     if extra:
         raise ValueError(f"{sub_id} does not take shape parameter(s) {extra}")
     for name, val in shape.items():
-        if not val > 0:
-            raise ValueError(f"shape parameter {name} must be positive, got {val}")
+        _check_positive(f"shape parameter {name}", val)
 
     fam = _kernels.FAMILY_IDS[sub_id]
     shape = {n: float(shape[n]) for n in required}

@@ -279,6 +279,66 @@ def test_out_of_range_params_are_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("props", "--family", "gte", "--params=inf,1,0", "--moment", "1"),
+         "beta must be finite, got inf"),
+        (("props", "--family", "gte", "--params=1,inf,0", "--moment", "1"),
+         "theta must be finite, got inf"),
+        (("curves", "--family", "gtw", "--params=inf,1,1,0", "--grid", "0.1:2:3"),
+         "shape parameter alpha must be finite, got inf"),
+        (("props", "--family", "gte", "--params=nan,1,0", "--moment", "1"),
+         "beta must be positive, got nan"),
+    ],
+)
+def test_non_finite_params_are_usage_errors(capsys, argv, message):
+    # before, --params inf,1,0 reported a first moment of 0.0 and exited 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--pwm", "1.7,1"),
+        ("--pwm", "1,0.5"),
+        ("--incomplete-moment", "1.5,2.0"),
+        ("--residual", "1.9,0.5"),
+        ("--reversed-residual", "2.0,0.5"),
+    ],
+)
+def test_non_integer_orders_are_usage_errors(capsys, option, value):
+    # before, the orders were truncated: --pwm 1.7,1 reported pwm(1, 1)
+    # under the key "pwm_1.7,1"
+    code, out, err = run_cli(
+        capsys, "props", "--family", "gte", "--params", "1,1,0", option, value
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: cannot parse {option} value {value!r} (its orders are integers)\n"
+    )
+
+
+def test_curves_where_the_survival_underflows_is_exit_1(capsys, tmp_path):
+    # the hazard is undefined where S underflows to 0: an error line and
+    # no CSV, not a traceback
+    out_file = tmp_path / "curves.csv"
+    code, out, err = run_cli(
+        capsys,
+        "curves", "--family", "gtwe",
+        "--params", "1.05734468394833,0.107320592608552,3.63140679314774,0.668491021012012",
+        "--grid", "0.01:10:200", "--out", str(out_file),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: survival underflowed to 0; hazard undefined\n"
+    assert not out_file.exists()
+
+
 class TestSimulate:
     def test_tiny_study(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.cfg"

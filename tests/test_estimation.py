@@ -454,6 +454,39 @@ class TestThetaBracket:
         lo, hi = mle_theta_bracket(xs, "gte", {}, 1.0, -0.5)
         assert (lo, hi) == pytest.approx((0.5, 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda xs: mle_theta_bracket(xs, "gte", {}, 0.5, -0.5),
+            lambda xs: theta_score(xs, "gte", {}, 0.5, -0.5, 1.0),
+        ],
+        ids=["mle_theta_bracket", "theta_score"],
+    )
+    def test_a_point_with_u_zero_is_refused(self, call):
+        # beta * x rounds to 0 at x = 5e-324, so u = 1 - exp(-beta x) = 0
+        # there; theta_score returned nan with two RuntimeWarnings
+        xs = np.array([5e-324, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                call(xs)
+
+    def test_score_is_the_ml_gradient(self):
+        # minus the theta component of the ml objective's gradient, and close
+        # to the written-out score n/theta + sum log u - 2 lam sum(...)
+        shape, beta, lam, theta = {"alpha": 1.7}, 1.3, -0.4, 0.9
+        xs = make_model("gtw", beta=beta, theta=theta, lam=lam, **shape).sample(150, seed=3)
+        u = -np.expm1(-beta * xs ** shape["alpha"])
+        ut = u**theta
+        written = (
+            xs.size / theta
+            + np.sum(np.log(u))
+            - 2.0 * lam * np.sum(ut * np.log(u) / ((1.0 + lam) - 2.0 * lam * ut))
+        )
+        assert theta_score(xs, "gtw", shape, beta, lam, theta) == pytest.approx(
+            written, rel=1e-12, abs=1e-10
+        )
+
     def test_lambda_domain_enforced(self):
         with pytest.raises(ValueError):
             mle_theta_bracket(np.array([1.0, 2.0]), "gte", {}, 1.0, 0.5)

@@ -123,11 +123,7 @@ class Composition:
             return (x - t) ** n * model.pdf(x)
 
         properties._screen_tail(model, f"residual moment n={n}", n - 1, 1)
-        mid = model.quantile(0.75)
-        if mid <= t:
-            mid = 2.0 * abs(t) + 1.0 + t
-        total = self._integrate(integrand, t, mid) + self._integrate(integrand, mid, math.inf)
-        return total / s
+        return self._integrate_support(model, integrand, lower=t) / s
 
     def reversed_residual_moment(self, model, n, t):
         val = self._integrate(lambda x: (t - x) ** n * model.pdf(x), model.support_low, t)

@@ -18,6 +18,7 @@ from gtld.model import (
 )
 
 from gtld.properties import raw_moment
+from gtld.transforms import make_transform
 
 from conftest import random_params
 
@@ -39,6 +40,36 @@ class TestParamVector:
         assert param_names("gtw") == ("alpha", "beta", "theta", "lambda")
         assert param_names("gte") == ("beta", "theta", "lambda")
         assert param_names("gtmw") == ("alpha", "gamma", "beta", "theta", "lambda")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: ParamVector(beta=v, theta=1.0, lam=0.0), "beta must be"),
+            (lambda v: ParamVector(beta=1.0, theta=v, lam=0.0), "theta must be"),
+            (lambda v: ParamVector(beta=1.0, theta=1.0, lam=0.0, shape={"alpha": v}),
+             "shape parameter alpha must be"),
+            (lambda v: make_transform("gtw", alpha=v), "shape parameter alpha must be"),
+            (lambda v: make_model("gte", beta=v, theta=1.0, lam=0.0), "beta must be"),
+        ],
+        ids=["beta", "theta", "shape", "make_transform", "make_model"],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_values_refused(self, build, message, value):
+        # before, inf passed the check "> 0": make_model("gte", beta=inf,
+        # theta=1, lam=0).sample(3, seed=1) gave zeros, points fit refuses
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+    def test_model_refuses_shapes_that_differ_from_its_transform(self):
+        # the quadrature mean would take alpha = 2 from the transform and the
+        # gtw series mean alpha = 3 from the parameters
+        p = ParamVector(beta=1.0, theta=1.0, lam=0.0, shape={"alpha": 3.0})
+        with pytest.raises(ValueError, match="differ from the transform's"):
+            GtldModel(make_transform("gtw", alpha=2.0), p)
+        with pytest.raises(ValueError, match="differ from the transform's"):
+            GtldModel(make_transform("gte"), p)
+        m = GtldModel(make_transform("gtw", alpha=3), p)  # 3 == 3.0
+        assert m.kernel_args[1] == 3.0
 
     def test_boundary_lambda_allowed(self):
         ParamVector(beta=1.0, theta=1.0, lam=1.0, shape={})

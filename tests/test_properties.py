@@ -354,6 +354,43 @@ class TestSupportRefusal:
 
 
 @pytest.mark.usefixtures("no_quadrature")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: properties.raw_moment(m, math.nan), "moment order r must be >= 1, got nan"),
+        (lambda m: properties.incomplete_moment(m, math.nan, 1.0),
+         "moment order r must be >= 1, got nan"),
+        (lambda m: properties.incomplete_moment(m, 1, math.nan), "needs a finite z, got nan"),
+        (lambda m: properties.pwm(m, math.nan, 1), r"pwm orders r, s must be nonnegative, got nan, 1"),
+        (lambda m: properties.pwm(m, 1, math.nan), r"pwm orders r, s must be nonnegative, got 1, nan"),
+        (lambda m: properties.mgf(m, math.nan), "mgf needs an argument t, got nan"),
+        (lambda m: properties.renyi_entropy(m, 2.0, lower=math.nan),
+         "the entropy integral's lower limit is nan"),
+        (lambda m: properties.q_entropy(m, 2.0, lower=math.nan),
+         "the entropy integral's lower limit is nan"),
+        (lambda m: properties.residual_moment(m, math.nan, 1.0),
+         "residual moment order n must be >= 1, got nan"),
+        (lambda m: properties.reversed_residual_moment(m, math.nan, 1.0),
+         "reversed residual moment order n must be >= 0, got nan"),
+        (lambda m: properties.reversed_residual_moment(m, 1, math.nan),
+         "reversed residual moment needs an age t, got nan"),
+        (lambda m: properties.cigf(m, math.nan, 1.0), "cigf order m must be >= 0, got nan"),
+        (lambda m: properties.cigf(m, 1.0, math.nan), "cigf order n must be >= 0, got nan"),
+    ],
+    ids=["raw_moment", "incomplete_moment-r", "incomplete_moment-z", "pwm-r", "pwm-s", "mgf",
+         "renyi-lower", "q_entropy-lower", "residual-n", "reversed_residual-n",
+         "reversed_residual-t", "cigf-m", "cigf-n"],
+)
+def test_nan_orders_and_arguments_refused(call, message):
+    # NaN passed the checks written as r < 1, s < 0 or m < 0, and raw_moment,
+    # mgf and cigf then raised QuadratureError on a non-finite integrand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            call(exp_model())
+
+
+@pytest.mark.usefixtures("no_quadrature")
 class TestQuantilePastTheFloatRange:
     """A split property whose split point Q(0.75) lies past the float range
     is refused, naming the property, before any integrand call; in gtw with
