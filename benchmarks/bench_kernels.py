@@ -20,7 +20,11 @@ Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
 (value and value-and-gradient calls), and the us per evaluation spent
 outside the kernel, in ``fit``'s wrappers and the optimizer: the fits are
-timed once more with the kernels handing back their recorded results.
+timed once more with the kernel handing back its recorded results.  The
+kernel is ``_kernels._objective``, the core that ``fit`` calls under its
+one errstate; the script exits non-zero if the fits make no call to it, or
+if the replayed fits do not make the recorded calls, as when ``fit`` has
+moved to another entry and the replay would time whole fits.
 
 Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 """
@@ -97,37 +101,43 @@ def integrand_calls(fn, *args):
 
 
 def replaying_kernels(fits):
-    """Run ``fits`` once, recording every kernel result, and return a
-    context in which the kernels hand those results back in order: fits run
-    there cost only what lies outside the kernel."""
+    """Run ``fits`` once, recording every result of the kernel core that
+    ``fit`` calls, and return a context in which the core hands those
+    results back in order: fits run there cost only what lies outside the
+    kernel.  Exits if the fits call the core not at all, or not as often
+    as they did when recorded."""
     results = []
-    originals = _kernels.objective, _kernels.objective_grad
+    core = _kernels._objective
 
-    def recording(fn):
-        def rec(*args):
-            results.append(fn(*args))
-            return results[-1]
+    def recording(*args):
+        results.append(core(*args))
+        return results[-1]
 
-        return rec
-
-    _kernels.objective, _kernels.objective_grad = map(recording, originals)
+    _kernels._objective = recording
     try:
         fits()
     finally:
-        _kernels.objective, _kernels.objective_grad = originals
+        _kernels._objective = core
+    if not results:
+        sys.exit("bench_kernels: the fits made no call to _kernels._objective")
 
     @contextlib.contextmanager
     def replaying():
         it = iter(results)
+        calls = 0
 
         def replay(*args):
+            nonlocal calls
+            calls += 1
             return next(it)
 
-        _kernels.objective = _kernels.objective_grad = replay
+        _kernels._objective = replay
         try:
             yield len(results)
         finally:
-            _kernels.objective, _kernels.objective_grad = originals
+            _kernels._objective = core
+        if calls != len(results):
+            sys.exit(f"bench_kernels: the replay served {calls} of {len(results)} kernel calls")
 
     return replaying
 

@@ -12,6 +12,15 @@ quadrature nodes; points from outside take one way in, ``_at_points``
 a Python float), through which the model's cdf, survival, logpdf and pdf
 and the transform's G and G' run.
 
+Who holds the errstate: the cores (the three above, ``_g_parts``,
+``_g_inverse`` and the objectives' ``_objective``) rely on their caller;
+``_at_points``, ``objective`` and ``objective_grad`` each hold their own
+for outside callers; and a fit holds one around all its starts and calls
+``_objective`` directly, so an evaluation enters none.  Every errstate
+gtld enters ignores underflow, which the formulas take as the right limit
+(e^(-a) = 0 in ``_log_u`` among them), so no result depends on the
+caller's underflow setting.
+
 This module alone numbers the families and the methods, by their positions
 in ``_FAMILIES`` and ``METHOD_IDS``:
 
@@ -140,7 +149,7 @@ class Plan:
         self.lx = self.target = self.w = self.w_rev = self.ww = None
         if (_LOG_X_ML if method == 0 else _LOG_X)[fam]:
             # x <= 0 (outside the support) gives -inf or NaN, as G does
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
                 self.lx = np.log(xs)
         if method == 0:
             return
@@ -354,7 +363,7 @@ def _gtmw_inverse(y, alpha: float, gamma: float) -> np.ndarray:
     only where log y > 0, is right of the root or one short step left of it.
     """
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         ly = np.log(np.atleast_1d(y))
         z = np.minimum(ly / alpha, np.where(ly > 0.0, np.log(ly / gamma), np.inf))
     idx = np.flatnonzero(np.isfinite(z))  # y = 0 gives x = 0, y = inf gives inf
@@ -426,11 +435,14 @@ def _at_points(x, fn, *args):
     need; a scalar x gives a Python float.  The one way in from outside
     for points: a scalar runs as a one-element array, whose bytes it keeps."""
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         out = fn(*args, xv)
     return out if np.ndim(x) else float(out[0])
 
 
+# objective and objective_grad hold the errstate _objective relies on; as a
+# decorator it is built once, and entering it costs half a with-statement's
+@np.errstate(all="ignore")
 def objective(method, fam, s1, s2, beta, theta, lam, plan):
     """Evaluate one fitting objective on the sample of ``plan``.
 
@@ -441,18 +453,20 @@ def objective(method, fam, s1, s2, beta, theta, lam, plan):
     return _objective(method, fam, s1, s2, beta, theta, lam, plan, False)[:2]
 
 
+@np.errstate(all="ignore")
 def objective_grad(method, fam, s1, s2, beta, theta, lam, plan):
     """``objective`` plus its exact gradient.
 
     Returns (value, clamp_count, grad): value and clamp count are those of
-    ``objective``; grad is d value / d (shapes..., beta, theta, lam).  Terms
-    held at the log clamp (ad, rtad) contribute no derivative, and where
-    the value is replaced by the large constant the gradient is zero.
+    ``objective``; grad is d value / d (shapes..., beta, theta, lam), an
+    array.  Terms held at the log clamp (ad, rtad) contribute no
+    derivative, and where the value is replaced by the large constant the
+    gradient is zero.
     """
-    return _objective(method, fam, s1, s2, beta, theta, lam, plan, True)
+    value, clamps, grad = _objective(method, fam, s1, s2, beta, theta, lam, plan, True)
+    return value, clamps, np.array(grad)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     """The six objectives, and on request their gradients, from shared pieces.
 
@@ -557,7 +571,7 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
                 t *= plan.w
                 value = n / 2.0 - 2.0 * F.sum() - t.sum() / n
     if not math.isfinite(value):
-        return _BIG, clamps, np.zeros(k + 3) if want_grad else None
+        return _BIG, clamps, [0.0] * (k + 3) if want_grad else None
     if not want_grad:
         return value, clamps, None
 
@@ -583,7 +597,7 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
         g[k] += (n - s[k + 2]) / beta
         g[k + 1] += (n + s[k + 3]) / theta
         g.append(s[k + 4])
-        return value, clamps, np.array([-gj for gj in g])
+        return value, clamps, [-gj for gj in g]
     dF_dL = np.multiply(lam2_, v)
     np.subtract(lam1_, dF_dL, out=dF_dL)
     dF_dL *= theta_
@@ -609,7 +623,6 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
             q /= n_
             q -= _TWO
     dF_dL *= q
-    grad = np.empty(k + 3)
-    grad[:-1] = chain @ dF_dL
-    grad[-1] = q @ dF_dlam
+    grad = (chain @ dF_dL).tolist()
+    grad.append(float(q @ dF_dlam))
     return value, clamps, grad

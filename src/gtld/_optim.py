@@ -20,6 +20,13 @@ Each method is a core, which evaluates nothing, and a driver.  The cores,
 point whose (f, gradient), or f, they need, are sent it, and return an
 ``OptimResult``, as MINPACK-2's dcsrch asks its caller for phi and its
 slope.  ``bfgs`` and ``nelder_mead`` each run one through ``_drive``.
+``bfgs`` hands an objective wrapped in ``OnLists`` the list of floats its
+core yields, where any other objective gets a fresh array.
+
+Cores and drivers run under their caller's errstate (a fit holds one
+around all its starts).  ``_dcstep``, ``_cubicmin`` and ``_quadmin`` hold
+their own, as SciPy's do, and each also ignores underflow, so that no
+result depends on the caller's underflow setting.
 
 What SciPy computes with NumPy and the port computes with fewer NumPy
 calls is the bookkeeping whose result does not depend on how it is
@@ -154,21 +161,45 @@ def _drive(steps, evaluate):
         value = evaluate(point)
 
 
+class OnLists:
+    """An objective ``fn`` that takes its point as a list of floats.
+
+    ``bfgs`` calls ``fn`` on the list its core yields, with no array built
+    in between; ``fn`` must not change it.  Called itself, on an array (as
+    SciPy's minimizers or ``nelder_mead`` call an objective), it hands
+    ``fn`` the array's list.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        return self.fn(x.tolist())
+
+
 def bfgs(fun_and_grad, x0) -> OptimResult:
     """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient), a
     float and a 1-d array, which are taken as they are.
 
-    ``fun_and_grad`` is called once per distinct point, on a fresh array.
-    Points are compared as lists of floats, which is how np.array_equal
-    compares them: -0.0 == 0.0, and a NaN is never equal, so a NaN point is
-    evaluated again.
+    ``fun_and_grad`` is called once per distinct point, on a fresh array,
+    or, wrapped in ``OnLists``, on a fresh list of floats.  Points are
+    compared as lists of floats, which is how np.array_equal compares them:
+    -0.0 == 0.0, and a NaN is never equal, so a NaN point is evaluated
+    again.
     """
     last = value = None
+    if isinstance(fun_and_grad, OnLists):
+        on_list = fun_and_grad.fn
+    else:
+        def on_list(xl):
+            return fun_and_grad(np.array(xl, dtype=float))
 
     def evaluate(xl):
         nonlocal last, value
         if xl != last:
-            last, value = xl, fun_and_grad(np.array(xl, dtype=float))
+            last, value = xl, on_list(xl)
         return value
 
     return _drive(bfgs_steps(x0), evaluate)
@@ -352,7 +383,7 @@ def _dcsrch(line, stp, finit, ginit):
     return None
 
 
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(invalid="ignore", over="ignore", under="ignore")
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     """Safeguarded step and updated interval (MINPACK-2 dcstep)."""
     # np.sign(dp) * np.sign(dx) < 0, NaN and zero slopes included
@@ -490,7 +521,7 @@ def _line_search_wolfe2(line, phi0, old_phi0, derphi0):
 def _cubicmin(a, fa, fpa, b, fb, c, fc):
     """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
     fpa at a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         try:
             C = fpa
             db = b - a
@@ -516,7 +547,7 @@ def _cubicmin(a, fa, fpa, b, fb, c, fc):
 def _quadmin(a, fa, fpa, b, fb):
     """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
     at a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         try:
             D = fa
             C = fpa

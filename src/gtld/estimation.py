@@ -15,10 +15,17 @@ takes the plan: BFGS's values and gradients and the Nelder-Mead rescue's
 values through one function of the optimizer coordinates, and the final
 clamp count of ad and rtad, the only objectives with clamped terms.  The
 standard errors build an ml plan for their Hessian, and the theta helpers
-take u and the theta score from the kernels as well.  Around each kernel
-call a fit does as little as it can: one exp of the log coordinates
-(skipping their clip when none leaves it), the chain rule on Python
-floats, and one array for the gradient.
+take u and the theta score from the kernels as well.
+
+A fit holds one ``np.errstate`` (divide, invalid, over and under ignored)
+around all its starts, the Nelder-Mead rescue and the clamp count, and
+its evaluations call the kernels' core ``_kernels._objective`` directly,
+under that errstate; the standard errors do the same for their Hessian.
+The public objective functions below go through ``_kernels.objective``
+and ``objective_grad``, which hold their own.  Around each kernel call a
+fit does as little as it can: one exp of the log coordinates (skipping
+their clip when none leaves it), the chain rule on the Python floats the
+kernel hands back, and one array for the gradient.
 """
 
 from __future__ import annotations
@@ -61,20 +68,19 @@ class FitResult:
     gradient_fallbacks: int = 0
 
 
-def _decode(z):
-    """Optimizer coordinates -> (z as a list, [shape values..., beta, theta],
-    lam).
+def _decode(zl):
+    """Optimizer coordinates, a list of floats -> ([shape values..., beta,
+    theta], lam).
 
     The log coordinates are clipped to +-700 so exp neither overflows nor
     underflows to 0: every z decodes to a valid parameter vector.  Inside
     that range the clip is skipped: it changes nothing there, and a NaN
     passes it unchanged.
     """
-    zl = z.tolist()
-    logs = z[:-1]
-    if not (min(zl[:-1]) >= -700.0 and max(zl[:-1]) <= 700.0):
+    logs = zl[:-1]
+    if not (min(logs) >= -700.0 and max(logs) <= 700.0):
         logs = np.minimum(np.maximum(logs, -700.0), 700.0)
-    return zl, np.exp(logs).tolist(), math.tanh(zl[-1])
+    return np.exp(logs).tolist(), math.tanh(zl[-1])
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class TransformedParams:
 
     def to_params(self) -> ParamVector:
         names = SUBFAMILY_SHAPES[self.family]
-        _, vals, lam = _decode(self.z)
+        vals, lam = _decode(self.z.tolist())
         k = len(names)
         return ParamVector(beta=vals[k], theta=vals[k + 1], lam=lam, shape=dict(zip(names, vals)))
 
@@ -185,10 +191,10 @@ def fit(
 ) -> FitResult:
     """Minimize the chosen objective with multi-start BFGS.
 
-    BFGS gets the objective's exact gradient from ``_kernels.objective_grad``,
-    chained through the log/atanh coordinates.  The best converged start
-    wins; if nothing converges the best effort is returned with
-    ``converged=False``.  Deterministic for fixed inputs.
+    BFGS gets the objective's exact gradient from the kernels' core
+    ``_kernels._objective``, chained through the log/atanh coordinates.
+    The best converged start wins; if nothing converges the best effort is
+    returned with ``converged=False``.  Deterministic for fixed inputs.
     """
     method = method.lower()
     if method not in METHODS:
@@ -212,11 +218,12 @@ def fit(
     # objective plus gradient evaluations, and overflowing gradients
     evaluations = gradient_fallbacks = 0
 
-    def evaluate(z, want_grad=True):
-        """The objective at z and, if ``want_grad``, its gradient in z."""
+    def evaluate(zl, want_grad=True):
+        """The objective at zl, a list of floats, and, if ``want_grad``, its
+        gradient in z; under the fit's errstate."""
         nonlocal evaluations, gradient_fallbacks
         evaluations += 1 + want_grad  # an objective and, with it, a gradient evaluation
-        zl, vals, lam = _decode(z)
+        vals, lam = _decode(zl)
         s1, s2 = kernel_shapes(vals[:k_shape])
         violation = s1 - min_x
         if is_gtp1 and violation >= 0.0:
@@ -225,18 +232,17 @@ def fit(
             value = 1e10 * (violation + 1e-6) ** 2 + 1e6
             if not want_grad:
                 return value
-            grad = np.zeros_like(z)
+            grad = np.zeros(len(zl))
             grad[0] = 2e10 * (violation + 1e-6) * s1
             return value, grad
         beta, theta = vals[k_shape:]
+        val, _, gl = _kernels._objective(mid, fam, s1, s2, beta, theta, lam, plan, want_grad)
         if not want_grad:
-            return _kernels.objective(mid, fam, s1, s2, beta, theta, lam, plan)[0]
-        val, _, grad = _kernels.objective_grad(mid, fam, s1, s2, beta, theta, lam, plan)
+            return val
         # d/dz = p d/dp for the positive parameters, (1 - lam^2) d/dlam for
         # lam = tanh(z); zero where the decoding is flat (the log coordinates'
         # clip, |lam| = 1 in floating point), however large d/dp is.  Each
         # product is one correctly rounded multiplication, as in NumPy.
-        gl = grad.tolist()
         out = [
             g * d if d > 0.0 and abs(zj) < 700.0 else 0.0
             for g, d, zj in zip(gl, vals, zl)
@@ -246,7 +252,7 @@ def fit(
         if not all(map(math.isfinite, out)):
             # an overflowing derivative: treated like a non-finite value
             gradient_fallbacks += 1
-            return _BIG, np.zeros_like(z)
+            return _BIG, np.zeros(len(zl))
         return val, np.array(out)
 
     start0 = init if init is not None else default_init(xs, family)
@@ -268,45 +274,49 @@ def fit(
             )
         )
 
+    fun_and_grad = _optim.OnLists(evaluate)  # BFGS hands evaluate its lists
     best = None
-    for z_init in starts:
-        rescued = False
-        try:
-            res = _optim.bfgs(evaluate, z_init)
-            success = _success(res)
-            if not success and np.all(np.isfinite(res.x)):
-                # line-search stall against a cliff or along a narrow
-                # valley: simplex rescue, then a fresh quasi-Newton pass
-                rescued = True
-                nm = _optim.nelder_mead(lambda z: evaluate(z, False), res.x)
-                res2 = _optim.bfgs(evaluate, nm.x)
-                if res2.fun <= min(res.fun, nm.fun):
-                    res, success = res2, _success(res2) or bool(nm.success)
-                elif nm.fun < res.fun:
-                    res, success = nm, bool(nm.success)
-        except (FloatingPointError, OverflowError):
-            continue
-        if not np.all(np.isfinite(res.x)):
-            continue
-        # a run that ends on the non-finite sentinel has not converged
-        cand = (success and float(res.fun) < _BIG, float(res.fun), res, rescued)
-        if best is None:
-            best = cand
-        else:
-            # prefer converged starts; among equals, the lower objective
-            if (cand[0], -cand[1]) > (best[0], -best[1]):
+    # one errstate for every evaluation of every start: the kernel's core
+    # relies on it, and the optimizer's bookkeeping runs in it too
+    with np.errstate(all="ignore"):
+        for z_init in starts:
+            rescued = False
+            try:
+                res = _optim.bfgs(fun_and_grad, z_init)
+                success = _success(res)
+                if not success and np.all(np.isfinite(res.x)):
+                    # line-search stall against a cliff or along a narrow
+                    # valley: simplex rescue, then a fresh quasi-Newton pass
+                    rescued = True
+                    nm = _optim.nelder_mead(lambda z: evaluate(z.tolist(), False), res.x)
+                    res2 = _optim.bfgs(fun_and_grad, nm.x)
+                    if res2.fun <= min(res.fun, nm.fun):
+                        res, success = res2, _success(res2) or bool(nm.success)
+                    elif nm.fun < res.fun:
+                        res, success = nm, bool(nm.success)
+            except OverflowError:  # Python float arithmetic; NumPy's is silenced above
+                continue
+            if not np.all(np.isfinite(res.x)):
+                continue
+            # a run that ends on the non-finite sentinel has not converged
+            cand = (success and float(res.fun) < _BIG, float(res.fun), res, rescued)
+            if best is None:
                 best = cand
-    if best is None:
-        raise FitError(f"all {len(starts)} starts failed for {family}/{method}")
+            else:
+                # prefer converged starts; among equals, the lower objective
+                if (cand[0], -cand[1]) > (best[0], -best[1]):
+                    best = cand
+        if best is None:
+            raise FitError(f"all {len(starts)} starts failed for {family}/{method}")
 
-    converged, value, res, rescued = best
-    estimates = TransformedParams(family=family, z=np.asarray(res.x, dtype=float)).to_params()
-    clamps = 0
-    if method in ("ad", "rtad"):  # the only objectives with clamped terms
-        e = estimates
-        clamps = _kernels.objective(
-            mid, fam, *kernel_shapes(e.shape.values()), e.beta, e.theta, e.lam, plan
-        )[1]
+        converged, value, res, rescued = best
+        estimates = TransformedParams(family=family, z=np.asarray(res.x, dtype=float)).to_params()
+        clamps = 0
+        if method in ("ad", "rtad"):  # the only objectives with clamped terms
+            e = estimates
+            clamps = _kernels._objective(
+                mid, fam, *kernel_shapes(e.shape.values()), e.beta, e.theta, e.lam, plan, False
+            )[1]
 
     std_errors = None
     if method == "ml" and converged:
@@ -355,13 +365,14 @@ def _standard_errors(params: ParamVector, xs, family: str):
 
     def grad_at(vec):
         s1, s2 = kernel_shapes(vec[:k])
-        val, _, grad = _kernels.objective_grad(0, fam, s1, s2, *vec[k:], plan)
-        return grad if val != _BIG else None
+        val, _, grad = _kernels._objective(0, fam, s1, s2, *vec[k:], plan, True)
+        return np.array(grad) if val != _BIG else None
 
     h = 1e-5 * np.maximum(np.abs(v0), 1.0)
     H = np.empty((d, d))
-    # a quotient past the float range leaves H non-finite, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one errstate for the kernel's core at every step; a quotient past the
+    # float range leaves H non-finite, refused below
+    with np.errstate(all="ignore"):
         for i in range(d):
             up, down = v0.copy(), v0.copy()
             if v0[i] + h[i] <= high[i]:

@@ -113,13 +113,16 @@ def _exp_k_quarter(a: np.ndarray) -> np.ndarray:
     and the trapezoid rule converges spectrally on it: the integrand is
     entire and decays double-exponentially.  Near t = 0 it is a Gaussian
     of width 1/sqrt(a), so the step is 0.6/sqrt(a), capped at 0.25; the
-    nodes run out to where the integrand has fallen below e^-40.
+    nodes run out to where the integrand has fallen below e^-40 (for the
+    largest step; the other rows' terms past their own end underflow to 0,
+    which is their limit).
     """
     h = np.minimum(0.25, 0.6 / np.sqrt(a))
     t_end = 2.0 * np.arcsinh(np.sqrt(20.0 / a))
     t = np.arange(int(np.max(t_end / h)) + 2) * h[:, None]
-    f = np.exp(-2.0 * a[:, None] * np.sinh(0.5 * t) ** 2) * np.cosh(0.25 * t)
-    return np.exp(-2.0 * a) * h * (f.sum(axis=1) - 0.5 * f[:, 0])
+    with np.errstate(under="ignore"):
+        f = np.exp(-2.0 * a[:, None] * np.sinh(0.5 * t) ** 2) * np.cosh(0.25 * t)
+        return np.exp(-2.0 * a) * h * (f.sum(axis=1) - 0.5 * f[:, 0])
 
 
 def _cvm_limit_cdf(x: float) -> float:

@@ -167,7 +167,7 @@ class GtldModel:
         on a float array of levels; inf where Q lies past the float range."""
         par = self.params
         lam = par.lam
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
             disc = np.sqrt(np.maximum((1.0 + lam) ** 2 - 4.0 * p * lam, 0.0))
             A = 2.0 * p / ((1.0 + lam) + disc)
             y = np.minimum(A ** (1.0 / par.theta), _V_CLIP)

@@ -112,8 +112,11 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     where t = 0 and n*kappa > e + 1, and for every t < 0.  Elsewhere
     S = e^(-m*beta*c*x^p*(1 + o(1))) outruns every power of x, and only
     t > 0 can make it diverge: where p < 1, and where p = 1 and
-    t >= n*m*beta*c.
+    t >= n*m*beta*c.  t = inf diverges for every family: e^(t*x) is inf on
+    the whole support.
     """
+    if t == math.inf:
+        raise DivergenceError(f"{what}: e^(t*x) is infinite on the whole support")
     par = model.params
     p, c = _kernels._FAMILIES[model.transform.family_id].tail(model.transform.kernel_shapes[0])
     rate = (2.0 if par.lam == 1.0 else 1.0) * par.beta * c
@@ -272,12 +275,13 @@ def order_stat_pdf(model: GtldModel, n: int, r: int, x) -> float:
     S = np.asarray(model.survival(x), dtype=float)
     f = np.asarray(model.pdf(x), dtype=float)
     log_w = -log_b
-    with np.errstate(divide="ignore"):  # log 0 = -inf, a weight of 0
+    # log 0 = -inf, a weight of 0; a weight below the float range is 0 too
+    with np.errstate(divide="ignore", under="ignore"):
         if r > 1:
             log_w = log_w + (r - 1) * np.log(F)
         if n > r:
             log_w = log_w + (n - r) * np.log(S)
-    out = f * np.exp(log_w)
+        out = f * np.exp(log_w)
     return out if np.ndim(x) else float(out)
 
 

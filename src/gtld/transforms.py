@@ -70,7 +70,7 @@ class InnerTransform:
     def inverse(self, y):
         """x with G(x) = y, from the kernels' ``_g_inverse``; inf past the float range."""
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
             return _kernels._g_inverse(self.family_id, *self.kernel_shapes, y)
 
 
@@ -125,7 +125,7 @@ def closed_form_cdf(sub_id: str, params, x):
     elif sub_id == "gtmw":
         u = -np.expm1(-b * x ** sh["alpha"] * np.exp(sh["gamma"] * x))
     elif sub_id == "gtwe":
-        with np.errstate(over="ignore"):  # G = inf is the right limit
+        with np.errstate(over="ignore", under="ignore"):  # G = inf is the right limit
             u = -np.expm1(-b * np.expm1(x ** sh["alpha"]))
     elif sub_id == "gtb12":
         u = 1.0 - (1.0 + x ** sh["alpha"]) ** (-b)

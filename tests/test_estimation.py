@@ -11,6 +11,7 @@ from gtld._kernels import FAMILY_IDS, METHOD_IDS
 from gtld.datasets import get_dataset, load_values
 from gtld.estimation import (
     METHODS,
+    FitError,
     TransformedParams,
     ad_objective,
     cvm_objective,
@@ -20,11 +21,13 @@ from gtld.estimation import (
     neg_log_likelihood,
     ols_objective,
     rtad_objective,
+    standard_errors,
     standard_errors_from_params,
     theta_score,
     wls_objective,
 )
-from gtld.model import ParamVector, make_model, model_from_params
+from gtld.gof import gof_report
+from gtld.model import ParamVector, SupportError, make_model, model_from_params
 from gtld.transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES, kernel_shapes
 
 from conftest import random_params
@@ -329,13 +332,13 @@ class TestFitDiagnostics:
     def test_clean_truth_start_fit(self, monkeypatch):
         xs = model_from_params("gtwe", self.TRUTH).sample(200, seed=31)
         calls = []
-        kernel = _kernels.objective_grad
+        kernel = _kernels._objective  # the core that fit calls
 
         def counted(*args):
             calls.append(args[0])
             return kernel(*args)
 
-        monkeypatch.setattr(_kernels, "objective_grad", counted)
+        monkeypatch.setattr(_kernels, "_objective", counted)
         res = fit(xs, "gtwe", method="wls", init=self.TRUTH, n_starts=1)
         assert res.converged and not res.rescued
         # one objective and one gradient evaluation per BFGS call
@@ -375,6 +378,83 @@ class TestFitDiagnostics:
         one = fit(xs, "gtwe", method="cvm", init=self.TRUTH, n_starts=1)
         three = fit(xs, "gtwe", method="cvm", init=self.TRUTH, n_starts=3)
         assert three.evaluations > one.evaluations
+
+
+def _bits(value):
+    """The bytes of a float or float array, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestErrstate:
+    """A fit holds one errstate around all its work, and every errstate gtld
+    enters ignores underflow: no result depends on the caller's underflow
+    setting, and the caller's errstate comes back unchanged."""
+
+    TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
+    # at x = 3, a = beta*G = 3*(e^(3^2.5) - 1) is about 1.8e7 and e^-a underflows
+    XS = np.array([0.01, 0.2, 0.5, 0.9, 1.3, 2.0, 3.0])
+    # a non-default errstate in every category
+    CALLER = dict(divide="ignore", over="raise", under="raise", invalid="print")
+
+    def test_fit_is_the_same_where_underflow_raises(self):
+        # the gauge/gtwe ml fit's starts once each raised FloatingPointError
+        # at e^-a in log u, so that all five failed
+        xs = load_values("gauge")
+        want = repr(fit(xs, "gtwe"))
+        with np.errstate(under="raise"):
+            assert repr(fit(xs, "gtwe")) == want
+
+    def test_point_functions_are_the_same_where_underflow_raises(self):
+        m = model_from_params("gtwe", self.TRUTH)
+        fns = (m.cdf, m.survival, m.pdf, m.logpdf)
+        want = [_bits(fn(self.XS)) for fn in fns] + [_bits(fn(3.0)) for fn in fns]
+        with np.errstate(under="raise"):
+            got = [_bits(fn(self.XS)) for fn in fns] + [_bits(fn(3.0)) for fn in fns]
+        assert got == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_objectives_are_the_same_where_underflow_raises(self, method):
+        mid = METHOD_IDS[method]
+        plan = _kernels.Plan(self.XS, FAMILY_IDS["gtwe"], mid)
+        args = (mid, FAMILY_IDS["gtwe"], 2.5, 0.0, 3.0, 0.5, 0.2, plan)
+
+        def results():
+            value, clamps = _kernels.objective(*args)
+            value_g, clamps_g, grad = _kernels.objective_grad(*args)
+            public = OBJECTIVE_FNS[method](self.TRUTH, self.XS, "gtwe")
+            return [_bits(value), clamps, _bits(value_g), clamps_g, _bits(grad), _bits(public)]
+
+        want = results()
+        with np.errstate(under="raise"):
+            assert results() == want
+
+    def test_callers_errstate_comes_back(self):
+        xs = load_values("gauge")
+        bad = np.r_[xs[:5], -1.0]
+        with np.errstate(**self.CALLER):
+            caller = np.geterr()
+            res = fit(xs, "gtw")
+            assert np.geterr() == caller
+            model = model_from_params("gtw", res.estimates)
+            steps = [
+                lambda: standard_errors(res, xs, "gtw"),
+                lambda: gof_report(xs, model, "gtw"),
+            ]
+            for step in steps:
+                step()
+                assert np.geterr() == caller
+            raising = [
+                # the one start's first evaluation overflows in gtp1's penalty
+                (FitError, lambda: fit(xs, "gtp1", n_starts=1, init=ParamVector(
+                    beta=1.0, theta=1.0, lam=0.0, shape={"alpha": 1e200}))),
+                (SupportError, lambda: fit(bad, "gtw")),
+                (SupportError, lambda: standard_errors(res, bad, "gtw")),
+                (SupportError, lambda: gof_report(bad, model, "gtw")),
+            ]
+            for error, step in raising:
+                with pytest.raises(error):
+                    step()
+                assert np.geterr() == caller
 
 
 class TestStandardErrors:

@@ -251,15 +251,22 @@ def assert_same(got, want):
 
 
 def check(method, fam, args, xs):
-    """Both kernels, value alone and value with gradient, on a plan."""
+    """The kernel's core, value alone and value with gradient, on a plan,
+    under the errstate a fit holds; and the public kernels, which hold it."""
     mid, fid = METHOD_IDS[method], FAMILY_IDS[fam]
     plan = Plan(xs, fid, mid)
     for want_grad in (False, True):
         want = oracle_objective(mid, fid, *args, xs, want_grad)
-        assert_same(_kernels._objective(mid, fid, *args, plan, want_grad), want)
+        with np.errstate(all="ignore"):
+            value, clamps, grad = _kernels._objective(mid, fid, *args, plan, want_grad)
+        if want_grad:  # the core hands a fit its gradient as Python floats
+            assert type(grad) is list and all(type(g) is float for g in grad)
+            grad = np.array(grad)
+        assert_same((value, clamps, grad), want)
     assert _kernels.objective(mid, fid, *args, plan) == oracle_objective(
         mid, fid, *args, xs, False
     )[:2]
+    assert_same(_kernels.objective_grad(mid, fid, *args, plan), want)
 
 
 def kernel_args(p):
@@ -354,15 +361,16 @@ def test_plan_for_another_objective_is_refused():
 
 
 def _oracle_kernels(monkeypatch):
-    def unplanned(want_grad):
-        def kernel(method, fam, s1, s2, beta, theta, lam, plan):
-            out = oracle_objective(method, fam, s1, s2, beta, theta, lam, plan.xs, want_grad)
-            return out if want_grad else out[:2]
+    """The oracle in place of the kernel core that ``fit`` calls, handing
+    back what the core hands back: the gradient as Python floats."""
 
-        return kernel
+    def kernel(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
+        value, clamps, grad = oracle_objective(
+            method, fam, s1, s2, beta, theta, lam, plan.xs, want_grad
+        )
+        return value, clamps, None if grad is None else grad.tolist()
 
-    monkeypatch.setattr(_kernels, "objective", unplanned(False))
-    monkeypatch.setattr(_kernels, "objective_grad", unplanned(True))
+    monkeypatch.setattr(_kernels, "_objective", kernel)
 
 
 def test_study_block_fits_equal_under_the_oracle(monkeypatch):

@@ -9,6 +9,7 @@ from scipy import stats as st
 
 from gtld import numerics, properties
 from gtld.model import SupportError, make_model, model_from_params
+from gtld.transforms import SUBFAMILY_SHAPES
 
 from conftest import random_params
 from test_lockstep import Composition
@@ -214,6 +215,19 @@ class TestOrderStatistics:
         want = n * m.pdf(med) * st.binom.pmf(n // 2 - 1, n - 1, m.cdf(med))
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+    def test_weights_below_the_float_range_where_underflow_raises(self, family):
+        # n = 2000, r = 1000: the binomial weight underflows to 0 away from
+        # the median, and once raised FloatingPointError where the caller
+        # had underflow raise
+        m = make_model(family, beta=1.5, theta=0.8, lam=0.3,
+                       **{name: 2.0 for name in SUBFAMILY_SHAPES[family]})
+        xs = m.quantile(np.array([0.01, 0.5, 0.99]))
+        want = properties.order_stat_pdf(m, 2000, 1000, xs)
+        assert want[0] == want[-1] == 0.0
+        with np.errstate(under="raise"):
+            assert properties.order_stat_pdf(m, 2000, 1000, xs).tobytes() == want.tobytes()
 
 
 class TestEntropies:
@@ -428,6 +442,16 @@ class TestTailScreen:
     # gtb12 with lam within 6e-13 of 1: S ~ (1 - lam)*theta*(1 + x^alpha)^-beta
     # beyond x ~ 1e20, tail index alpha*beta = 0.639
     NEAR_LAM_ONE = make_model("gtb12", alpha=0.4332, beta=1.4754, theta=4.5517, lam=1 - 5.9e-13)
+
+    @pytest.mark.usefixtures("no_quadrature")
+    def test_mgf_at_infinity_diverges(self, family):
+        # e^(t*x) is inf on the whole support however fast G grows: gtr,
+        # gtmw, gtwe and gtw with alpha > 1 once reached the quadrature
+        # and raised QuadratureError there
+        shape = {name: 2.0 for name in SUBFAMILY_SHAPES[family]}
+        m = make_model(family, beta=1.0, theta=1.0, lam=0.0, **shape)
+        with pytest.raises(properties.DivergenceError, match=r"^mgf t=inf: e\^\(t\*x\) is infinite"):
+            properties.mgf(m, math.inf)
 
     @pytest.mark.usefixtures("no_quadrature")
     def test_mgf_diverges_where_g_grows_slower_than_x(self):
