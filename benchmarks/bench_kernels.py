@@ -26,6 +26,12 @@ one errstate; the script exits non-zero if the fits make no call to it, or
 if the replayed fits do not make the recorded calls, as when ``fit`` has
 moved to another entry and the replay would time whole fits.
 
+Every row is the best of ``BATCHES`` batches, and the batches of a
+table's rows run in turn, so that a slow spell of a shared host reaches
+every row alike and one slow batch does not set a row: a layer-1 or
+property row's batch is ``repeats / BATCHES`` calls (at least one), a fit
+row's one pass over its samples.
+
 Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 """
 
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import sys
-import time
 import timeit
 
 import numpy as np
@@ -69,13 +74,8 @@ PROP_CALLS = (
 TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
 FIT_SIZES = (50, 400)
 FIT_SAMPLES = 6  # samples per size, seeds 0..5
-FIT_REPEATS = 5  # best of
-
-
-def bench(label, fn, *args):
-    t = timeit.timeit(lambda: fn(*args), number=REPEATS) / REPEATS
-    print(f"  {label:<12} {t * 1e6:9.2f} us/call")
-    return t
+BATCHES = 5  # every row is the best of this many batches
+BATCH = max(1, REPEATS // BATCHES)  # calls per layer-1 batch
 
 
 def integrand_calls(fn, *args):
@@ -142,16 +142,21 @@ def replaying_kernels(fits):
     return replaying
 
 
-def best_times(*fns):
-    """The best of ``FIT_REPEATS`` timings of each fn, run in turn so that a
-    drift in host speed reaches all of them alike."""
+def best_times(fns, number=1):
+    """Seconds per call of each fn: the best of ``BATCHES`` batches of
+    ``number`` calls, the fns' batches run in turn so that a drift in host
+    speed reaches all of them alike."""
     best = [float("inf")] * len(fns)
-    for _ in range(FIT_REPEATS):
+    for _ in range(BATCHES):
         for j, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            best[j] = min(best[j], time.perf_counter() - t0)
+            best[j] = min(best[j], timeit.timeit(fn, number=number) / number)
     return best
+
+
+def print_rows(rows):
+    """Time the (label, fn) rows together and print us per call."""
+    for (label, _), t in zip(rows, best_times([fn for _, fn in rows], BATCH)):
+        print(f"  {label:<12} {t * 1e6:9.2f} us/call")
 
 
 def fit_layer(method, n):
@@ -172,43 +177,57 @@ def fit_layer(method, n):
         with replaying() as evals:
             fits()
 
-    t_fit, t_outside = best_times(fits, fits_outside_kernel)
+    t_fit, t_outside = best_times([fits, fits_outside_kernel])
     return t_fit / FIT_SAMPLES * 1e3, evals / FIT_SAMPLES, t_outside / evals * 1e6
 
 
-print(f"kernels (n={N}, {REPEATS} calls):")
-bench("cdf", _kernels._at_points, xs, _kernels._cdf_core, *ARGS)
-bench("logpdf", _kernels._at_points, xs, _kernels._logpdf_core, *ARGS)
-for mid, mname in enumerate(METHODS):
-    bench(mname, _kernels.objective, mid, *ARGS, _kernels.Plan(xs, ARGS[0], mid))
-print(f"value and gradient (n={N}, {REPEATS} calls):")
-for mid, mname in enumerate(METHODS):
-    bench(f"{mname}+grad", _kernels.objective_grad, mid, *ARGS, _kernels.Plan(xs, ARGS[0], mid))
+def plan_call(kernel, mid, args, sample):
+    plan = _kernels.Plan(sample, args[0], mid)
+    return lambda: kernel(mid, *args, plan)
 
-print(f"value and gradient, every family ({REPEATS} calls, us/call):")
+
+batches = f"best of {BATCHES} batches of {BATCH} calls"
+print(f"kernels (n={N}, {batches}):")
+print_rows(
+    [("cdf", lambda: _kernels._at_points(xs, _kernels._cdf_core, *ARGS)),
+     ("logpdf", lambda: _kernels._at_points(xs, _kernels._logpdf_core, *ARGS))]
+    + [(m, plan_call(_kernels.objective, mid, ARGS, xs)) for mid, m in enumerate(METHODS)]
+)
+print(f"value and gradient (n={N}, {batches}):")
+print_rows(
+    [(f"{m}+grad", plan_call(_kernels.objective_grad, mid, ARGS, xs))
+     for mid, m in enumerate(METHODS)]
+)
+
+print(f"value and gradient, every family ({batches}, us/call):")
 print(f"  {'family':<6} {'n':>4}" + "".join(f"{m:>8}" for m in METHODS))
+cells = []
 for n in GRAD_SIZES:
     # the synthetic sample's law at size n, its own seed
     xs_n = np.sort(np.random.default_rng(n).weibull(1.4, size=n) + 0.05)
     for fname, args in FAMILY_ARGS.items():
-        row = []
         for mid in range(len(METHODS)):
             plan = _kernels.Plan(xs_n, args[0], mid)
             assert _kernels.objective(mid, *args, plan)[0] != _kernels._BIG, (fname, mid)
-            t = timeit.timeit(lambda: _kernels.objective_grad(mid, *args, plan), number=REPEATS)
-            row.append(t / REPEATS * 1e6)
+            cells.append(plan_call(_kernels.objective_grad, mid, args, xs_n))
+times = iter(best_times(cells, BATCH))
+for n in GRAD_SIZES:
+    for fname in FAMILY_ARGS:
+        row = [next(times) * 1e6 for _ in METHODS]
         print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
 
-prop_repeats = max(1, REPEATS // 10)
-print(f"properties on gtw, integrals by quadrature ({prop_repeats} calls):")
-for label, fn, args in PROP_CALLS:
-    t = timeit.timeit(lambda: fn(PROP_MODEL, *args), number=prop_repeats) / prop_repeats
+prop_batch = max(1, REPEATS // 10 // BATCHES)
+print(f"properties on gtw, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")
+prop_times = best_times(
+    [lambda fn=fn, args=args: fn(PROP_MODEL, *args) for _, fn, args in PROP_CALLS], prop_batch
+)
+for (label, fn, args), t in zip(PROP_CALLS, prop_times):
     calls = integrand_calls(fn, PROP_MODEL, *args)
     print(f"  {label:<14} {t * 1e3:9.3f} ms/call {calls:6d} integrand calls")
 
 print(
     f"fits: gtwe at the study truth, truth start, one start "
-    f"({FIT_SAMPLES} samples per size, best of {FIT_REPEATS}):"
+    f"({FIT_SAMPLES} samples per size, best of {BATCHES}):"
 )
 print(f"  {'method':<6} {'n':>4} {'ms/fit':>8} {'evals/fit':>10} {'us/eval outside kernel':>23}")
 for n in FIT_SIZES:

@@ -8,8 +8,16 @@ model selection.
 """
 
 from ._kernels import BACKEND
-from .model import GtldModel, ParamVector, QuantileMeasures, make_model, model_from_params, param_names
-from .transforms import InnerTransform, SUBFAMILY_IDS, closed_form_cdf, make_transform
+from .model import (
+    SUBFAMILY_IDS,
+    SUBFAMILY_SHAPES,
+    GtldModel,
+    ParamVector,
+    QuantileMeasures,
+    make_model,
+    model_from_params,
+    param_names,
+)
 from .estimation import (
     FitResult,
     METHODS,
@@ -31,16 +39,15 @@ __all__ = [
     "FitResult",
     "GofReport",
     "GtldModel",
-    "InnerTransform",
     "METHODS",
     "ParamVector",
     "QuantileMeasures",
     "SimConfig",
     "SimResult",
     "SUBFAMILY_IDS",
+    "SUBFAMILY_SHAPES",
     "TransformedParams",
     "ad_statistic",
-    "closed_form_cdf",
     "cvm_statistic",
     "emit_table",
     "fit",
@@ -49,7 +56,6 @@ __all__ = [
     "ks_statistic",
     "load_values",
     "make_model",
-    "make_transform",
     "mle_theta_bracket",
     "model_from_params",
     "model_select",

@@ -10,7 +10,7 @@ errstate.  The property integrals call the cores straight on their
 quadrature nodes; points from outside take one way in, ``_at_points``
 (x of any shape as a float array, the cores' errstate, a scalar x giving
 a Python float), through which the model's cdf, survival, logpdf and pdf
-and the transform's G and G' run.
+run.
 
 Who holds the errstate: the cores (the three above, ``_g_parts``,
 ``_g_inverse`` and the objectives' ``_objective``) rely on their caller;

@@ -18,9 +18,8 @@ import numpy as np
 from .datasets import load_values
 from .estimation import METHODS, FitError, fit
 from .gof import gof_report
-from .model import ParamVector, model_from_params, param_names
+from .model import SUBFAMILY_IDS, SUBFAMILY_SHAPES, ParamVector, model_from_params, param_names
 from .simulation import SimConfig, SimResult, emit_table, run_simulation
-from .transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES
 
 
 class UsageError(Exception):

@@ -37,8 +37,9 @@ import numpy as np
 
 from . import _kernels, _optim
 from ._kernels import _BIG
-from .model import ParamVector, SupportError, model_from_params
-from .transforms import SUBFAMILY_SHAPES, kernel_shapes, make_transform
+from .model import (
+    SUBFAMILY_SHAPES, ParamVector, SupportError, _check_shapes, kernel_shapes, model_from_params,
+)
 
 METHODS = tuple(_kernels.METHOD_IDS)
 
@@ -174,9 +175,11 @@ def _median(xs):
 def default_init(sample, family: str) -> ParamVector:
     """Moment-style starting point: theta=1, lambda=0, beta from the median."""
     xs = np.asarray(sample, dtype=float)
-    row = _kernels._FAMILIES[_kernels.FAMILY_IDS[family]]
+    fam = _kernels.FAMILY_IDS[family]
+    row = _kernels._FAMILIES[fam]
     shape = dict(zip(row.shapes, row.start(xs)))
-    g_med = float(make_transform(family, **shape).eval(_median(xs)))
+    s = kernel_shapes(shape.values())
+    g_med = _kernels._at_points(_median(xs), lambda xv: _kernels._g_parts(fam, *s, 1.0, xv)[0])
     beta = math.log(2.0) / g_med if g_med > 0 else 1.0
     return ParamVector(beta=beta, theta=1.0, lam=0.0, shape=shape)
 
@@ -201,6 +204,8 @@ def fit(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if family not in SUBFAMILY_SHAPES:
         raise ValueError(f"unknown sub-family {family!r}")
+    if init is not None:
+        _check_shapes(family, init.shape)
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     # every family's support lies in (0, inf), gtp1's (alpha, inf) with alpha fitted
@@ -349,7 +354,9 @@ def standard_errors_from_params(params: ParamVector, sample, family: str):
     not positive definite.  The sample is refused as ``fit`` refuses it,
     against the support at ``params``.
     """
-    low = model_from_params(family, params).support_low
+    _check_shapes(family, params.shape)
+    s1 = kernel_shapes(params.as_array(family)[:-3].tolist())[0]
+    low = _kernels._FAMILIES[_kernels.FAMILY_IDS[family]].edge(s1)[2]
     return _standard_errors(params, np.sort(_finite_sample(sample, low)), family)
 
 

@@ -1,7 +1,9 @@
 """The distribution family itself: CDF/PDF/SF/hazard, quantile, sampling.
 
 The CDF is F(x) = (1+lam)*v - lam*v^2 with v = u^theta and
-u = 1 - exp(-beta*G(x)); G is selected by an :class:`InnerTransform`.
+u = 1 - exp(-beta*G(x)); a model is a sub-family's name, which selects G
+from the kernels' family table (``_kernels._FAMILIES``), and a
+:class:`ParamVector` holding its shapes psi, beta, theta and lam.
 F, the survival function and log f are evaluated by the kernels
 (``_kernels``), which work in log u; the survival function uses the exact
 factorization 1 - (1+lam)*v + lam*v^2 = (1-v)*(1-lam*v), with 1-v
@@ -25,9 +27,38 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .transforms import SUBFAMILY_SHAPES, InnerTransform, _check_positive, make_transform
 
 _V_CLIP = 1.0 - 1e-16  # clamp on v = A^(1/theta) before log1p at p -> 1
+
+# the shape names of each family, in the kernels' family order
+SUBFAMILY_SHAPES: dict[str, tuple[str, ...]] = {r.name: r.shapes for r in _kernels._FAMILIES}
+SUBFAMILY_IDS = tuple(SUBFAMILY_SHAPES)
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse (ValueError) a parameter that is not a positive finite number."""
+    if not 0 < value < np.inf:  # NaN fails it too
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
+
+
+def _check_shapes(family: str, shape: Mapping[str, float]) -> None:
+    """Refuse (ValueError) an unknown sub-family, and shape parameters that
+    are missing from or not among the sub-family's."""
+    if family not in SUBFAMILY_SHAPES:
+        raise ValueError(f"unknown sub-family {family!r}; expected one of {SUBFAMILY_IDS}")
+    required = SUBFAMILY_SHAPES[family]
+    missing = [n for n in required if n not in shape]
+    if missing:
+        raise ValueError(f"{family} requires shape parameter(s) {missing}")
+    extra = [n for n in shape if n not in required]
+    if extra:
+        raise ValueError(f"{family} does not take shape parameter(s) {extra}")
+
+
+def kernel_shapes(values) -> tuple[float, float]:
+    """The kernels' shape slots (s1, s2): shape values in table order, zero-padded."""
+    s1, s2 = (*values, 0.0, 0.0)[:2]
+    return s1, s2
 
 
 class SupportError(ValueError):
@@ -52,11 +83,11 @@ class ParamVector:
             _check_positive(f"shape parameter {name}", val)
         object.__setattr__(self, "shape", dict(self.shape))
 
-    def as_array(self, family: str | None = None) -> np.ndarray:
-        """Flat (shape..., beta, theta, lam) array in declaration order."""
-        names = SUBFAMILY_SHAPES[family] if family else tuple(self.shape)
+    def as_array(self, family: str) -> np.ndarray:
+        """Flat (shape..., beta, theta, lam) array, the shapes in the
+        family's table order."""
         return np.array(
-            [self.shape[n] for n in names] + [self.beta, self.theta, self.lam]
+            [self.shape[n] for n in SUBFAMILY_SHAPES[family]] + [self.beta, self.theta, self.lam]
         )
 
 
@@ -73,37 +104,41 @@ class QuantileMeasures(NamedTuple):
 
 @dataclass(frozen=True)
 class GtldModel:
-    """Immutable pairing of an inner transform and a parameter vector, whose
-    shape values must agree (ValueError)."""
+    """One member of the family: a sub-family's name and a parameter vector
+    with that sub-family's shapes (ValueError for an unknown sub-family, a
+    missing shape or an extra one).
 
-    transform: InnerTransform
+    The rest is read once from the family table: the kernels' leading
+    arguments, the support's low end, and the edge order k and coefficient
+    c with G(x) ~ c*(x - support_low)^k there.
+    """
+
+    family: str
     params: ParamVector
-    # (family id, s1, s2, beta, theta, lam): the kernels' leading arguments
+    # (family id, s1, s2, beta, theta, lam), the shapes as floats in table order
     kernel_args: tuple = field(init=False, repr=False, compare=False)
+    support_low: float = field(init=False, repr=False, compare=False)
+    edge_order: float = field(init=False, repr=False, compare=False)
+    edge_coef: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tr, p = self.transform, self.params
-        if p.shape != tr.shape_params:
-            raise ValueError(
-                f"the parameters' shapes {p.shape} differ from the transform's "
-                f"{tr.shape_params}"
-            )
-        args = (tr.family_id, *tr.kernel_shapes, p.beta, p.theta, p.lam)
-        object.__setattr__(self, "kernel_args", args)
-
-    @property
-    def support_low(self) -> float:
-        return self.transform.support_low
+        family, p = self.family, self.params
+        _check_shapes(family, p.shape)
+        fam = _kernels.FAMILY_IDS[family]
+        s1, s2 = kernel_shapes(float(p.shape[n]) for n in SUBFAMILY_SHAPES[family])
+        k, c, low = _kernels._FAMILIES[fam].edge(s1)
+        object.__setattr__(self, "kernel_args", (fam, s1, s2, p.beta, p.theta, p.lam))
+        object.__setattr__(self, "support_low", low)
+        object.__setattr__(self, "edge_order", k)
+        object.__setattr__(self, "edge_coef", c)
 
     # -- distribution functions ------------------------------------------
 
     def _check_support(self, x):
         xv = np.asarray(x, dtype=float)
-        low = self.transform.support_low
+        low = self.support_low
         if (xv < low).any():
-            raise SupportError(
-                f"argument below the support infimum {low} of {self.transform.name}"
-            )
+            raise SupportError(f"argument below the support infimum {low} of {self.family}")
         return xv
 
     def cdf(self, x):
@@ -121,7 +156,8 @@ class GtldModel:
         return out
 
     def _fill_nan(self, xv, out):
-        """Replace the kernel's NaNs: one-sided limits where G(x) <= 0, else -inf.
+        """Replace the kernel's NaNs, under the caller's errstate: one-sided
+        limits where G(x) <= 0 (G from the kernels' ``_g_parts``), else -inf.
 
         Where u = 0 the kernel's terms are inf - inf or 0*inf.  Near the edge
         G ~ c*t^k, so F ~ (1+lam)*(beta*c)^theta * t^(k*theta) and the density
@@ -129,17 +165,18 @@ class GtldModel:
         (beta*c)^theta*(1+lam) for k*theta = 1.  At lam = -1, F = v^2 is the
         lam = 0 model with 2*theta.
         """
-        tr, p = self.transform, self.params
+        p = self.params
         theta, scale = (2.0 * p.theta, 1.0) if p.lam == -1.0 else (p.theta, 1.0 + p.lam)
-        power = tr.edge_order * theta
+        power = self.edge_order * theta
         if power > 1.0:
             edge = -np.inf
         elif power < 1.0:
             edge = np.inf
         else:
-            edge = theta * np.log(p.beta * tr.edge_coef) + np.log(scale)
+            edge = theta * np.log(p.beta * self.edge_coef) + np.log(scale)
         nan = np.isnan(out)
-        return np.where(nan & (tr.eval(xv) <= 0.0), edge, np.where(nan, -np.inf, out))
+        g = _kernels._g_parts(*self.kernel_args[:3], 1.0, xv)[0]
+        return np.where(nan & (g <= 0.0), edge, np.where(nan, -np.inf, out))
 
     def _pdf(self, xv):
         """f on a float array of points in the support, under the caller's
@@ -226,10 +263,8 @@ def make_model(
     **shape: float,
 ) -> GtldModel:
     """Convenience constructor from a sub-family id and named parameters."""
-    transform = make_transform(family, **shape)
-    params = ParamVector(beta=beta, theta=theta, lam=lam, shape=shape)
-    return GtldModel(transform=transform, params=params)
+    return GtldModel(family, ParamVector(beta=beta, theta=theta, lam=lam, shape=shape))
 
 
 def model_from_params(family: str, params: ParamVector) -> GtldModel:
-    return GtldModel(make_transform(family, **params.shape), params)
+    return GtldModel(family, params)

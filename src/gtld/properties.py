@@ -118,7 +118,8 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     if t == math.inf:
         raise DivergenceError(f"{what}: e^(t*x) is infinite on the whole support")
     par = model.params
-    p, c = _kernels._FAMILIES[model.transform.family_id].tail(model.transform.kernel_shapes[0])
+    fam, s1 = model.kernel_args[:2]
+    p, c = _kernels._FAMILIES[fam].tail(s1)
     rate = (2.0 if par.lam == 1.0 else 1.0) * par.beta * c
     if p == 0.0:
         if t > 0.0 or (t == 0.0 and n * rate <= e + 1.0):
@@ -188,7 +189,7 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     if not r >= 1:  # NaN fails it
         raise ValueError(f"moment order r must be >= 1, got {r}")
     if method == "series":
-        if model.transform.name != "gtw":
+        if model.family != "gtw":
             raise ValueError("series moments are implemented for 'gtw' only")
         return _gtw_series_value(model.params, r, None)
     if method != "quadrature":
@@ -215,7 +216,7 @@ def incomplete_moment(
             f"incomplete moment needs a finite z, got {z}; raw_moment gives the full range"
         )
     if method == "series":
-        if model.transform.name != "gtw":
+        if model.family != "gtw":
             raise ValueError("series moments are implemented for 'gtw' only")
         return _gtw_series_value(model.params, r, z)
     if method != "quadrature":
@@ -292,7 +293,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     """integral of f^rho over (lower or support_low, inf).
 
     At the lower support edge the density behaves like x^(k*theta - 1) with
-    k the transform's edge order, so f^rho is integrable there only when
+    k the model's edge order, so f^rho is integrable there only when
     rho*(k*theta - 1) > -1; that is checked analytically.  When the density
     is unbounded at the edge the substitution u = F(x) removes the
     singularity: the part below the split point Q(0.75) becomes the
@@ -302,7 +303,7 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
         raise ValueError("the entropy integral's lower limit is nan")
     low = model.support_low
     theta = model.params.theta
-    k = model.transform.edge_order
+    k = model.edge_order
     truncated = lower is not None and lower > low
 
     def integrand(x):

@@ -75,8 +75,9 @@ def replication_seed(master_seed: int, n: int, r: int) -> int:
 
 
 def run_simulation(config: SimConfig) -> SimResult:
-    truth_vec = config.truth.as_array(config.family)
+    # the model refuses a truth whose shapes are not the family's (ValueError)
     model = model_from_params(config.family, config.truth)
+    truth_vec = config.truth.as_array(config.family)
     names = param_names(config.family)
     d = truth_vec.size
 

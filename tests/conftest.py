@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gtld.model import ParamVector
-from gtld.transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES
+from gtld import _kernels
+from gtld.model import SUBFAMILY_IDS, SUBFAMILY_SHAPES, ParamVector
 
 
 def random_params(family: str, rng: np.random.Generator) -> ParamVector:
@@ -21,6 +21,25 @@ def random_params(family: str, rng: np.random.Generator) -> ParamVector:
         lam=float(rng.uniform(-0.95, 0.95)),
         shape=shape,
     )
+
+
+def g_of(model, x):
+    """G(x) of the model's sub-family: the kernels' ``_g_parts`` with
+    beta = 1, through their one way in for points."""
+    return _kernels._at_points(x, lambda xv: _kernels._g_parts(*model.kernel_args[:3], 1.0, xv)[0])
+
+
+def g_prime(model, x):
+    """G'(x), as exp of the kernels' log G'."""
+    return _kernels._at_points(
+        x, lambda xv: np.exp(_kernels._g_parts(*model.kernel_args[:3], 1.0, xv, lgp=True)[1])
+    )
+
+
+def g_inverse(model, y):
+    """x with G(x) = y, from the kernels' ``_g_inverse``; inf past the float range."""
+    with np.errstate(all="ignore"):
+        return _kernels._g_inverse(*model.kernel_args[:3], np.asarray(y, dtype=float))
 
 
 @pytest.fixture

@@ -22,11 +22,10 @@ from gtld import numerics, properties
 from gtld.datasets import get_dataset
 from gtld.estimation import fit, mle_theta_bracket, neg_log_likelihood, theta_score
 from gtld.gof import ad_statistic, cvm_statistic, gof_report, ks_statistic, model_select
-from gtld.model import ParamVector, make_model, model_from_params
+from gtld.model import SUBFAMILY_IDS, ParamVector, make_model, model_from_params
 from gtld.simulation import SimConfig, run_simulation
-from gtld.transforms import SUBFAMILY_IDS
 
-from conftest import random_params
+from conftest import g_of, random_params
 
 GTWE_TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
 
@@ -99,7 +98,7 @@ def test_criterion_03_reduction_to_baseline():
             base = ParamVector(beta=p.beta, theta=1.0, lam=0.0, shape=p.shape)
             m = model_from_params(family, base)
             xs = m.quantile(rng.uniform(0.01, 0.99, size=50))
-            G = np.asarray(m.transform.eval(xs), dtype=float)
+            G = np.asarray(g_of(m, xs), dtype=float)
             baseline = -np.expm1(-p.beta * G)
             worst = max(worst, float(np.max(np.abs(m.cdf(xs) - baseline))))
     _verdict(

@@ -27,8 +27,15 @@ from gtld.estimation import (
     wls_objective,
 )
 from gtld.gof import gof_report
-from gtld.model import ParamVector, SupportError, make_model, model_from_params
-from gtld.transforms import SUBFAMILY_IDS, SUBFAMILY_SHAPES, kernel_shapes
+from gtld.model import (
+    SUBFAMILY_IDS,
+    SUBFAMILY_SHAPES,
+    ParamVector,
+    SupportError,
+    kernel_shapes,
+    make_model,
+    model_from_params,
+)
 
 from conftest import random_params
 
@@ -299,6 +306,21 @@ class TestFit:
         np.testing.assert_array_equal(
             a.estimates.as_array("gte"), b.estimates.as_array("gte")
         )
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({}, r"gtw requires shape parameter\(s\) \['alpha'\]"),
+            ({"alpha": 1.0, "gamma": 0.5}, r"gtw does not take shape parameter\(s\) \['gamma'\]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_init_whose_shapes_are_not_the_familys_refused(self, gte_sample, shape, message):
+        # before, a missing shape raised a bare KeyError from as_array and an
+        # extra one was dropped without a word
+        init = ParamVector(beta=1.0, theta=1.0, lam=0.0, shape=shape)
+        with pytest.raises(ValueError, match=message):
+            fit(gte_sample, "gtw", init=init, n_starts=1)
 
     def test_explicit_init_honored(self, gte_sample):
         init = ParamVector(beta=1.2, theta=1.5, lam=0.3, shape={})

@@ -76,7 +76,7 @@ class Composition:
     def _density_power_integral(self, model, rho, lower):
         low = model.support_low
         theta = model.params.theta
-        k = model.transform.edge_order
+        k = model.edge_order
         truncated = lower is not None and lower > low
 
         def integrand(x):
@@ -254,7 +254,7 @@ class TestSameBitsAsSeparateCalls:
         assert kinds == {"non-finite", "rejected", "accepted"}
 
         u_branch = chosen_model("gtw-u")
-        assert u_branch.transform.edge_order * u_branch.params.theta < 1.0
+        assert u_branch.edge_order * u_branch.params.theta < 1.0
         assert isinstance(outcome(properties.renyi_entropy, u_branch, 0.8), bytes)
         assert "lower support edge" in outcome(properties.renyi_entropy, u_branch, 3.0)[1]
         heavy = chosen_model("gtl-heavy")

@@ -18,9 +18,8 @@ from gtld.model import (
 )
 
 from gtld.properties import raw_moment
-from gtld.transforms import make_transform
 
-from conftest import random_params
+from conftest import g_inverse, g_of, g_prime, random_params
 
 
 class TestParamVector:
@@ -37,6 +36,8 @@ class TestParamVector:
     def test_as_array_ordering(self):
         p = ParamVector(beta=2.0, theta=3.0, lam=0.5, shape={"alpha": 1.5})
         np.testing.assert_allclose(p.as_array("gtw"), [1.5, 2.0, 3.0, 0.5])
+        with pytest.raises(TypeError):
+            p.as_array()  # the order is the family's, never the dict's
         assert param_names("gtw") == ("alpha", "beta", "theta", "lambda")
         assert param_names("gte") == ("beta", "theta", "lambda")
         assert param_names("gtmw") == ("alpha", "gamma", "beta", "theta", "lambda")
@@ -48,10 +49,11 @@ class TestParamVector:
             (lambda v: ParamVector(beta=1.0, theta=v, lam=0.0), "theta must be"),
             (lambda v: ParamVector(beta=1.0, theta=1.0, lam=0.0, shape={"alpha": v}),
              "shape parameter alpha must be"),
-            (lambda v: make_transform("gtw", alpha=v), "shape parameter alpha must be"),
+            (lambda v: make_model("gtw", beta=1.0, theta=1.0, lam=0.0, alpha=v),
+             "shape parameter alpha must be"),
             (lambda v: make_model("gte", beta=v, theta=1.0, lam=0.0), "beta must be"),
         ],
-        ids=["beta", "theta", "shape", "make_transform", "make_model"],
+        ids=["beta", "theta", "shape", "make_model_shape", "make_model"],
     )
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_non_finite_values_refused(self, build, message, value):
@@ -60,16 +62,16 @@ class TestParamVector:
         with pytest.raises(ValueError, match=message):
             build(value)
 
-    def test_model_refuses_shapes_that_differ_from_its_transform(self):
-        # the quadrature mean would take alpha = 2 from the transform and the
-        # gtw series mean alpha = 3 from the parameters
-        p = ParamVector(beta=1.0, theta=1.0, lam=0.0, shape={"alpha": 3.0})
-        with pytest.raises(ValueError, match="differ from the transform's"):
-            GtldModel(make_transform("gtw", alpha=2.0), p)
-        with pytest.raises(ValueError, match="differ from the transform's"):
-            GtldModel(make_transform("gte"), p)
-        m = GtldModel(make_transform("gtw", alpha=3), p)  # 3 == 3.0
-        assert m.kernel_args[1] == 3.0
+    def test_model_takes_its_shapes_as_floats_in_table_order(self):
+        # an int shape and shapes passed gamma first give the kernels the
+        # arguments of floats in the table's order
+        m = GtldModel("gtw", ParamVector(beta=1.0, theta=1.0, lam=0.0, shape={"alpha": 3}))
+        assert m.kernel_args == (2, 3.0, 0.0, 1.0, 1.0, 0.0)
+        assert type(m.kernel_args[1]) is float
+        m = make_model("gtmw", beta=1.0, theta=1.0, lam=0.0, gamma=0.5, alpha=2)
+        assert m.kernel_args[:3] == (3, 2.0, 0.5)
+        assert all(type(s) is float for s in m.kernel_args[1:3])
+        np.testing.assert_array_equal(m.params.as_array("gtmw"), [2.0, 0.5, 1.0, 1.0, 0.0])
 
     def test_boundary_lambda_allowed(self):
         ParamVector(beta=1.0, theta=1.0, lam=1.0, shape={})
@@ -201,9 +203,9 @@ class TestSupport:
             for p in (0.75, 1.0 - 1e-6, 0.5):
                 want = m.quantile(np.array([p]))[0]
                 assert np.float64(m.quantile(p)).tobytes() == want.tobytes()
-            tr = m.transform
+            g, gp = (lambda x: g_of(m, x)), (lambda x: g_prime(m, x))
             points = m.quantile(np.array([1e-3, 0.1, 0.5, 0.9])).tolist()
-            for fn in (m.cdf, m.survival, m.logpdf, m.pdf, m.hazard, tr.eval, tr.deriv):
+            for fn in (m.cdf, m.survival, m.logpdf, m.pdf, m.hazard, g, gp):
                 for x in [m.support_low, *points]:
                     want = fn(np.array([x]))[0]
                     for scalar in (x, np.float64(x), np.array(x)):
@@ -323,7 +325,7 @@ class TestQuantilePastTheFloatRange:
             warnings.simplefilter("error", RuntimeWarning)
             assert self.MODEL.quantile(0.5) == math.inf
             q = self.MODEL.quantile(np.array([0.01, 0.5]))
-            assert self.MODEL.transform.inverse(10.0) == math.inf
+            assert g_inverse(self.MODEL, 10.0) == math.inf
         assert math.isfinite(q[0]) and q[1] == math.inf
 
     def test_sample_raises_overflow_error(self):

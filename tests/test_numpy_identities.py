@@ -29,8 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from gtld import numerics, properties
-from gtld.model import model_from_params
-from gtld.transforms import SUBFAMILY_IDS
+from gtld.model import SUBFAMILY_IDS, model_from_params
 
 from conftest import random_params
 

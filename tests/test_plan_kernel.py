@@ -16,9 +16,8 @@ import gtld
 from gtld import _kernels
 from gtld._kernels import FAMILY_IDS, METHOD_IDS, Plan
 from gtld.estimation import METHODS, fit
-from gtld.model import ParamVector, model_from_params
+from gtld.model import SUBFAMILY_IDS, ParamVector, kernel_shapes, model_from_params
 from gtld.simulation import replication_seed
-from gtld.transforms import SUBFAMILY_IDS, kernel_shapes
 
 from conftest import random_params
 

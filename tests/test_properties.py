@@ -8,8 +8,7 @@ from scipy import special as sp
 from scipy import stats as st
 
 from gtld import numerics, properties
-from gtld.model import SupportError, make_model, model_from_params
-from gtld.transforms import SUBFAMILY_SHAPES
+from gtld.model import SUBFAMILY_SHAPES, SupportError, make_model, model_from_params
 
 from conftest import random_params
 from test_lockstep import Composition
@@ -281,7 +280,7 @@ class TestEntropies:
     )
     def test_q_entropy_with_unbounded_density_matches_oracle(self, family, params, q):
         m = make_model(family, **params)
-        assert m.transform.edge_order * m.params.theta < 1.0  # the u = F(x) route
+        assert m.edge_order * m.params.theta < 1.0  # the u = F(x) route
         mid = m.quantile(0.75)
         f_q = lambda x: m.pdf(x) ** q  # noqa: E731
         val = (

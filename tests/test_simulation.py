@@ -45,6 +45,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
             small_config(n_starts=n_starts)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({}, r"gtwe requires shape parameter\(s\) \['alpha'\]"),
+            ({"alpha": 2.5, "gamma": 0.5}, r"gtwe does not take shape parameter\(s\) \['gamma'\]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_truth_whose_shapes_are_not_the_familys_refused(self, shape, message):
+        # before, a missing shape raised a bare KeyError from as_array
+        truth = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape=shape)
+        with pytest.raises(ValueError, match=message):
+            run_simulation(small_config(truth=truth))
+
     def test_start_modes_accepted(self):
         assert small_config(start="truth").start == "truth"
         assert small_config().start == "heuristic"
