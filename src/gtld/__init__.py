@@ -5,63 +5,67 @@ u = 1 - exp(-beta*G(x)), where the increasing transform G selects one of
 eight sub-families.  The full catalog of distributional properties, six
 estimation methods, a Monte Carlo comparison harness, and goodness-of-fit
 model selection.
+
+``import gtld`` loads none of its submodules: each public name, and each
+submodule in ``_SUBMODULES``, imports its module on first use (PEP 562),
+so a process pays only for the modules it touches.
 """
 
-from ._kernels import BACKEND
-from .model import (
-    SUBFAMILY_IDS,
-    SUBFAMILY_SHAPES,
-    GtldModel,
-    ParamVector,
-    QuantileMeasures,
-    make_model,
-    model_from_params,
-    param_names,
-)
-from .estimation import (
-    FitResult,
-    METHODS,
-    TransformedParams,
-    fit,
-    mle_theta_bracket,
-    neg_log_likelihood,
-    standard_errors,
-)
-from .gof import GofReport, ad_statistic, cvm_statistic, gof_report, ks_statistic, model_select
-from .simulation import SimConfig, SimResult, emit_table, run_simulation
-from .datasets import DATASETS, get_dataset, load_values
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "DATASETS",
-    "FitResult",
-    "GofReport",
-    "GtldModel",
-    "METHODS",
-    "ParamVector",
-    "QuantileMeasures",
-    "SimConfig",
-    "SimResult",
-    "SUBFAMILY_IDS",
-    "SUBFAMILY_SHAPES",
-    "TransformedParams",
-    "ad_statistic",
-    "cvm_statistic",
-    "emit_table",
-    "fit",
-    "get_dataset",
-    "gof_report",
-    "ks_statistic",
-    "load_values",
-    "make_model",
-    "mle_theta_bracket",
-    "model_from_params",
-    "model_select",
-    "neg_log_likelihood",
-    "param_names",
-    "run_simulation",
-    "standard_errors",
-    "__version__",
-]
+# each public name and the submodule that defines it
+_HOMES = {
+    "BACKEND": "_kernels",
+    "SUBFAMILY_IDS": "model",
+    "SUBFAMILY_SHAPES": "model",
+    "GtldModel": "model",
+    "ParamVector": "model",
+    "QuantileMeasures": "model",
+    "make_model": "model",
+    "model_from_params": "model",
+    "param_names": "model",
+    "FitResult": "estimation",
+    "METHODS": "estimation",
+    "TransformedParams": "estimation",
+    "fit": "estimation",
+    "mle_theta_bracket": "estimation",
+    "neg_log_likelihood": "estimation",
+    "standard_errors": "estimation",
+    "GofReport": "gof",
+    "ad_statistic": "gof",
+    "cvm_statistic": "gof",
+    "gof_report": "gof",
+    "ks_statistic": "gof",
+    "model_select": "gof",
+    "SimConfig": "simulation",
+    "SimResult": "simulation",
+    "emit_table": "simulation",
+    "run_simulation": "simulation",
+    "DATASETS": "datasets",
+    "get_dataset": "datasets",
+    "load_values": "datasets",
+}
+
+# the submodules that resolve as attributes of the package, as the public
+# names do
+_SUBMODULES = ("_kernels", "_optim", "model", "estimation", "gof", "simulation", "datasets")
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # importing a submodule also binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

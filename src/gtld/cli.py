@@ -15,11 +15,29 @@ import sys
 
 import numpy as np
 
-from .datasets import load_values
-from .estimation import METHODS, FitError, fit
-from .gof import gof_report
+from ._kernels import METHOD_IDS
 from .model import SUBFAMILY_IDS, SUBFAMILY_SHAPES, ParamVector, model_from_params, param_names
-from .simulation import SimConfig, SimResult, emit_table, run_simulation
+
+# Only the model and the kernels load with this module.  Each command
+# imports the rest of what it runs when it runs, so a process compiles and
+# loads only that: ``curves`` nothing more, ``props`` no fitting code,
+# ``fit`` no simulation.
+
+METHODS = tuple(METHOD_IDS)  # the --method choices
+
+
+def __getattr__(name):
+    # perfbench/tracer.py reads and rebinds cli.fit and cli.gof_report; the
+    # commands themselves import both from their home modules
+    if name == "fit":
+        from .estimation import fit
+
+        return fit
+    if name == "gof_report":
+        from .gof import gof_report
+
+        return gof_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -83,6 +101,10 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_fit(args) -> int:
+    from .datasets import load_values
+    from .estimation import fit
+    from .gof import gof_report
+
     if args.starts < 1:
         raise UsageError(f"--starts must be at least 1, got {args.starts}")
     sample = load_values(args.data)
@@ -109,9 +131,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_props(args) -> int:
-    # imported here, not at module level, so that the other commands load
-    # neither properties nor numerics; the functions are looked up on the
-    # module at call time
+    # the functions are looked up on the module at call time
     from . import properties
 
     params = _parse_params(args.family, args.params)
@@ -165,6 +185,8 @@ def cmd_props(args) -> int:
 
 
 def _read_sim_config(path: str) -> SimConfig:
+    from .simulation import SimConfig
+
     kv = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -213,8 +235,10 @@ def _read_sim_config(path: str) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import emit_table, run_simulation
+
     config = _read_sim_config(args.config)
-    result: SimResult = run_simulation(config)
+    result = run_simulation(config)
     print(emit_table(result, "text"))
     if args.out_prefix:
         with open(args.out_prefix + ".csv", "w", encoding="utf-8") as fh:
@@ -326,16 +350,18 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, KeyError, FitError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         # ArithmeticError: a quantity that overflows or divides by zero,
         # such as a hazard where the survival function underflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        # a NumericsError (a quadrature or series that failed) can only come
-        # from a loaded gtld.numerics, which only props and fit's GOF load
-        numerics = sys.modules.get(f"{__package__}.numerics")
-        if numerics is None or not isinstance(exc, numerics.NumericsError):
+        # a FitError can only come from a loaded gtld.estimation (fit,
+        # simulate), a NumericsError (a quadrature or series that failed)
+        # from a loaded gtld.numerics (props, fit's GOF)
+        homes = (("estimation", "FitError"), ("numerics", "NumericsError"))
+        loaded = ((sys.modules.get(f"{__package__}.{m}"), name) for m, name in homes)
+        if not isinstance(exc, tuple(getattr(m, name) for m, name in loaded if m is not None)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1

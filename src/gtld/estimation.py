@@ -174,6 +174,8 @@ def _median(xs):
 
 def default_init(sample, family: str) -> ParamVector:
     """Moment-style starting point: theta=1, lambda=0, beta from the median."""
+    if family not in SUBFAMILY_SHAPES:
+        raise ValueError(f"unknown sub-family {family!r}")
     xs = np.asarray(sample, dtype=float)
     fam = _kernels.FAMILY_IDS[family]
     row = _kernels._FAMILIES[fam]

@@ -156,8 +156,8 @@ def _cvm_upper_tail(x: float) -> float:
     absorbs.  Unlike 1 - CDF it keeps its relative accuracy however small
     the tail, and it is 0 only where e^(-pi^2 x/2) underflows.
     """
-    # imported here: numerics builds its node tables at import, and a bare
-    # ``import gtld`` has no other use for them
+    # imported here: numerics builds its node tables at import, and a fit
+    # report needs them only for a p-value at W^2 >= 1
     from .numerics import QuadratureSpec, integrate
 
     c = math.pi**2 * x
@@ -235,10 +235,15 @@ def ad_statistic(sample, model: GtldModel):
 
 
 def gof_report(sample, model: GtldModel, family: str) -> GofReport:
-    """Assemble the full report for a fitted model."""
+    """Assemble the full report for a fitted model.
+
+    ``family`` must be the model's own; the AIC counts the model's parameters.
+    """
+    if family != model.family:
+        raise ValueError(f"family {family!r} is not the model's ({model.family!r})")
     xs = np.asarray(sample, dtype=float)
     neg2 = 2.0 * _fit_statistic("ml", xs, model)
-    k = len(param_names(family))
+    k = len(param_names(model.family))
     return GofReport(
         neg2_loglik=neg2,
         aic=neg2 + 2.0 * k,

@@ -271,6 +271,12 @@ class TestDefaultInit:
         init = default_init(xs, "gtp1")
         assert init.shape["alpha"] < xs.min()
 
+    def test_unknown_family_refused_as_fit_refuses_it(self):
+        xs = load_values("failure")
+        for entry in (default_init, fit):
+            with pytest.raises(ValueError, match=r"^unknown sub-family 'nope'$"):
+                entry(xs, "nope")
+
 
 class TestFit:
     def test_ml_recovers_gte(self, gte_sample):

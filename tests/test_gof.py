@@ -7,7 +7,8 @@ import scipy.special as sp
 import scipy.stats as st
 
 from gtld import gof
-from gtld.estimation import FitError, cvm_objective
+from gtld.datasets import load_values
+from gtld.estimation import FitError, cvm_objective, fit
 from gtld.gof import (
     GofReport,
     ad_statistic,
@@ -227,6 +228,19 @@ class TestReport:
         blob = json.loads(rep.to_json())
         for key in ("neg2_loglik", "aic", "ks", "cvm", "ad", "n"):
             assert key in blob
+
+    def test_aic_counts_the_models_parameters(self):
+        # gte has 3 parameters, gtmw 5; a family that is not the model's is
+        # refused, not counted
+        xs = load_values("failure")
+        m = model_from_params("gte", fit(xs, "gte").estimates)
+        rep = gof_report(xs, m, "gte")
+        assert rep.aic == pytest.approx(306.383, abs=5e-4)
+        assert rep.aic == rep.neg2_loglik + 2.0 * 3
+        for other in ("gtmw", "nope"):
+            message = f"^family '{other}' is not the model's \\('gte'\\)$"
+            with pytest.raises(ValueError, match=message):
+                gof_report(xs, m, other)
 
     def test_statistics_invariant_under_monotone_map(self, model_and_sample):
         # KS/CvM/AD depend only on the fitted F(x_(i)) values; feeding the

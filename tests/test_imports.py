@@ -1,4 +1,5 @@
-"""gtld loads no SciPy module at run time: NumPy is its only dependency.
+"""gtld loads no SciPy module at run time, and each CLI command loads only
+the gtld modules it runs.
 
 Each case runs in a fresh interpreter and reads ``sys.modules`` at the end:
 the package, the CLI module, ``curves``, ``props``, a ``fit`` with its GOF
@@ -7,6 +8,11 @@ a ``fit`` loads neither ``numpy.ma`` nor the property modules.  A
 positive control imports ``scipy.special`` itself, to show that the check
 sees an import when one happens, and a source scan finds no SciPy import
 statement under ``src/gtld``.  SciPy remains a test-only oracle.
+
+A bare ``import gtld`` loads no submodule: the package resolves its public
+names and submodules on first use.  ``curves`` loads the model and the
+kernels alone, ``props`` no fitting or study module, ``fit`` no study
+module.
 """
 
 import json
@@ -116,3 +122,56 @@ def test_no_scipy_import_in_source():
                     if pattern.search(fh.read()):
                         offenders.append(os.path.relpath(path, PKG))
     assert offenders == []
+
+
+# the submodules a bare ``import gtld`` resolves as attributes
+SUBMODULES = ["_kernels", "_optim", "model", "estimation", "gof", "simulation", "datasets"]
+FITTING = ["gtld.estimation", "gtld._optim", "gtld.gof", "gtld.simulation", "gtld.datasets"]
+
+
+def gtld_modules_after(code):
+    """The sorted ``gtld*`` entries of sys.modules after running ``code``."""
+    return [m for m in modules_after(code) if m.split(".")[0] == "gtld"]
+
+
+def test_bare_import_loads_no_submodule():
+    assert gtld_modules_after("import gtld") == ["gtld"]
+
+
+def test_curves_loads_only_the_model_and_the_kernels():
+    loaded = gtld_modules_after(cli("curves", *PARAMS, "--grid", "0.1:3:20"))
+    assert loaded == ["gtld", "gtld._kernels", "gtld.cli", "gtld.model"]
+
+
+def test_props_loads_no_fitting_or_study_module():
+    loaded = gtld_modules_after(cli("props", *PARAMS, "--moment", "1", "--quantiles"))
+    assert "gtld.properties" in loaded
+    assert [m for m in loaded if m in FITTING] == []
+
+
+def test_fit_loads_no_study_module():
+    loaded = gtld_modules_after(cli("fit", "--data", "gauge", "--family", "gtw"))
+    assert {"gtld.datasets", "gtld.estimation", "gtld.gof"} <= set(loaded)
+    assert "gtld.simulation" not in loaded
+
+
+def test_lazy_package_resolves_every_name():
+    # in a fresh interpreter, so that nothing is loaded before the lookups
+    modules_after(
+        "import gtld\n"
+        f"for name in gtld.__all__ + {SUBMODULES!r}:\n"
+        "    getattr(gtld, name)\n"
+        "assert gtld.fit is gtld.estimation.fit\n"
+        "assert gtld.BACKEND is gtld._kernels.BACKEND\n"
+        "namespace = {}\n"
+        "exec('from gtld import *', namespace)\n"
+        "assert set(gtld.__all__) <= set(namespace)"
+    )
+
+
+def test_lazy_package_dir_and_unknown_names():
+    assert set(gtld.__all__) <= set(dir(gtld))
+    assert set(SUBMODULES) <= set(dir(gtld))
+    assert not hasattr(gtld, "nope")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        gtld.nope
