@@ -1,15 +1,25 @@
-"""The model layer's golden record, ``tests/golden/model.json``.
+"""The golden records of the model layer and of the property catalog,
+``tests/golden/model.json`` and ``tests/golden/properties.json``.
 
-Eight families, three fixed parameter sets each (one set passes its shape
-as an int, one gtmw set passes gamma before alpha): the model's support,
-``cdf``, ``survival``, ``logpdf`` and ``pdf`` at five points from the
-support's low end on, ``quantile`` at five levels and ``sample(5,
-seed=1)``; and ``default_init`` of every family on the gauge data.  Every
-float is stored as ``float.hex``, so the record keeps its bits.
+The model record: eight families, three fixed parameter sets each (one
+set passes its shape as an int, one gtmw set passes gamma before alpha):
+the model's support, ``cdf``, ``survival``, ``logpdf`` and ``pdf`` at five
+points from the support's low end on, ``quantile`` at five levels and
+``sample(5, seed=1)``; and ``default_init`` of every family on the gauge
+data.
 
-``tests/test_golden.py`` compares a fresh record with the stored one at a
+The property record: the quadrature properties of ``gtld.properties``
+(moments, incomplete moments, PWMs, the MGF, Renyi and q-entropies over
+the full and a truncated range, residual and reversed residual moments,
+``cigf``) at fixed arguments, on the model record's 24 models and on two
+seeded parameter sets per family; each call's value, or else the type of
+the error it raises.  Ages and truncation points are the model's own
+quantiles, recorded with the call.
+
+Every float is stored as ``float.hex``, so the records keep their bits.
+``tests/test_golden.py`` compares fresh records with the stored ones at a
 relative tolerance of 1e-12.  Run as a script to compare bytes or to
-write the record anew::
+write the records anew::
 
     PYTHONPATH=src python tests/golden_model.py --exact
     PYTHONPATH=src python tests/golden_model.py --write
@@ -24,11 +34,14 @@ import sys
 
 import numpy as np
 
-from gtld import load_values, make_model
+from gtld import load_values, make_model, properties
 from gtld.estimation import default_init
 from gtld.model import param_names
+from gtld.numerics import NumericsError
 
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "model.json")
+HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+PATH = os.path.join(HERE, "model.json")
+PROPERTIES_PATH = os.path.join(HERE, "properties.json")
 
 OFFSETS = (0.0, 0.05, 0.5, 1.5, 4.0)  # the points, above the support's low end
 LEVELS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6)
@@ -86,35 +99,102 @@ def compute() -> dict:
     return {"models": models, "default_init_gauge": inits}
 
 
+def _seeded_sets(family):
+    """Two parameter sets of ``family`` from a fixed seed: beta, theta and
+    the shapes log-uniform (gtmw's gamma over (0.05, 1.5), the others over
+    (0.4, 3)), beta and theta over (0.3, 3), lam uniform over (-0.95, 0.95)."""
+    rng = np.random.default_rng([list(SHAPES).index(family), 24])
+    out = []
+    for _ in range(2):
+        shape = tuple(
+            (name, float(np.exp(rng.uniform(*np.log((0.05, 1.5) if name == "gamma" else (0.4, 3.0))))))
+            for name, _ in SHAPES[family][0]
+        )
+        beta, theta = (float(v) for v in np.exp(rng.uniform(np.log(0.3), np.log(3.0), 2)))
+        out.append(((beta, theta, float(rng.uniform(-0.95, 0.95))), shape))
+    return out
+
+
+def property_calls(m):
+    """(label, function name, args, kwargs) of the catalog on model m."""
+    q10, med, q90 = (float(m.quantile(p)) for p in (0.1, 0.5, 0.9))
+    calls = [("raw_moment", (r,), {}) for r in (1, 2, 3)]
+    calls += [("incomplete_moment", (1, med), {}), ("incomplete_moment", (2, q90), {})]
+    calls += [("pwm", rs, {}) for rs in ((0, 2), (1, 1), (2, 1))]
+    calls += [("mgf", (t,), {}) for t in (-1.0, -0.2, 0.3)]
+    calls += [("renyi_entropy", (rho,), {}) for rho in (0.5, 2.0)]
+    calls += [("renyi_entropy", (2.0,), {"lower": q10})]
+    calls += [("q_entropy", (q,), {}) for q in (0.5, 2.0)]
+    calls += [("residual_moment", (1, med), {}), ("residual_moment", (2, q90), {})]
+    calls += [("reversed_residual_moment", (1, med), {}),
+              ("reversed_residual_moment", (2, q10), {})]
+    calls += [("cigf", mn, {}) for mn in ((1, 1), (0, 2), (0.5, 0.7))]
+    out = []
+    for name, args, kwargs in calls:
+        shown = [float(a).hex() if isinstance(a, float) else a for a in args]
+        shown += [f"{k}={float(v).hex()}" for k, v in kwargs.items()]
+        out.append((f"{name}({', '.join(map(str, shown))})", name, args, kwargs))
+    return out
+
+
+def compute_properties() -> dict:
+    """The property record, from the code on the import path."""
+    models = []
+    for family, shapes in SHAPES.items():
+        for (beta, theta, lam), shape in [*zip(SETS, shapes), *_seeded_sets(family)]:
+            m = make_model(family, beta=beta, theta=theta, lam=lam, **dict(shape))
+            calls = {}
+            for label, name, args, kwargs in property_calls(m):
+                try:
+                    calls[label] = {"value": float(getattr(properties, name)(m, *args, **kwargs)).hex()}
+                except (ArithmeticError, NumericsError) as exc:
+                    calls[label] = {"error": type(exc).__name__}
+            models.append({
+                "family": family,
+                "beta": float(beta).hex(),
+                "theta": float(theta).hex(),
+                "lam": float(lam).hex(),
+                "shape": [[name, float(value).hex()] for name, value in shape],
+                "calls": calls,
+            })
+    return {"models": models}
+
+
+RECORDS = ((PATH, compute), (PROPERTIES_PATH, compute_properties))
+
+
 def dumps(record: dict) -> str:
     return json.dumps(record, indent=1) + "\n"
 
 
-def load() -> dict:
-    with open(PATH, encoding="utf-8") as fh:
+def load(path=PATH) -> dict:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true", help="write the record anew")
-    mode.add_argument("--exact", action="store_true", help="compare the record's bytes")
+    mode.add_argument("--write", action="store_true", help="write the records anew")
+    mode.add_argument("--exact", action="store_true", help="compare the records' bytes")
     args = ap.parse_args(argv)
-    text = dumps(compute())
-    if args.write:
-        os.makedirs(os.path.dirname(PATH), exist_ok=True)
-        with open(PATH, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {PATH}")
-        return 0
-    with open(PATH, encoding="utf-8") as fh:
-        stored = fh.read()
-    if stored != text:
-        print(f"{PATH}: the code's record differs from the stored one", file=sys.stderr)
-        return 1
-    print(f"{PATH}: identical")
-    return 0
+    status = 0
+    for path, fresh in RECORDS:
+        text = dumps(fresh())
+        if args.write:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"wrote {path}")
+            continue
+        with open(path, encoding="utf-8") as fh:
+            stored = fh.read()
+        if stored != text:
+            print(f"{path}: the code's record differs from the stored one", file=sys.stderr)
+            status = 1
+        else:
+            print(f"{path}: identical")
+    return status
 
 
 if __name__ == "__main__":
