@@ -9,12 +9,14 @@ objectives' value-and-gradient kernel; the objectives take the per-fit
 timed for every family and method at n = 50 and 400 (us per call), so that
 a family the Monte Carlo study does not fit (the real-data fits use gtw,
 gte and gtl) cannot slow down unseen.  It also times three property integrals
-on gtw (ms per call) and counts the integrand calls that their quadrature
-makes, through ``numerics.integrate_ranges``, which every quadrature runs
-on: the first call covers the tanh-sinh levels h = 1 ... 1/16 of both
-halves of the split range, and each round of finer levels that a half
-still needs is one call more.  Whether a property exists is decided from
-the family table before that, with no integrand call.
+on gtw and on gtmw (ms per call), and counts the integrand calls that their
+quadrature makes, through ``numerics.integrate_ranges``, which every
+quadrature runs on: the first call covers the tanh-sinh levels h = 1 ...
+1/16 of both ranges of levels, p below 0.75 and the survival level below
+0.25, and each round of finer levels that a range still needs is one call
+more.  gtmw is the one family whose G^-1, which every integrand call
+evaluates, is iterative (Newton's method).  Whether a property exists is
+decided from the family table before that, with no integrand call.
 
 Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
@@ -65,7 +67,10 @@ FAMILY_ARGS = {
     "gtp1": (7, 0.04, 0.0, 1.5, 0.8, 0.2),
 }
 GRAD_SIZES = (50, 400)
-PROP_MODEL = make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
+PROP_MODELS = {
+    "gtw": make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5),
+    "gtmw": make_model("gtmw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5, gamma=0.3),
+}
 PROP_CALLS = (
     ("raw_moment(2)", properties.raw_moment, (2,)),
     ("renyi(0.5)", properties.renyi_entropy, (0.5,)),
@@ -217,13 +222,15 @@ for n in GRAD_SIZES:
         print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
 
 prop_batch = max(1, REPEATS // 10 // BATCHES)
-print(f"properties on gtw, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")
+print(f"properties, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")
+prop_rows = [(fam, m, label, fn, args) for fam, m in PROP_MODELS.items()
+             for label, fn, args in PROP_CALLS]
 prop_times = best_times(
-    [lambda fn=fn, args=args: fn(PROP_MODEL, *args) for _, fn, args in PROP_CALLS], prop_batch
+    [lambda fn=fn, m=m, args=args: fn(m, *args) for _, m, _, fn, args in prop_rows], prop_batch
 )
-for (label, fn, args), t in zip(PROP_CALLS, prop_times):
-    calls = integrand_calls(fn, PROP_MODEL, *args)
-    print(f"  {label:<14} {t * 1e3:9.3f} ms/call {calls:6d} integrand calls")
+for (fam, m, label, fn, args), t in zip(prop_rows, prop_times):
+    calls = integrand_calls(fn, m, *args)
+    print(f"  {fam:<5} {label:<14} {t * 1e3:9.3f} ms/call {calls:6d} integrand calls")
 
 print(
     f"fits: gtwe at the study truth, truth start, one start "

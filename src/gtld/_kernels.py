@@ -6,13 +6,14 @@ reports that record it.
 
 Each per-point quantity has one core (``_cdf_core``, ``_sf_core``,
 ``_logpdf_core``): one formula, on a float array, under its caller's
-errstate.  The property integrals call the cores straight on their
-quadrature nodes; points from outside take one way in, ``_at_points``
-(x of any shape as a float array, the cores' errstate, a scalar x giving
-a Python float), through which the model's cdf, survival, logpdf and pdf
-run.
+errstate.  Points from outside take one way in, ``_at_points`` (x of any
+shape as a float array, the cores' errstate, a scalar x giving a Python
+float), through which the model's cdf, survival, logpdf and pdf run.
+Levels have one core too, ``_quantile_core``: Q at levels p and at
+survival levels v, and log f there, which the model's quantile and sample
+and the property integrals (on their quadrature nodes) call.
 
-Who holds the errstate: the cores (the three above, ``_g_parts``,
+Who holds the errstate: the cores (the four above, ``_g_parts``,
 ``_g_inverse`` and the objectives' ``_objective``) rely on their caller;
 ``_at_points``, ``objective`` and ``objective_grad`` each hold their own
 for outside callers; and a fit holds one around all its starts and calls
@@ -31,7 +32,7 @@ in ``_FAMILIES`` and ``METHOD_IDS``:
 support and edge, G's growth at infinity, start shapes).  G and log G'
 are one dispatch on the family id, ``_g_parts``, and G^-1, which the
 quantile function Q(p) = G^-1(-log(1 - y) / beta) takes, is one beside
-it, ``_g_inverse``.
+it, ``_g_inverse``, with log G' at G^-1 (``_log_gp_inverse``).
 
 The objectives take their sample as a ``Plan``: the sorted sample with the
 pieces that do not depend on the parameters (log x, the rank weights),
@@ -61,6 +62,7 @@ BACKEND = "python"
 
 _LOG_CLAMP = 1e-300
 _BIG = 1e10
+_Y_CLIP = 1.0 - 1e-16  # clamp on the inner level y from p, before log1p at p -> 1
 _LOG2 = 0.6931471805599453
 # scalar slots of one evaluation (their order is set in _objective)
 _N_SLOTS = 9
@@ -399,6 +401,73 @@ def _g_inverse(fam, s1, s2, y):
     if fam == 7:  # gtp1
         return s1 * np.exp(y)
     raise ValueError(f"unknown family id {fam}")
+
+
+def _log_gp_inverse(fam, s1, s2, y, x):
+    """log G'(x) at x = G^-1(y), under the caller's errstate, in closed form
+    in y (gtmw: and x), so that it stays finite where x lies past the float
+    range or rounds onto the support's low end."""
+    if fam == 0:  # gte: G' = 1
+        return 0.0
+    if fam == 1:  # gtr: G' = x = sqrt(2y)
+        return 0.5 * np.log(2.0 * y)
+    if fam == 2:  # gtw: G' = alpha*x^(alpha - 1), x^alpha = y
+        return math.log(s1) + (1.0 - 1.0 / s1) * np.log(y)
+    if fam == 3:  # gtmw: G' = G*(alpha/x + gamma)
+        return np.log(y) + np.log(s1 / x + s2)
+    if fam == 4:  # gtwe: G' = alpha*x^(alpha - 1)*(1 + y), x^alpha = log1p(y)
+        xa = np.log1p(y)
+        return math.log(s1) + (1.0 - 1.0 / s1) * np.log(xa) + xa
+    if fam == 5:  # gtb12: G' = alpha*x^(alpha - 1)*e^-y, x^alpha = expm1(y)
+        return math.log(s1) + (1.0 - 1.0 / s1) * (y + np.log(-np.expm1(-y))) - y
+    if fam in (6, 7):  # gtl: G' = 1/(alpha + x); gtp1: 1/x; both e^-y/alpha
+        return -y - math.log(s1)
+    raise ValueError(f"unknown family id {fam}")
+
+
+def _quantile_core(fam, s1, s2, beta, theta, lam, p, lv=None, log_f=False):
+    """Q at the levels p, followed by Q(1 - v) at the survival levels v of
+    log ``lv`` if given, on float arrays under the caller's errstate; with
+    ``log_f``, the pair (Q, log f(Q)).
+
+    Q = G^-1(-log(1 - y) / beta), where the inner level y = u solves
+    F = (1 + lam) A - lam A^2 with A = y^theta; a Q past the float range is
+    inf.  From p, y is clamped below 1 before log1p.  From log v, A is
+    solved for W = 1 - A in S = W ((1 - lam) + lam W), and log(1 - y) is
+    taken from log y = log1p(-W) / theta through ``_log_u``, or as
+    log W - log theta where W is below 1e-100: so Q(1 - v) keeps its
+    accuracy as v -> 0, below the float range of v too.  log f(Q) is taken
+    from the level, not from Q: log(theta beta) + log G'(Q) + log(1 - y) +
+    (theta - 1) log y + log((1 + lam) - 2 lam A), with log G' in closed
+    form (``_log_gp_inverse``).
+    """
+    disc = np.sqrt(np.maximum((1.0 + lam) ** 2 - 4.0 * p * lam, 0.0))
+    A = 2.0 * p / ((1.0 + lam) + disc)
+    y = np.minimum(A ** (1.0 / theta), _Y_CLIP)
+    l1y = np.log1p(-y)
+    if log_f:
+        ly = np.log(A) / theta
+        tail = (1.0 + lam) - 2.0 * lam * A
+    if lv is not None:
+        if lam == 1.0:  # W = sqrt(v)
+            lW = 0.5 * lv
+        else:
+            den = (1.0 - lam) + np.sqrt(np.maximum((1.0 - lam) ** 2 + 4.0 * lam * np.exp(lv), 0.0))
+            lW = (lv + _LOG2) - np.log(den)
+        W = np.exp(lW)
+        ly_v = np.log1p(-W) / theta
+        l1y_v = _log_u(-ly_v)
+        np.copyto(l1y_v, lW - math.log(theta), where=W < 1e-100)
+        l1y = np.concatenate([l1y, l1y_v])
+        if log_f:
+            ly = np.concatenate([ly, ly_v])
+            tail = np.concatenate([tail, (1.0 - lam) + 2.0 * lam * W])
+    g = -l1y / beta
+    x = _g_inverse(fam, s1, s2, g)
+    if not log_f:
+        return x
+    lgp = _log_gp_inverse(fam, s1, s2, g, x)
+    return x, math.log(theta * beta) + lgp + l1y + (theta - 1.0) * ly + np.log(tail)
 
 
 def _cdf_core(fam, s1, s2, beta, theta, lam, x):

@@ -11,10 +11,10 @@ evaluated through expm1 so the deep right tail keeps relative accuracy.
 The public ``cdf``, ``survival``, ``logpdf`` and ``pdf`` check the support
 and run the kernels' cores through ``_kernels._at_points``, the one way in
 for points; ``_logpdf`` is the log f core with the density's limits filled
-in where the kernel gives NaN, and ``_pdf`` its exp, which the property
-integrals call straight on their quadrature nodes.  Quantiles take G^-1
-from the kernels' ``_g_inverse``, under their errstate: a Q past the float
-range is inf, and ``sample`` refuses such a draw with ``OverflowError``, as
+in where the kernel gives NaN, and ``_pdf`` its exp.  Quantiles come from
+the kernels' quantile core, ``_kernels._quantile_core``, which the
+property integrals call on their levels too: a Q past the float range is
+inf, and ``sample`` refuses such a draw with ``OverflowError``, as
 ``quantile_measures`` refuses such a level.
 """
 
@@ -27,8 +27,6 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _kernels
-
-_V_CLIP = 1.0 - 1e-16  # clamp on v = A^(1/theta) before log1p at p -> 1
 
 # the shape names of each family, in the kernels' family order
 SUBFAMILY_SHAPES: dict[str, tuple[str, ...]] = {r.name: r.shapes for r in _kernels._FAMILIES}
@@ -200,16 +198,10 @@ class GtldModel:
     # -- quantiles and sampling ------------------------------------------
 
     def _quantile_arr(self, p):
-        """Q(p) = G^-1(-log(1 - y) / beta), (1+lam) y^theta - lam y^(2 theta) = p,
-        on a float array of levels; inf where Q lies past the float range."""
-        par = self.params
-        lam = par.lam
+        """Q(p) on a float array of levels, from the kernels' quantile core;
+        inf where Q lies past the float range."""
         with np.errstate(all="ignore"):
-            disc = np.sqrt(np.maximum((1.0 + lam) ** 2 - 4.0 * p * lam, 0.0))
-            A = 2.0 * p / ((1.0 + lam) + disc)
-            y = np.minimum(A ** (1.0 / par.theta), _V_CLIP)
-            G = -np.log1p(-y) / par.beta
-            return _kernels._g_inverse(*self.kernel_args[:3], G)
+            return _kernels._quantile_core(*self.kernel_args, p)
 
     def quantile(self, p):
         # a scalar p runs as a one-element array: a 0-d one would take other

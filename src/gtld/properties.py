@@ -1,25 +1,32 @@
 """Distributional quantities: moments, PWM, MGF, entropies, residual life, CIGF.
 
 Tanh-sinh quadrature (``numerics``) is the primary computational path
-throughout.  Every integrand here is elementwise on arrays, and the
-integrals over an unbounded range are split at Q(0.75): the two halves run
-in lock step through one ``numerics.integrate_ranges`` call, so one call of
-the model's vectorised cdf, survival or density covers the rule's levels
-h = 1 ... 1/16 of both halves, and each round of finer levels that a half
-still needs is one call more.  The integrands evaluate the kernels' cores
-(``_kernels._cdf_core``, ``_sf_core``) and the model's log f core and its
-exp (``GtldModel._logpdf``, ``_pdf``) straight on the nodes, inside the
-quadrature's errstate: the nodes lie in the support by construction, so
-the public functions' support check and their wrapper
-``_kernels._at_points`` (errstate and scalar handling) would only cost
-time there.  Arguments are refused before the first integrand call
-instead (an age below the support by the scalar ``survival`` or ``cdf``),
-and a property whose split point Q(0.75) lies past the float range raises
-:class:`DivergenceError`.  Each half's degraded result is accepted or
-raised in range order, as if the halves ran one after the other, and the
-values are those of separate calls to the bit.  The incomplete and
-reversed residual moments take the same route over one finite range.  The
-closed-form series for the Weibull-type sub-family ("gtw") are kept as an
+throughout, and every integral is taken over probability, not over x: a
+property E h(X) is the integral of h(Q(p)) over the level p in (0, 1),
+where the mass is uniform by construction.  Two ranges of levels run in
+lock step through one ``numerics.integrate_ranges`` call: p in (0, 0.75),
+and the survival level v = 1 - p in (0, 0.25), handed to the kernels'
+quantile core as log v so that Q(1 - v) stays accurate as v -> 0, below
+the float range of v too (``_kernels._quantile_core``).  One call of the
+core covers the rule's levels h = 1 ... 1/16 of both ranges, and each
+round of finer levels that a range still needs is one call more.  The
+integrands, taken in logs (``_over_levels``), are Q^r (moments), Q^r p^s
+(PWMs), e^(tQ) (the MGF), f(Q)^(rho - 1) (the entropies) and
+p^m (1 - p)^n / f(Q) (``cigf``), with log f(Q) taken by the core from the
+level rather than from Q.  The incomplete moment runs over the levels up
+to F(z); the residual moment over w in (0, 1) at v = S(t) w, and the
+reversed one over w at p = F(t) w, so that neither divides by a
+probability.  Where an integrand is singular as v -> 0, like v^-a with
+a > 1/2 (the tail screen below gives a), the survival levels are taken
+as a power of the rule's variable that leaves it bounded.  The core runs
+straight on the nodes, inside the quadrature's errstate, with no support
+check or scalar handling per call: arguments are refused before the
+first integrand call instead (an age below the support by the scalar
+``survival`` or ``cdf``), and a moment, PWM, residual moment or ``cigf``
+that meets a Q past the float range below the level 0.75 (for the
+residual moment, at w >= 1/2) raises ``OverflowError``.  Each range's
+degraded result is accepted or raised in range order.  The closed-form
+series for the Weibull-type sub-family ("gtw") are kept as an
 independent cross-check route; they and the quadrature values must agree
 wherever both apply.
 
@@ -30,8 +37,8 @@ the family table's growth of G at infinity (``_kernels._FAMILIES``, column
 ``tail``), which fixes how S decays: like the power x^-kappa where G grows
 like log x (gtb12, gtl, gtp1), faster than every power elsewhere
 (``_screen_tail``).  At the lower support edge the local power of the
-density follows from the table's ``edge``.  The tail's verdict comes
-before the edge's.
+density follows from the table's ``edge``, with theta doubled at lam = -1
+(``_screen_edge``).  The tail's verdict comes before the edge's.
 """
 
 from __future__ import annotations
@@ -46,9 +53,13 @@ from . import _kernels, numerics
 from .model import GtldModel, ParamVector
 from .numerics import QuadratureSpec, SeriesSpec
 
-_MID_P = np.array([0.75])  # the split point of an unbounded range, as a level
-_MID_P.flags.writeable = False
 _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
+# a relative bound alone, for integrals whose scale the default absolute
+# one does not fit: e^(tX) takes values in (0, 1] for t < 0, however small
+# the MGF, and a residual moment over w in (0, 1) is of the order of the
+# n-th power of x's scale, which can lie far below 1
+_RELATIVE = QuadratureSpec(abs_tol=1e-300)
+_CIGF_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
 class DivergenceError(ArithmeticError):
@@ -71,38 +82,20 @@ def _accept(outcome):
     return outcome
 
 
-def _on_parts(integrand):
-    """An elementwise integrand as the driver calls it: once on all parts."""
-    return lambda *parts: integrand(np.concatenate(parts))
-
-
-# The distribution functions on quadrature nodes: float arrays inside the
-# support, under the driver's errstate, so the kernels' cores take them
-# as they are, without the public functions' support check and errstate.
-
-_pdf = GtldModel._pdf
-
-
-def _cdf(model: GtldModel, x):
-    return _kernels._cdf_core(*model.kernel_args, x)
-
-
-def _sf(model: GtldModel, x):
-    return _kernels._sf_core(*model.kernel_args, x)
-
-
-def _split_point(model: GtldModel, what: str):
-    """Q(0.75), the split point of an unbounded range; a DivergenceError
-    naming ``what`` where it lies past the float range."""
-    mid = model._quantile_arr(_MID_P)[0]
-    if not math.isfinite(mid):
-        raise DivergenceError(f"{what}: Q(0.75) lies past the float range")
-    return float(mid)
+def _finite(q, what):
+    """Raise an OverflowError naming ``what`` where a quantile is inf: Q
+    lies past the float range there, and so does an integral of a power
+    of Q over the levels beyond."""
+    if np.logical_or.reduce(np.isinf(q)):
+        raise OverflowError(f"{what}: Q lies past the float range")
 
 
 def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     """Raise a DivergenceError naming ``what`` unless an integrand that
-    behaves like x^e * S(x)^n * e^(t*x) as x -> inf is integrable there.
+    behaves like x^e * S(x)^n * e^(t*x) as x -> inf is integrable there;
+    else return the power a with which the integral's integrand over the
+    survival level v = S(x) behaves like v^-a as v -> 0, up to slowly
+    varying factors (a < 1).
 
     The table's G(x) ~ c*x^p (p = 0: c*log x) decides it, with no integrand
     call: S(x) = theta*(1 - lam)*e^(-beta*G(x))*(1 + o(1)), or
@@ -113,7 +106,9 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     S = e^(-m*beta*c*x^p*(1 + o(1))) outruns every power of x, and only
     t > 0 can make it diverge: where p < 1, and where p = 1 and
     t >= n*m*beta*c.  t = inf diverges for every family: e^(t*x) is inf on
-    the whole support.
+    the whole support.  Over v, dx = dv/f: where S ~ x^-kappa that makes
+    a = 1 - n + (e + 1)/kappa at t = 0 (-inf for t < 0), where p = 1 it
+    makes a = 1 - n + t/(m*beta*c), and elsewhere a = 1 - n.
     """
     if t == math.inf:
         raise DivergenceError(f"{what}: e^(t*x) is infinite on the whole support")
@@ -124,9 +119,31 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     if p == 0.0:
         if t > 0.0 or (t == 0.0 and n * rate <= e + 1.0):
             raise DivergenceError(f"{what}: diverges in the tail, where S(x) ~ x^-{rate:.6g}")
-    elif t > 0.0 and (p < 1.0 or (p == 1.0 and t >= n * rate)):
+        return 1.0 - n + (e + 1.0) / rate if t == 0.0 else -math.inf
+    if t > 0.0 and (p < 1.0 or (p == 1.0 and t >= n * rate)):
         raise DivergenceError(
             f"{what}: diverges in the tail, where S(x) ~ exp(-{rate:.6g}*x^{p:.6g})"
+        )
+    return 1.0 - n + (t / rate if p == 1.0 else 0.0)
+
+
+def _screen_edge(model: GtldModel, what, rho):
+    """Raise a DivergenceError naming ``what`` unless f^rho is integrable at
+    the support's low end, with no integrand call.
+
+    There the family table's edge (k, c) gives G ~ c*(x - low)^k, so
+    F ~ (1 + lam)*(beta*c)^theta*(x - low)^(k*theta), and at lam = -1,
+    where F = v^2, ~ (beta*c)^(2*theta)*(x - low)^(2*k*theta): f^rho
+    behaves like (x - low)^(rho*(k*theta - 1)), theta doubled at lam = -1,
+    and is integrable where that power exceeds -1.
+    """
+    par = model.params
+    theta = 2.0 * par.theta if par.lam == -1.0 else par.theta
+    power = rho * (model.edge_order * theta - 1.0)
+    if power <= -1.0:
+        raise DivergenceError(
+            f"{what}: diverges at the lower support edge, where f^{rho:g} ~ "
+            f"(x - {model.support_low:g})^{power:.6g}"
         )
 
 
@@ -138,15 +155,49 @@ def _integrate(f, ranges, spec=None):
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
-def _integrate_support(model: GtldModel, integrand, what, lower=None, spec=None):
-    """Integrate the property named ``what`` over (lower or support_low, inf),
-    split at Q(0.75) or, if that is not above the lower end, at
-    2*lower + 1."""
-    lo = model.support_low if lower is None else lower
-    mid = _split_point(model, what)
-    if mid <= lo:
-        mid = 2.0 * lo + 1.0
-    return _integrate(_on_parts(integrand), [(lo, mid), (mid, math.inf)], spec)
+def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 0.25),
+                 v_scale=1.0, spec=None, log_f=False):
+    """The integral of e^log_h over the levels p in ``p_range`` plus that over
+    the survival levels v = v_scale*w, w in ``v_range``, in one lock-step
+    driver call; by default the levels of the whole support, p below 0.75
+    and v = 1 - p below 0.25.
+
+    ``log_h(p, lv, q, log_f)`` returns the integrand's log on the
+    concatenated levels, given the levels p, the log survival levels lv,
+    and Q there (and log f, or None).  Where the integrand behaves like
+    v^-a as v -> 0 with a > 1/2 (``_screen_tail``), w = s^k with
+    k = 1/(1 - a) takes its place, which leaves it bounded as s -> 0:
+    otherwise the mass below the rule's nodes nearest v = 0, a fraction
+    1e-150 of the range, and below the float range of v would be of the
+    order of 1e-150^(1 - a) and 1e-308^(1 - a).  The levels are then
+    taken in logs, and the integrand with the Jacobian k s^(k - 1).
+    """
+    k = 1.0 if a <= 0.5 else 1.0 / (1.0 - a)
+    log_scale = math.log(v_scale)
+    args = model.kernel_args
+
+    def integrand(p, s):
+        ls = np.log(s)
+        lv = ls if k == 1.0 else k * ls
+        if v_scale != 1.0:
+            lv = lv + log_scale
+        # the kernels' quantile core, straight on the nodes
+        if log_f:
+            q, lf = _kernels._quantile_core(*args, p, lv, True)
+        else:
+            q, lf = _kernels._quantile_core(*args, p, lv), None
+        out = log_h(p, lv, q, lf)
+        if k != 1.0:
+            out[p.size :] += math.log(k) + (k - 1.0) * ls
+        return np.exp(out)
+
+    return _integrate(integrand, [p_range, tuple(w ** (1.0 / k) for w in v_range)], spec)
+
+
+def _log_levels(p, lv):
+    """log F and log S on the concatenated levels p and survival levels e^lv."""
+    return (np.concatenate([np.log(p), np.log1p(-np.exp(lv))]),
+            np.concatenate([np.log1p(-p), lv]))
 
 
 # -- moments ---------------------------------------------------------------
@@ -195,12 +246,13 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
-    def integrand(x):
-        return x**r * _pdf(model, x)
-
     what = f"raw moment r={r}"
-    _screen_tail(model, what, r - 1, 1)
-    return _integrate_support(model, integrand, what)
+
+    def log_h(p, lv, q, log_f):
+        _finite(q[: p.size], what)
+        return r * np.log(q)
+
+    return _over_levels(model, log_h, _screen_tail(model, what, r - 1, 1))
 
 
 def incomplete_moment(
@@ -223,7 +275,12 @@ def incomplete_moment(
         raise ValueError(f"unknown method {method!r}")
     if z == model.support_low:
         return 0.0
-    return _integrate(lambda x: x**r * _pdf(model, x), [(model.support_low, z)])
+    # the levels below F(z): p up to 0.75 and, beyond, v above S(z)
+    F = model.cdf(z)
+    v_range = (min(model.survival(z), 0.25), 0.25) if F > 0.75 else (0.25, 0.25)
+    return _over_levels(
+        model, lambda p, lv, q, log_f: r * np.log(q), -math.inf, (0.0, min(F, 0.75)), v_range
+    )
 
 
 def pwm(model: GtldModel, r: int, s: int) -> float:
@@ -231,12 +288,16 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
     if not (r >= 0 and s >= 0):
         raise ValueError(f"pwm orders r, s must be nonnegative, got {r}, {s}")
 
-    def integrand(x):
-        return x**r * _cdf(model, x) ** s * _pdf(model, x)
-
     what = f"pwm r={r}, s={s}"
-    _screen_tail(model, what, r - 1, 1)
-    return _integrate_support(model, integrand, what)
+
+    def log_h(p, lv, q, log_f):
+        out = s * _log_levels(p, lv)[0]
+        if r:
+            _finite(q[: p.size], what)
+            out += r * np.log(q)
+        return out
+
+    return _over_levels(model, log_h, _screen_tail(model, what, r - 1, 1))
 
 
 def mgf(model: GtldModel, t: float) -> float:
@@ -244,12 +305,11 @@ def mgf(model: GtldModel, t: float) -> float:
     if math.isnan(t):
         raise ValueError("mgf needs an argument t, got nan")
 
-    def integrand(x):
-        return np.exp(t * x + model._logpdf(x))
+    def log_h(p, lv, q, log_f):
+        return t * q
 
-    what = f"mgf t={t}"
-    _screen_tail(model, what, -1, 1, t)
-    return _integrate_support(model, integrand, what)
+    a = _screen_tail(model, f"mgf t={t}", -1, 1, t)
+    return _over_levels(model, log_h, a, spec=_RELATIVE)
 
 
 def stress_strength(lambda1: float, lambda2: float) -> float:
@@ -290,49 +350,29 @@ def order_stat_pdf(model: GtldModel, n: int, r: int, x) -> float:
 
 
 def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
-    """integral of f^rho over (lower or support_low, inf).
+    """integral of f^rho over (lower or support_low, inf), as the integral
+    of f(Q(p))^(rho - 1) over the levels.
 
-    At the lower support edge the density behaves like x^(k*theta - 1) with
-    k the model's edge order, so f^rho is integrable there only when
-    rho*(k*theta - 1) > -1; that is checked analytically.  When the density
-    is unbounded at the edge the substitution u = F(x) removes the
-    singularity: the part below the split point Q(0.75) becomes the
-    integral over (0, 0.75) of f(Q(u))^(rho-1) du.
+    Existence is decided before any integrand call: in the tail by
+    ``_screen_tail``, and over the whole support also at the low edge by
+    ``_screen_edge``; the tail's verdict comes first.
     """
     if lower is not None and math.isnan(lower):
         raise ValueError("the entropy integral's lower limit is nan")
-    low = model.support_low
-    theta = model.params.theta
-    k = model.edge_order
-    truncated = lower is not None and lower > low
+    truncated = lower is not None and lower > model.support_low
 
-    def integrand(x):
-        return np.exp(rho * model._logpdf(x))
+    def log_h(p, lv, q, log_f):
+        return (rho - 1.0) * log_f
 
     what = f"density-power integral rho={rho}"
-    _screen_tail(model, what, -rho, rho)  # the tail's verdict comes before the edge's
-    if truncated:
-        return _integrate_support(model, integrand, what, lower=lower)
-    edge_exp = rho * (k * theta - 1.0)
-    if edge_exp <= -1.0:
-        raise DivergenceError(
-            f"integral of f^{rho:g} diverges at the lower support edge "
-            f"(local power {edge_exp:.3f} <= -1)"
-        )
-    if k * theta >= 1.0:
-        return _integrate_support(model, integrand, what)
-
-    # unbounded density at the edge: integrate f(Q(u))^(rho-1) in u = F(x)
-    # below the split point, f^rho in x above it, where u could come no
-    # nearer to 1 than 1 - 2^-53; one log f call serves Q at the u nodes
-    # and the x nodes
-    def split_integrand(u, x):
-        y = np.concatenate([model._quantile_arr(u) if u.size else u, x])
-        power = np.full(y.size, rho)
-        power[: u.size] = rho - 1.0
-        return np.exp(power * model._logpdf(y))
-
-    return _integrate(split_integrand, [(0.0, 0.75), (_split_point(model, what), math.inf)])
+    a = _screen_tail(model, what, -rho, rho)
+    if not truncated:
+        _screen_edge(model, what, rho)
+        return _over_levels(model, log_h, a, log_f=True)
+    # the levels above F(lower): p up to 0.75 and v below S(lower)
+    p_range = (min(model.cdf(lower), 0.75), 0.75)
+    v_top = min(model.survival(lower), 0.25)
+    return _over_levels(model, log_h, a, p_range=p_range, v_range=(0.0, v_top), log_f=True)
 
 
 def renyi_entropy(model: GtldModel, rho: float, lower: float | None = None) -> float:
@@ -375,13 +415,21 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
     s = model.survival(t)
     if s <= 0.0:
         raise ZeroDivisionError("survival(t) is 0; residual life undefined")
-
-    def integrand(x):
-        return (x - t) ** n * _pdf(model, x)
-
     what = f"residual moment n={n}"
-    _screen_tail(model, what, n - 1, 1)
-    return _integrate_support(model, integrand, what, lower=t) / s
+
+    # E[(X - t)^n | X > t] is the integral over w in (0, 1) of
+    # (Q(1 - S(t) w) - t)^n: no division by S(t) is left to magnify an
+    # error.  A Q past the float range at w >= 1/2 puts the moment past it.
+    log_half = math.log(0.5 * s)
+
+    def log_h(p, lv, q, log_f):
+        _finite(q[lv >= log_half], what)
+        return n * np.log(np.maximum(q - t, 0.0))
+
+    a = _screen_tail(model, what, n - 1, 1)
+    return _over_levels(
+        model, log_h, a, p_range=(0.0, 0.0), v_range=(0.0, 1.0), v_scale=s, spec=_RELATIVE
+    )
 
 
 def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
@@ -395,8 +443,12 @@ def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
     F = model.cdf(t)
     if F <= 0.0:
         raise ZeroDivisionError("cdf(t) is 0; reversed residual life undefined")
-    val = _integrate(lambda x: (t - x) ** n * _pdf(model, x), [(model.support_low, t)])
-    return val / F
+
+    # E[(t - X)^n | X <= t] is the integral over w in (0, 1) of (t - Q(F(t) w))^n
+    def integrand(w):
+        return np.maximum(t - _kernels._quantile_core(*model.kernel_args, F * w), 0.0) ** n
+
+    return _integrate(integrand, [(0.0, 1.0)], _RELATIVE)
 
 
 def cigf(model: GtldModel, m: float, n: float) -> float:
@@ -415,11 +467,13 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
             "cigf(m, 0) diverges: F^m tends to 1 on an unbounded support"
         )
 
-    def integrand(x):
-        return _cdf(model, x) ** m * _sf(model, x) ** n
-
     what = f"cigf m={m}, n={n}"
-    _screen_tail(model, what, 0, n)
-    return _integrate_support(
-        model, integrand, what, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-    )
+
+    # F^m S^n dx = p^m (1 - p)^n dp / f(Q(p))
+    def log_h(p, lv, q, log_f):
+        _finite(q[: p.size], what)
+        log_F, log_S = _log_levels(p, lv)
+        return m * log_F + n * log_S - log_f
+
+    a = _screen_tail(model, what, 0, n)
+    return _over_levels(model, log_h, a, spec=_CIGF_SPEC, log_f=True)

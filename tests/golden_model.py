@@ -106,8 +106,9 @@ def _seeded_sets(family):
     rng = np.random.default_rng([list(SHAPES).index(family), 24])
     out = []
     for _ in range(2):
+        box = {"gamma": (0.05, 1.5)}
         shape = tuple(
-            (name, float(np.exp(rng.uniform(*np.log((0.05, 1.5) if name == "gamma" else (0.4, 3.0))))))
+            (name, float(np.exp(rng.uniform(*np.log(box.get(name, (0.4, 3.0)))))))
             for name, _ in SHAPES[family][0]
         )
         beta, theta = (float(v) for v in np.exp(rng.uniform(np.log(0.3), np.log(3.0), 2)))
@@ -146,7 +147,8 @@ def compute_properties() -> dict:
             calls = {}
             for label, name, args, kwargs in property_calls(m):
                 try:
-                    calls[label] = {"value": float(getattr(properties, name)(m, *args, **kwargs)).hex()}
+                    value = getattr(properties, name)(m, *args, **kwargs)
+                    calls[label] = {"value": float(value).hex()}
                 except (ArithmeticError, NumericsError) as exc:
                     calls[label] = {"error": type(exc).__name__}
             models.append({

@@ -127,11 +127,11 @@ class TestProps:
         code, out, _ = run_cli(
             capsys,
             "props", "--family", "gtw", "--params", "0.00145,0.1,1,0",
-            "--moment", "1", "--mgf=-0.5", "--cigf", "1,1", "--residual", "1,1.0",
+            "--moment", "1", "--pwm", "1,1", "--cigf", "1,1", "--residual", "1,1.0",
         )
         assert code == 0
         payload = json.loads(out)
-        for key in ("moment_1", "mgf_-0.5", "cigf_1,1", "residual_1,1.0"):
+        for key in ("moment_1", "pwm_1,1", "cigf_1,1", "residual_1,1.0"):
             assert "past the float range" in payload[key]["error"]
 
     def test_quantile_measures_past_the_float_range_reported_inline(self, capsys):
@@ -188,16 +188,15 @@ class TestProps:
         assert err.startswith("error: ") and "raw_moment" in err
 
     def test_quadrature_failure_is_exit_1(self, capsys):
-        # the quadrature of this gtp1 mean misses its bound (a
-        # QuadratureError, which is a NumericsError; see CHANGES.md)
+        # gtw with alpha = 0.00145: e^(-X/2) falls from 1 to 0 over the
+        # levels (0.0950, 0.0956), and the quadrature misses its bound (a
+        # QuadratureError, which is a NumericsError)
         code, out, err = run_cli(
-            capsys, "props", "--family", "gtp1",
-            "--params", "0.7008003746224082,8.44463274677869,0.23688411746283924,-0.5984752694001021",
-            "--moment", "1",
+            capsys, "props", "--family", "gtw", "--params", "0.00145,0.1,1,0", "--mgf=-0.5",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: quadrature did not converge (estimate 0.5346")
+        assert err.startswith("error: quadrature did not converge (estimate 0.0947")
 
     @pytest.mark.parametrize(
         "family, params, options, keys",

@@ -1,11 +1,13 @@
-"""Lock-step quadrature against the property composition it replaced.
+"""Lock-step quadrature against the same integrals taken one range at a time.
 
-A split property integral used to run ``numerics.integrate`` on each half
-in turn, applying the degraded acceptance to each half.  ``Composition``
-keeps that code as the oracle, behind the same analytic tail screen,
-``properties._screen_tail``: every property must give its value's bytes,
-or raise the same exception type with the same message, estimate and
-error bound.
+A property integral runs over two ranges of levels, the level p and the
+survival level v, in lock step: one call of its integrand serves the
+nodes of both.  ``Composition`` runs every property with the driver
+replaced by one that integrates each range on its own, through
+``numerics.integrate`` or an oracle of it, handing the integrand the
+nodes of that range alone: every property must give the lock step's
+value to the byte, or raise the same exception type with the same
+message, estimate and error bound.
 """
 
 import math
@@ -19,124 +21,48 @@ from gtld.numerics import QuadratureError, QuadratureSpec
 
 from conftest import random_params
 
-_ACCEPT_REL = 1e-6
 DivergenceError = properties.DivergenceError
+_EMPTY = np.empty(0)
+_DRIVE = numerics.integrate_ranges  # the lock-step driver, before any patch
+
+
+def _integrate(f, lower, upper, spec=None):
+    """``numerics.integrate``, on the lock-step driver as it is unpatched."""
+    (out,) = _DRIVE(f, [(lower, upper)], spec)
+    if isinstance(out, QuadratureError):
+        raise out
+    return out
 
 
 class Composition:
-    """The property integrals as they were composed before the lock-step
-    driver; ``rule`` is the one-range quadrature, ``numerics.integrate``
-    or an oracle of it."""
+    """The property functions with each range of levels integrated by its
+    own call of ``rule``, the one-range quadrature (``numerics.integrate``
+    or an oracle of it), in range order."""
 
     def __init__(self, rule=None):
-        self.rule = rule or numerics.integrate
+        self.rule = rule or _integrate
 
-    def _integrate(self, f, lo, hi, spec=None):
-        try:
-            return self.rule(f, lo, hi, spec)
-        except QuadratureError as exc:
-            est, err = exc.estimate, exc.error_bound
-            if est is not None and err is not None and err <= _ACCEPT_REL * max(
-                1.0, abs(est)
-            ):
-                return est
-            raise
+    def _one_at_a_time(self, f, ranges, spec=None):
+        out = []
+        for i, (lower, upper) in enumerate(ranges):
+            def alone(x, i=i):
+                return f(*[x if j == i else _EMPTY for j in range(len(ranges))])
 
-    def _integrate_support(self, model, f, lower=None, spec=None):
-        lo = model.support_low if lower is None else lower
-        mid = model.quantile(0.75)
-        if mid <= lo:
-            mid = 2.0 * lo + 1.0
-        return self._integrate(f, lo, mid, spec) + self._integrate(f, mid, math.inf, spec)
+            try:
+                out.append(self.rule(alone, lower, upper, spec))
+            except QuadratureError as exc:
+                out.append(exc)
+        return out
 
-    def raw_moment(self, model, r):
-        def integrand(x):
-            return x**r * model.pdf(x)
+    def __getattr__(self, name):
+        fn = getattr(properties, name)
 
-        properties._screen_tail(model, f"raw moment r={r}", r - 1, 1)
-        return self._integrate_support(model, integrand)
+        def composed(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(numerics, "integrate_ranges", self._one_at_a_time)
+                return fn(*args, **kwargs)
 
-    def incomplete_moment(self, model, r, z):
-        return self._integrate(lambda x: x**r * model.pdf(x), model.support_low, z)
-
-    def pwm(self, model, r, s):
-        def integrand(x):
-            return x**r * model.cdf(x) ** s * model.pdf(x)
-
-        properties._screen_tail(model, f"pwm r={r}, s={s}", r - 1, 1)
-        return self._integrate_support(model, integrand)
-
-    def mgf(self, model, t):
-        def integrand(x):
-            return np.exp(t * x + model.logpdf(x))
-
-        properties._screen_tail(model, f"mgf t={t}", -1, 1, t)
-        return self._integrate_support(model, integrand)
-
-    def _density_power_integral(self, model, rho, lower):
-        low = model.support_low
-        theta = model.params.theta
-        k = model.edge_order
-        truncated = lower is not None and lower > low
-
-        def integrand(x):
-            return np.exp(rho * model.logpdf(x))
-
-        properties._screen_tail(model, f"density-power integral rho={rho}", -rho, rho)
-        if not truncated:
-            edge_exp = rho * (k * theta - 1.0)
-            if edge_exp <= -1.0:
-                raise DivergenceError(
-                    f"integral of f^{rho:g} diverges at the lower support edge "
-                    f"(local power {edge_exp:.3f} <= -1)"
-                )
-            if k * theta < 1.0:
-
-                def sub_integrand(w):
-                    return np.exp((rho - 1.0) * model.logpdf(model.quantile(w)))
-
-                mid = model.quantile(0.75)
-                return self._integrate(sub_integrand, 0.0, 0.75) + self._integrate(
-                    integrand, mid, math.inf
-                )
-            return self._integrate_support(model, integrand)
-        return self._integrate_support(model, integrand, lower=lower)
-
-    def renyi_entropy(self, model, rho, lower=None):
-        val = self._density_power_integral(model, rho, lower)
-        if val <= 0:
-            raise DivergenceError("density-power integral evaluated to a non-positive value")
-        return math.log(val) / (1.0 - rho)
-
-    def q_entropy(self, model, q, lower=None):
-        val = self._density_power_integral(model, q, lower)
-        if val >= 1.0:
-            raise properties.EntropyDomainError(
-                f"integral of f^{q:g} is {val:.6g} >= 1; q-entropy is undefined"
-            )
-        return math.log1p(-val) / (q - 1.0)
-
-    def residual_moment(self, model, n, t):
-        s = model.survival(t)
-
-        def integrand(x):
-            return (x - t) ** n * model.pdf(x)
-
-        properties._screen_tail(model, f"residual moment n={n}", n - 1, 1)
-        return self._integrate_support(model, integrand, lower=t) / s
-
-    def reversed_residual_moment(self, model, n, t):
-        val = self._integrate(lambda x: (t - x) ** n * model.pdf(x), model.support_low, t)
-        return val / model.cdf(t)
-
-    def cigf(self, model, m, n):
-        def integrand(x):
-            return model.cdf(x) ** m * model.survival(x) ** n
-
-        properties._screen_tail(model, f"cigf m={m}, n={n}", 0, n)
-        return self._integrate_support(
-            model, integrand, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-        )
+        return composed
 
 
 ORACLE = Composition()
@@ -153,9 +79,10 @@ def outcome(fn, *args, **kwargs):
 
 
 def calls(m):
-    """(name, args, kwargs) for every split property and its single-range
-    neighbours: orders, MGF arguments of both signs, entropies over the
-    full and a truncated range, ages below and above the split point."""
+    """(name, args, kwargs) for every quadrature property: orders, MGF
+    arguments of both signs, entropies over the full range and truncated
+    below and above Q(0.75), where the level ranges meet, and ages below
+    and above it."""
     q10, med, q90 = (m.quantile(p) for p in (0.1, 0.5, 0.9))
     out = [("raw_moment", (r,), {}) for r in (1, 2, 3)]
     out += [("pwm", rs, {}) for rs in ((0, 2), (1, 1), (2, 1))]
@@ -164,7 +91,7 @@ def calls(m):
         out += [
             ("renyi_entropy", (rho,), {}),
             ("renyi_entropy", (rho,), {"lower": q10}),
-            ("renyi_entropy", (rho,), {"lower": q90}),  # above the split point
+            ("renyi_entropy", (rho,), {"lower": q90}),  # above Q(0.75)
             ("q_entropy", (rho,), {}),
         ]
     out += [("residual_moment", (n, t), {}) for n in (1, 2) for t in (q10, med, q90)]
@@ -186,12 +113,14 @@ def assert_matches_oracle(m):
 # seeded draws whose quadrature ends in each kind of QuadratureError: a
 # non-finite integrand, an unmet bound the acceptance rejects, and one it
 # accepts
-DEGRADED = [("gtp1", 4, "renyi_entropy"), ("gtl", 17, "renyi_entropy"), ("gtp1", 4, "raw_moment")]
+DEGRADED = [
+    ("gtb12", 46, "raw_moment"), ("gtw", 32, "renyi_entropy"), ("gte", 311, "renyi_entropy"),
+]
 
-# chosen parameter sets: k*theta < 1, where the density is unbounded at the
-# edge and the entropies take the u = F(x) branch or diverge there; heavy
-# tails, where moments of order 2 and 3 diverge; gtwe's overflowing
-# density; and the two gtw cases of the call-count test
+# chosen parameter sets: k*theta < 1 (-u), where the density is unbounded
+# at the edge and the entropies of high order diverge there; heavy tails,
+# where moments of order 2 and 3 diverge; the gtwe set at which the density
+# in x overflowed; and the two gtw cases of the call-count test
 CHOSEN = {
     "gtw-u": ("gtw", dict(beta=1.3, theta=0.4, lam=0.2, alpha=1.5)),
     "gte-u": ("gte", dict(beta=0.7, theta=0.55, lam=-0.6)),
@@ -220,17 +149,17 @@ class TestSameBitsAsSeparateCalls:
     def test_seeded_parameters(self, family, seed):
         assert_matches_oracle(seeded_model(family, seed))
 
-    def test_rejected_bound(self):
-        # the one DEGRADED draw that the seeds above leave out
-        assert_matches_oracle(seeded_model("gtl", 17))
+    @pytest.mark.parametrize("family, seed", [(f, s) for f, s, _ in DEGRADED])
+    def test_degraded_draws(self, family, seed):
+        assert_matches_oracle(seeded_model(family, seed))
 
     @pytest.mark.parametrize("case", CHOSEN)
     def test_chosen_parameters(self, case):
         assert_matches_oracle(chosen_model(case))
 
     def test_cases_reach_every_branch(self, monkeypatch):
-        # the u = F(x) split, an edge divergence, a tail divergence, and
-        # each kind of QuadratureError a half can end in
+        # an unbounded density at the edge, an edge divergence, a tail
+        # divergence, and each kind of QuadratureError a range can end in
         kinds = set()
         accept = properties._accept
 
@@ -253,24 +182,23 @@ class TestSameBitsAsSeparateCalls:
                     outcome(getattr(properties, call), m, *args, **kwargs)
         assert kinds == {"non-finite", "rejected", "accepted"}
 
-        u_branch = chosen_model("gtw-u")
-        assert u_branch.edge_order * u_branch.params.theta < 1.0
-        assert isinstance(outcome(properties.renyi_entropy, u_branch, 0.8), bytes)
-        assert "lower support edge" in outcome(properties.renyi_entropy, u_branch, 3.0)[1]
+        unbounded = chosen_model("gtw-u")
+        assert unbounded.edge_order * unbounded.params.theta < 1.0
+        assert isinstance(outcome(properties.renyi_entropy, unbounded, 0.8), bytes)
+        assert "lower support edge" in outcome(properties.renyi_entropy, unbounded, 3.0)[1]
         heavy = chosen_model("gtl-heavy")
         assert "tail" in outcome(properties.raw_moment, heavy, 2)[1]
 
-    def test_lower_half_error_is_raised_first(self):
-        # the lower half misses its bound (1/x at 0), the upper one meets a
-        # NaN at x = 2, its first node; the lower half's error is raised, as
-        # when the halves ran one after the other
+    def test_first_range_error_is_raised_first(self):
+        # the first range misses its bound (1/x at 0), the second meets a
+        # NaN at x = 2, its first node; the first range's error is raised,
+        # as when the ranges ran one after the other
         def f(x):
             return np.where(x < 1.0, 1.0 / x, np.where(x == 2.0, np.nan, np.exp(-x)))
 
         ranges = [(0.0, 1.0), (1.0, math.inf)]
-        got = outcome(properties._integrate, properties._on_parts(f), ranges, None)
-        want = outcome(lambda: ORACLE._integrate(f, 0.0, 1.0) + ORACLE._integrate(f, 1.0, math.inf))
-        assert got == want
+        got = outcome(properties._integrate, lambda *parts: f(np.concatenate(parts)), ranges)
+        assert got == outcome(_integrate, f, 0.0, 1.0)
         assert got[0] is QuadratureError and "did not converge" in got[1]
 
     def test_tail_verdict_comes_before_the_edge_verdict(self):

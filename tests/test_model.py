@@ -194,8 +194,7 @@ class TestSupport:
 
     def test_scalar_quantile_has_the_bytes_of_a_one_element_array(self, family, rng):
         # a 0-d argument once took other NumPy loops (np.power among them)
-        # and moved the last bits; the property integrals' split point
-        # Q(0.75) is a one-element call.
+        # and moved the last bits.
         # The point functions share one wrapper that runs a scalar x as a
         # one-element array and hands back a Python float.
         for _ in range(40):

@@ -8,17 +8,14 @@ such a block with the same pairwise summation as a 1-D sum.  A NumPy
 upgrade that breaks this, or the equality of ``np.dot`` and ``@`` on
 vectors, fails here instead of silently moving the study tables.
 
-The property integrals evaluate the distribution functions once on the
-concatenated nodes of both halves of a split range.  That gives each half
-the bytes of separate calls only while the
-kernels and the model's pdf, logpdf, cdf and survival are elementwise to
-the bit: no element's value may depend on the array's length or on where
-the element sits in it (SIMD loops and their remainder handling included).
-The same holds for the quantile function: a split integral takes Q(0.75)
-from a call on a one-element array, which must give the bytes of a scalar
-``quantile`` call.  And the integrands call the
-kernels' cores (and the model's ``_logpdf``) straight on the nodes, which
-must give the bytes of the public functions there.
+The property integrals evaluate the kernels' quantile core once on the
+concatenated nodes of their two ranges of levels, p and the log survival
+level.  That gives each range the bytes of separate calls only while the
+core is elementwise to the bit: no element's value may depend on the
+array's length or on where the element sits in it (SIMD loops and their
+remainder handling included).  The same is asked of the model's pdf,
+logpdf, cdf and survival.  And ``quantile`` and ``sample`` are the core
+on their levels, which must give their bytes.
 """
 
 import math
@@ -28,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from gtld import numerics, properties
+from gtld import _kernels, numerics
 from gtld.model import SUBFAMILY_IDS, model_from_params
 
 from conftest import random_params
@@ -68,18 +65,19 @@ def test_dot_equals_matmul_on_vectors(n, seed, spread):
     assert np.dot(a, b).tobytes() == (a @ b).tobytes(), n
 
 
-def _node_parts(m):
-    """The parts one driver call hands the integrand for a split integral:
-    the first block of each half's nodes."""
+def _level_parts(m):
+    """The parts one driver call hands a property's integrand: the first
+    block of nodes of the level range and of the survival-level range, the
+    latter as the log levels the core takes."""
     seen = []
 
     def record(*parts):
         seen.append([p.copy() for p in parts])
         return 0.0
 
-    mid = m.quantile(0.75)
-    numerics.integrate_ranges(record, [(m.support_low, mid), (mid, math.inf)])
-    return seen[0]
+    numerics.integrate_ranges(record, [(0.0, 0.75), (0.0, 0.25)])
+    p, v = seen[0]
+    return p, np.log(v)
 
 
 def _same_bytes_on_concatenation(m, parts):
@@ -100,9 +98,18 @@ def _same_bytes_on_concatenation(m, parts):
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
-def test_distribution_functions_on_the_quadrature_parts(family):
+def test_quantile_core_on_the_quadrature_parts(family):
+    # Q and log f at the levels and the log survival levels together, and
+    # at each alone
     m = model_from_params(family, random_params(family, np.random.default_rng(5)))
-    _same_bytes_on_concatenation(m, _node_parts(m))
+    p, lv = _level_parts(m)
+    empty = np.empty(0)
+    with np.errstate(all="ignore"):
+        joint = _kernels._quantile_core(*m.kernel_args, p, lv, True)
+        alone = [_kernels._quantile_core(*m.kernel_args, p, empty, True),
+                 _kernels._quantile_core(*m.kernel_args, empty, lv, True)]
+    for j, name in enumerate(("Q", "log f")):
+        assert joint[j].tobytes() == np.concatenate([a[j] for a in alone]).tobytes(), name
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
@@ -130,24 +137,18 @@ def _random_models(family, count=40):
 
 
 @pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
-def test_split_point_equals_a_scalar_quantile_call(family):
+def test_quantile_core_gives_quantile_and_sample_bytes(family):
+    # the core at the levels alone, at quadrature nodes, at a scalar
+    # quantile's one-element array and at sample's uniform draws
     for m in _random_models(family):
-        want = np.float64(m.quantile(0.75)).tobytes()
-        assert np.float64(properties._split_point(m, "mean")).tobytes() == want, m.params
-
-
-@pytest.mark.parametrize("family", sorted(SUBFAMILY_IDS))
-def test_node_path_equals_the_public_functions(family):
-    # what a split integral's first integrand call sees: both halves' first
-    # blocks, concatenated, under the driver's errstate
-    for m in _random_models(family):
-        whole = np.concatenate(_node_parts(m))
+        p = _level_parts(m)[0]
         with np.errstate(all="ignore"):
-            node = {
-                "logpdf": m._logpdf(whole),
-                "pdf": properties._pdf(m, whole),
-                "cdf": properties._cdf(m, whole),
-                "survival": properties._sf(m, whole),
-            }
-        for name, got in node.items():
-            assert got.tobytes() == getattr(m, name)(whole).tobytes(), (name, m.params)
+            core = _kernels._quantile_core(*m.kernel_args, p)
+            at_mid = _kernels._quantile_core(*m.kernel_args, np.array([0.75]))
+            draws = _kernels._quantile_core(
+                *m.kernel_args, np.maximum(np.random.default_rng(3).random(7), 1e-300)
+            )
+        assert core.tobytes() == m.quantile(p).tobytes(), m.params
+        assert at_mid.tobytes() == np.float64(m.quantile(0.75)).tobytes(), m.params
+        if np.isfinite(draws).all():
+            assert draws.tobytes() == m.sample(7, seed=3).tobytes(), m.params

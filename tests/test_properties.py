@@ -45,6 +45,17 @@ class TestMoments:
         assert properties.incomplete_moment(m, 1, 0.5) == pytest.approx(want, rel=1e-9)
         assert properties.incomplete_moment(m, 1, 0.0) == 0.0
 
+    @pytest.mark.parametrize("z, want", [(1e12, 1.7261636435818264), (1e20, 1.9774947418544749)])
+    def test_incomplete_moment_far_in_a_heavy_tail(self, z, want):
+        # gtl with tail index 2.06, E[X^2; X <= z] where S(z) = 1.1e-26 and
+        # 3.4e-43: the levels above 0.75 run as survival levels down to
+        # S(z); the references are 32-digit mpmath quadratures
+        m = make_model(
+            "gtl", beta=2.0646372911380526, theta=0.5672415025526805,
+            lam=0.24594611451169524, alpha=0.4087338343126426,
+        )
+        assert properties.incomplete_moment(m, 2, z) == pytest.approx(want, rel=1e-9)
+
     def test_incomplete_below_support_rejected(self):
         m = make_model("gtp1", beta=3.0, theta=1.0, lam=0.0, alpha=2.0)
         with pytest.raises(ValueError):
@@ -260,6 +271,24 @@ class TestEntropies:
         with pytest.raises(properties.DivergenceError):
             properties.renyi_entropy(m, 4.0)
 
+    def test_density_power_at_lam_minus_one(self):
+        # at lam = -1, F = v^2 = u^0.8 (u = 1 - e^-x) and f ~ x^(2*theta - 1)
+        # at the edge: integral(f^2) = 0.64 * B-type integral = 2/3 exactly,
+        # though rho*(theta - 1) = -1.2, the local power with theta undoubled
+        m = make_model("gte", beta=1.0, theta=0.4, lam=-1.0)
+        assert properties.renyi_entropy(m, 2.0) == pytest.approx(math.log(1.5), rel=1e-12)
+
+    @pytest.mark.usefixtures("no_quadrature")
+    def test_edge_divergence_names_the_local_power(self):
+        # theta doubled at lam = -1: f^3 ~ x^(3*(2*0.2 - 1)) = x^-1.8
+        m = make_model("gte", beta=1.0, theta=0.2, lam=-1.0)
+        with pytest.raises(
+            properties.DivergenceError,
+            match=r"^density-power integral rho=3.0: diverges at the lower support edge, "
+            r"where f\^3 ~ \(x - 0\)\^-1.8$",
+        ):
+            properties.renyi_entropy(m, 3.0)
+
     def test_truncated_entropy_is_finite_where_full_diverges(self):
         m = make_model("gtw", beta=1.0, theta=0.2, lam=0.0, alpha=1.0)
         val = properties.renyi_entropy(m, 4.0, lower=0.01)
@@ -290,8 +319,9 @@ class TestEntropies:
         want = math.log1p(-val) / (q - 1.0)
         assert properties.q_entropy(m, q) == pytest.approx(want, rel=1e-9)
 
-    # gtr parameters at which the rule meets its bound on the upper half by
-    # coincidence: |T(1/8) - T(1/4)| = 2.8e-10, and T(1/16) moves by 2.9e-7
+    # gtr parameters at which the rule, integrating in x above Q(0.75), met
+    # its bound by coincidence: |T(1/8) - T(1/4)| = 2.8e-10, and T(1/16)
+    # moved by 2.9e-7; the entropy came out 0.7709222863925855
     FALSE_CONVERGENCE = (
         dict(beta=0.9681764988469315, theta=1.2315253166071585, lam=0.5892629762645271),
         1.2165227430160896,
@@ -305,12 +335,6 @@ class TestEntropies:
         val = sp_integrate.quad(f_rho, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
         assert math.log(val) / (1.0 - rho) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="tanh-sinh accepts the upper half at h = 1/8 on a coincidental "
-        "agreement of two levels, and the integral is off by 1.6e-6 relative; "
-        "see CHANGES.md",
-    )
     def test_renyi_entropy_meets_its_tolerance_on_gtr(self):
         params, rho, want = self.FALSE_CONVERGENCE
         m = make_model("gtr", **params)
@@ -403,11 +427,12 @@ def test_nan_orders_and_arguments_refused(call, message):
             call(exp_model())
 
 
-@pytest.mark.usefixtures("no_quadrature")
 class TestQuantilePastTheFloatRange:
-    """A split property whose split point Q(0.75) lies past the float range
-    is refused, naming the property, before any integrand call; in gtw with
-    alpha = 0.00145 it is inf."""
+    """A moment, PWM, residual moment or cigf that meets a Q past the float
+    range at a level below 0.75 (for the residual moment, at a survival
+    level above S(t)/2) is refused with OverflowError, naming the property,
+    at the first integrand call; in gtw with alpha = 0.00145, Q(0.75) is
+    inf."""
 
     MODEL = make_model("gtw", beta=0.1, theta=1.0, lam=0.0, alpha=0.00145)
 
@@ -415,17 +440,30 @@ class TestQuantilePastTheFloatRange:
         "call, what",
         [
             (lambda m: properties.raw_moment(m, 1), "raw moment r=1"),
-            (lambda m: properties.mgf(m, -0.5), "mgf t=-0.5"),
+            (lambda m: properties.pwm(m, 1, 1), "pwm r=1, s=1"),
             (lambda m: properties.cigf(m, 1, 1), "cigf m=1, n=1"),
             (lambda m: properties.residual_moment(m, 1, 1.0), "residual moment n=1"),
         ],
-        ids=["raw_moment", "mgf", "cigf", "residual_moment"],
+        ids=["raw_moment", "pwm", "cigf", "residual_moment"],
     )
-    def test_divergence_names_the_property(self, call, what):
+    def test_overflow_names_the_property(self, call, what, monkeypatch):
+        calls = _count_integrand_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(properties.DivergenceError, match=f"^{what}: Q"):
+            with pytest.raises(OverflowError, match=f"^{what}: Q lies past the float range"):
                 call(self.MODEL)
+        assert len(calls) == 1
+
+    def test_pwm_of_order_zero_needs_no_finite_quantile(self):
+        # E[F(X)^s] = 1/(s + 1) whatever Q is
+        assert properties.pwm(self.MODEL, 0, 2) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_mgf_where_the_integrand_is_a_near_step(self):
+        # e^(tQ) exists here (it is 0 where Q = inf) but falls from 1 to 0
+        # over p in (0.0950, 0.0956); the rule cannot meet its bound on such
+        # a step, and says so rather than return a wrong number
+        with pytest.raises(numerics.QuadratureError, match="did not converge"):
+            properties.mgf(self.MODEL, -0.5)
 
 
 class TestTailScreen:
@@ -528,10 +566,15 @@ class TestTailScreen:
         assert properties.mgf(m, t) == pytest.approx(want, rel=1e-6)
 
 
+# the gtb12 MGF below: -t times the integral of e^(tx) F(x) over x, by a
+# 40-digit mpmath quadrature
+GTB12_MGF = 2.242622724280570809e-10
+
+
 class TestQuadratureFaults:
-    # gtp1 with theta < 1 near its low end alpha: the lower half's quadrature
-    # misses its bound, and 1.3e-4 of the mass lies between alpha and the
-    # next double above it (see CHANGES.md)
+    # gtp1 with theta < 1 near its low end alpha: 1.3e-4 of the mass lies
+    # between alpha and the next double above it, and a quadrature in x
+    # over (alpha, Q(0.75)) missed its bound (see CHANGES.md)
     GTP1 = dict(
         alpha=0.7008003746224082, beta=8.44463274677869,
         theta=0.23688411746283924, lam=-0.5984752694001021,
@@ -553,15 +596,35 @@ class TestQuadratureFaults:
     def test_gtp1_mean_reference(self):
         assert self._gtp1_mean(**self.GTP1) == pytest.approx(self.MEAN, rel=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=numerics.QuadratureError,
-        reason="tanh-sinh misses its bound on the lower half of this gtp1 mean; "
-        "see CHANGES.md",
-    )
     def test_gtp1_mean_near_the_low_end(self):
         m = make_model("gtp1", **self.GTP1)
         assert properties.raw_moment(m, 1) == pytest.approx(self.MEAN, rel=1e-8)
+
+    def test_gtb12_mgf_where_the_mass_lies_far_below_q75(self):
+        # Q(0.5) = 5.3e78 and Q(0.75) = 1.9e107: integrated in x, split at
+        # Q(0.75), the MGF came out 0.0 with no error; the reference is a
+        # 40-digit mpmath quadrature over the levels
+        m = make_model(
+            "gtb12", beta=0.05105576804358169, theta=6.95057116733524,
+            lam=0.24099823442560298, alpha=0.23728572867645847,
+        )
+        assert properties.mgf(m, -0.4605611843168358) == pytest.approx(GTB12_MGF, rel=1e-8)
+
+    def test_gtp1_mgf_at_minus_one(self):
+        # integrated in x, this came out 0.0699385177130888 with no error;
+        # the reference is a 30-digit mpmath quadrature
+        m = make_model(
+            "gtp1", alpha=2.4875061977714163, beta=3.313652297271072,
+            theta=0.3130678511947198, lam=0.41499113467435467,
+        )
+        assert properties.mgf(m, -1.0) == pytest.approx(0.069940157460629601, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [20.0, 25.0, 30.0, 100.0])
+    def test_exponential_residual_moment_far_in_the_tail(self, t):
+        # E[(X - t)^2 | X > t] = 2 at every t for the unit exponential; taken
+        # in x to an absolute bound and divided by S(t), it came out
+        # 1.99999999, 1.9527, 1.7020 and 3.0121
+        assert properties.residual_moment(exp_model(1.0), 2, t) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestCigf:
@@ -650,27 +713,24 @@ class TestQuadratureRule:
         ids=["raw_moment", "renyi", "cigf", "mgf", "q_entropy"],
     )
     def test_integrand_calls(self, fn, args, monkeypatch):
-        # two halves: one converges within the first call's levels, the
-        # other takes one finer level
+        # the level range and the survival-level range both converge within
+        # the first call's levels
         calls = _count_integrand_calls(monkeypatch)
         fn(BENCH_MODEL, *args)
-        assert len(calls) == 2
+        assert calls == [2]
 
     @pytest.mark.parametrize(
-        "params, calls",
+        "params",
         [
-            # both halves converge within h = 1/16
-            (dict(alpha=2.6695, beta=1.0909, theta=1.7512, lam=-0.6366), 1),
-            # one half needs h = 1/32
-            (dict(alpha=1.5, beta=1.0, theta=1.2, lam=0.3), 2),
+            dict(alpha=2.6695, beta=1.0909, theta=1.7512, lam=-0.6366),
+            dict(alpha=1.5, beta=1.0, theta=1.2, lam=0.3),
         ],
     )
-    def test_first_call_serves_both_halves(self, params, calls, monkeypatch):
+    def test_first_call_serves_both_ranges(self, params, monkeypatch):
         m = make_model("gtw", **params)
         seen = _count_integrand_calls(monkeypatch)
         properties.raw_moment(m, 1)
-        assert len(seen) == calls
-        assert seen == [2] * calls  # the nodes of each half
+        assert seen == [2]  # the nodes of each range, both within h = 1/16
 
     def test_predicted_divergence_makes_no_integrand_call(self, monkeypatch):
         m = make_model("gtl", beta=0.8, theta=1.0, lam=0.0, alpha=1.0)
