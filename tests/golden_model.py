@@ -1,5 +1,6 @@
-"""The golden records of the model layer and of the property catalog,
-``tests/golden/model.json`` and ``tests/golden/properties.json``.
+"""The golden records of the model layer, the property catalog and the
+fits, ``tests/golden/model.json``, ``tests/golden/properties.json`` and
+``tests/golden/fits.json``.
 
 The model record: eight families, three fixed parameter sets each (one
 set passes its shape as an int, one gtmw set passes gamma before alpha):
@@ -15,6 +16,16 @@ the full and a truncated range, residual and reversed residual moments,
 seeded parameter sets per family; each call's value, or else the type of
 the error it raises.  Ages and truncation points are the model's own
 quantiles, recorded with the call.
+
+The fits record: the 96 real-data fits (the gauge and failure data, eight
+families, six methods, ``seed=0, n_starts=3``), each fit's estimates,
+objective, ``converged``, iterations, evaluations, ``rescued``,
+``gradient_fallbacks``, ``clamp_count`` and standard errors, and the
+``gof_report`` of its fitted model, or else the type of the error the fit
+or the report raises; and the Monte Carlo study of six blocks (the gtwe
+truth of the paper's table 3, master seeds 20240811 to 20240816, n = 50
+and 400, two replications, six methods, the truth start and one start),
+each cell's ``abs_bias``, ``mse`` and ``failure_count``.
 
 Every float is stored as ``float.hex``, so the records keep their bits.
 ``tests/test_golden.py`` compares fresh records with the stored ones at a
@@ -34,14 +45,17 @@ import sys
 
 import numpy as np
 
-from gtld import load_values, make_model, properties
-from gtld.estimation import default_init
-from gtld.model import param_names
+from gtld import METHODS, ParamVector, SimConfig, fit, load_values, make_model, properties
+from gtld.estimation import FitError, default_init
+from gtld.gof import gof_report
+from gtld.model import model_from_params, param_names
+from gtld.simulation import run_simulation
 from gtld.numerics import NumericsError
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 PATH = os.path.join(HERE, "model.json")
 PROPERTIES_PATH = os.path.join(HERE, "properties.json")
+FITS_PATH = os.path.join(HERE, "fits.json")
 
 OFFSETS = (0.0, 0.05, 0.5, 1.5, 4.0)  # the points, above the support's low end
 LEVELS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6)
@@ -162,7 +176,83 @@ def compute_properties() -> dict:
     return {"models": models}
 
 
-RECORDS = ((PATH, compute), (PROPERTIES_PATH, compute_properties))
+DATA = ("gauge", "failure")
+# the study's truth: gtwe with alpha 2.5, beta 3, theta 0.5, lambda 0.2
+STUDY_TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
+STUDY_SEEDS = range(20240811, 20240817)
+
+
+def _gof(sample, model, family):
+    """The report of the fitted model, its floats as hex."""
+    rep = gof_report(sample, model, family)
+    return {
+        "neg2_loglik": float(rep.neg2_loglik).hex(),
+        "aic": float(rep.aic).hex(),
+        "ks": _hex(rep.ks),
+        "cvm": _hex(rep.cvm),
+        "ad": _hex(rep.ad),
+        "n": rep.n,
+    }
+
+
+def compute_fits() -> dict:
+    """The fits record, from the code on the import path."""
+    fits = []
+    for data in DATA:
+        xs = load_values(data)
+        for family in SHAPES:
+            for method in METHODS:
+                rec = {"data": data, "family": family, "method": method}
+                fits.append(rec)
+                try:
+                    r = fit(xs, family, method=method, seed=0, n_starts=3)
+                except (FitError, ArithmeticError, ValueError) as exc:
+                    rec["error"] = type(exc).__name__
+                    continue
+                rec.update({
+                    "estimates": _hex(r.estimates.as_array(family)),
+                    "objective": float(r.objective_value).hex(),
+                    "converged": r.converged,
+                    "iterations": r.iterations,
+                    "evaluations": r.evaluations,
+                    "rescued": r.rescued,
+                    "gradient_fallbacks": r.gradient_fallbacks,
+                    "clamp_count": r.clamp_count,
+                    "std_errors": None if r.std_errors is None else _hex(r.std_errors),
+                })
+                try:
+                    rec["gof"] = _gof(xs, model_from_params(family, r.estimates), family)
+                except (ArithmeticError, ValueError) as exc:
+                    rec["gof"] = {"error": type(exc).__name__}
+    study = []
+    for master_seed in STUDY_SEEDS:
+        config = SimConfig(
+            truth=STUDY_TRUTH, family="gtwe", sample_sizes=(50, 400), replications=2,
+            methods=METHODS, master_seed=master_seed, n_starts=1, start="truth",
+        )
+        block = {"master_seed": master_seed}
+        study.append(block)
+        try:
+            result = run_simulation(config)
+        except (FitError, ArithmeticError, ValueError) as exc:
+            block["error"] = type(exc).__name__
+            continue
+        block["cells"] = [
+            {
+                "method": method,
+                "n": n,
+                "abs_bias": _hex(cell.abs_bias),
+                "mse": _hex(cell.mse),
+                "failure_count": cell.failure_count,
+            }
+            for (method, n), cell in result.cells.items()
+        ]
+    return {"fits": fits, "study": study}
+
+
+RECORDS = (
+    (PATH, compute), (PROPERTIES_PATH, compute_properties), (FITS_PATH, compute_fits),
+)
 
 
 def dumps(record: dict) -> str:

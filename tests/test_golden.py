@@ -1,9 +1,11 @@
-"""The model layer and the property catalog against their golden records
-(``tests/golden/model.json``, ``tests/golden/properties.json``).
+"""The model layer, the property catalog and the fits against their golden
+records (``tests/golden/model.json``, ``tests/golden/properties.json``,
+``tests/golden/fits.json``).
 
 The records hold every float as ``float.hex``; here a fresh record must
 match its stored one to a relative 1e-12, inf and NaN where the record
-has them, and a property call must raise the recorded error type.
+has them, counts and flags exactly, and a property call, a fit or a
+report must raise the recorded error type.
 ``python tests/golden_model.py --exact`` compares the bytes instead.
 """
 
@@ -79,3 +81,58 @@ def test_property_catalog_matches_the_record(index):
                 float.fromhex(g["value"]), float.fromhex(w["value"]), rtol=1e-12, atol=0,
                 err_msg=call,
             )
+
+
+FITS_STORED = golden_model.load(golden_model.FITS_PATH)
+
+
+@pytest.fixture(scope="module")
+def fits_fresh():
+    return golden_model.compute_fits()
+
+
+def _assert_close(got, want, what):
+    """Hex floats, one or a list of them, within a relative 1e-12."""
+    g, w = (_floats([v] if isinstance(v, str) else v) for v in (got, want))
+    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=what)
+
+
+@pytest.mark.parametrize(
+    "index", range(len(FITS_STORED["fits"])),
+    ids=[f"{r['data']}-{r['family']}-{r['method']}" for r in FITS_STORED["fits"]],
+)
+def test_fit_matches_the_record(index, fits_fresh):
+    want, got = FITS_STORED["fits"][index], fits_fresh["fits"][index]
+    assert list(got) == list(want)
+    for key in ("data", "family", "method", "error", "converged", "iterations", "evaluations",
+                "rescued", "gradient_fallbacks", "clamp_count"):
+        assert got.get(key) == want.get(key), key
+    if "error" in want:
+        return
+    _assert_close(got["estimates"], want["estimates"], "estimates")
+    _assert_close(got["objective"], want["objective"], "objective")
+    if want["std_errors"] is None:
+        assert got["std_errors"] is None
+    else:
+        _assert_close(got["std_errors"], want["std_errors"], "std_errors")
+    assert list(got["gof"]) == list(want["gof"])
+    for key, w in want["gof"].items():
+        if key in ("n", "error"):
+            assert got["gof"][key] == w, key
+        else:
+            _assert_close(got["gof"][key], w, key)
+
+
+@pytest.mark.parametrize(
+    "index", range(len(FITS_STORED["study"])),
+    ids=[str(b["master_seed"]) for b in FITS_STORED["study"]],
+)
+def test_study_block_matches_the_record(index, fits_fresh):
+    want, got = FITS_STORED["study"][index], fits_fresh["study"][index]
+    assert list(got) == list(want)
+    assert got.get("error") == want.get("error")
+    for w, g in zip(want.get("cells", []), got.get("cells", [])):
+        cell = f"{w['method']}, n = {w['n']}"
+        assert (g["method"], g["n"], g["failure_count"]) == (w["method"], w["n"], w["failure_count"])
+        _assert_close(g["abs_bias"], w["abs_bias"], f"abs_bias of {cell}")
+        _assert_close(g["mse"], w["mse"], f"mse of {cell}")
