@@ -4,9 +4,11 @@
 ``minimize(fun_and_grad, x0, jac=True, method="BFGS",
 options={"gtol": 1e-6, "maxiter": 500})`` operation for operation, and
 ``nelder_mead(fun, x0)`` that of ``minimize(fun, x0, method="Nelder-Mead",
-options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8})``.  Iterates,
-results and the number of objective calls are therefore bit-identical to
-SciPy's; ``tests/test_optim.py`` checks this against SciPy itself.
+options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8})``, where SciPy's
+objective takes an array and the port's the same point as a list of
+floats.  Iterates, results and the number of objective calls are
+therefore bit-identical to SciPy's; ``tests/test_optim.py`` checks this
+against SciPy itself.
 
 Even the oddities are kept, because each one can change an iterate: the
 integer identity as the first inverse Hessian, ``rhok = 1000`` when
@@ -19,9 +21,9 @@ Each method is a core, which evaluates nothing, and a driver.  The cores,
 ``bfgs_steps`` and ``nelder_mead_steps``, are generators: they yield each
 point whose (f, gradient), or f, they need, are sent it, and return an
 ``OptimResult``, as MINPACK-2's dcsrch asks its caller for phi and its
-slope.  ``bfgs`` and ``nelder_mead`` each run one through ``_drive``.
-``bfgs`` hands an objective wrapped in ``OnLists`` the list of floats its
-core yields, where any other objective gets a fresh array.
+slope.  ``bfgs`` and ``nelder_mead`` each run one through ``_drive``, and
+each hands its objective the point as a list of floats: ``bfgs`` the list
+its core yields, ``nelder_mead`` the list of the array its core yields.
 
 Cores and drivers run under their caller's errstate (a fit holds one
 around all its starts).  ``_dcstep``, ``_cubicmin`` and ``_quadmin`` hold
@@ -161,45 +163,21 @@ def _drive(steps, evaluate):
         value = evaluate(point)
 
 
-class OnLists:
-    """An objective ``fn`` that takes its point as a list of floats.
-
-    ``bfgs`` calls ``fn`` on the list its core yields, with no array built
-    in between; ``fn`` must not change it.  Called itself, on an array (as
-    SciPy's minimizers or ``nelder_mead`` call an objective), it hands
-    ``fn`` the array's list.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, x):
-        return self.fn(x.tolist())
-
-
 def bfgs(fun_and_grad, x0) -> OptimResult:
     """Minimize with BFGS; ``fun_and_grad(x)`` returns (f, gradient), a
     float and a 1-d array, which are taken as they are.
 
-    ``fun_and_grad`` is called once per distinct point, on a fresh array,
-    or, wrapped in ``OnLists``, on a fresh list of floats.  Points are
-    compared as lists of floats, which is how np.array_equal compares them:
-    -0.0 == 0.0, and a NaN is never equal, so a NaN point is evaluated
-    again.
+    ``fun_and_grad`` is called once per distinct point, on a fresh list of
+    floats, which it must not change.  Points are compared as lists of
+    floats, which is how np.array_equal compares them: -0.0 == 0.0, and a
+    NaN is never equal, so a NaN point is evaluated again.
     """
     last = value = None
-    if isinstance(fun_and_grad, OnLists):
-        on_list = fun_and_grad.fn
-    else:
-        def on_list(xl):
-            return fun_and_grad(np.array(xl, dtype=float))
 
     def evaluate(xl):
         nonlocal last, value
         if xl != last:
-            last, value = xl, on_list(xl)
+            last, value = xl, fun_and_grad(xl)
         return value
 
     return _drive(bfgs_steps(x0), evaluate)
@@ -623,8 +601,8 @@ def _nm_converged(sim, fsim):
 
 def nelder_mead(fun, x0) -> OptimResult:
     """Minimize ``fun(x)``, a float, with the (non-adaptive) Nelder-Mead
-    simplex; ``fun`` is called on a copy of each point."""
-    return _drive(nelder_mead_steps(x0), lambda x: fun(x.copy()))
+    simplex; ``fun`` is called on each point as a list of floats."""
+    return _drive(nelder_mead_steps(x0), lambda x: fun(x.tolist()))
 
 
 def nelder_mead_steps(x0):

@@ -110,8 +110,7 @@ def cmd_fit(args) -> int:
     sample = load_values(args.data)
     result = fit(sample, args.family, method=args.method, seed=args.seed,
                  n_starts=args.starts)
-    model = model_from_params(args.family, result.estimates)
-    report = gof_report(sample, model, args.family)
+    report = gof_report(sample, model_from_params(args.family, result.estimates))
     names = param_names(args.family)
     payload = {
         "family": args.family,

@@ -12,10 +12,13 @@ A fit builds its objective's sample-only pieces once, in a
 ``_kernels.Plan``: the sorted sample, log x where the family uses it, and
 the rank weights of the distance methods.  Every evaluation of that fit
 takes the plan: BFGS's values and gradients and the Nelder-Mead rescue's
-values through one function of the optimizer coordinates, and the final
-clamp count of ad and rtad, the only objectives with clamped terms.  The
-standard errors build an ml plan for their Hessian, and the theta helpers
-take u and the theta score from the kernels as well.
+values through one function of the optimizer coordinates (a list of
+floats, as both optimizers hand it), and the final clamp count of ad and
+rtad, the only objectives with clamped terms, at the fitted ``GtldModel``
+the fit builds once.  The standard errors take everything but the sample
+from a model (a fit's is of the fit's own family) and build an ml plan
+for their Hessian; the theta helpers take u and the theta score from the
+kernels as well.
 
 A fit holds one ``np.errstate`` (divide, invalid, over and under ignored)
 around all its starts, the Nelder-Mead rescue and the clamp count, and
@@ -38,7 +41,7 @@ import numpy as np
 from . import _kernels, _optim
 from ._kernels import _BIG
 from .model import (
-    SUBFAMILY_SHAPES, ParamVector, SupportError, _check_shapes, kernel_shapes, model_from_params,
+    SUBFAMILY_SHAPES, GtldModel, ParamVector, SupportError, _check_shapes, kernel_shapes,
 )
 
 METHODS = tuple(_kernels.METHOD_IDS)
@@ -137,27 +140,27 @@ def _objective_value(method: str, model, sample, want_grad=False):
 
 def neg_log_likelihood(params: ParamVector, sample, family: str) -> float:
     """-log L; equals -sum(log pdf) over the sample."""
-    return _objective_value("ml", model_from_params(family, params), sample)[0]
+    return _objective_value("ml", GtldModel(family, params), sample)[0]
 
 
 def ols_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("ols", model_from_params(family, params), sample)[0]
+    return _objective_value("ols", GtldModel(family, params), sample)[0]
 
 
 def wls_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("wls", model_from_params(family, params), sample)[0]
+    return _objective_value("wls", GtldModel(family, params), sample)[0]
 
 
 def cvm_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("cvm", model_from_params(family, params), sample)[0]
+    return _objective_value("cvm", GtldModel(family, params), sample)[0]
 
 
 def ad_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("ad", model_from_params(family, params), sample)[0]
+    return _objective_value("ad", GtldModel(family, params), sample)[0]
 
 
 def rtad_objective(params: ParamVector, sample, family: str) -> float:
-    return _objective_value("rtad", model_from_params(family, params), sample)[0]
+    return _objective_value("rtad", GtldModel(family, params), sample)[0]
 
 
 def _median(xs):
@@ -281,7 +284,6 @@ def fit(
             )
         )
 
-    fun_and_grad = _optim.OnLists(evaluate)  # BFGS hands evaluate its lists
     best = None
     # one errstate for every evaluation of every start: the kernel's core
     # relies on it, and the optimizer's bookkeeping runs in it too
@@ -289,14 +291,14 @@ def fit(
         for z_init in starts:
             rescued = False
             try:
-                res = _optim.bfgs(fun_and_grad, z_init)
+                res = _optim.bfgs(evaluate, z_init)
                 success = _success(res)
                 if not success and np.all(np.isfinite(res.x)):
                     # line-search stall against a cliff or along a narrow
                     # valley: simplex rescue, then a fresh quasi-Newton pass
                     rescued = True
-                    nm = _optim.nelder_mead(lambda z: evaluate(z.tolist(), False), res.x)
-                    res2 = _optim.bfgs(fun_and_grad, nm.x)
+                    nm = _optim.nelder_mead(lambda zl: evaluate(zl, False), res.x)
+                    res2 = _optim.bfgs(evaluate, nm.x)
                     if res2.fun <= min(res.fun, nm.fun):
                         res, success = res2, _success(res2) or bool(nm.success)
                     elif nm.fun < res.fun:
@@ -318,16 +320,14 @@ def fit(
 
         converged, value, res, rescued = best
         estimates = TransformedParams(family=family, z=np.asarray(res.x, dtype=float)).to_params()
+        model = GtldModel(family, estimates)
         clamps = 0
         if method in ("ad", "rtad"):  # the only objectives with clamped terms
-            e = estimates
-            clamps = _kernels._objective(
-                mid, fam, *kernel_shapes(e.shape.values()), e.beta, e.theta, e.lam, plan, False
-            )[1]
+            clamps = _kernels._objective(mid, *model.kernel_args, plan, False)[1]
 
     std_errors = None
     if method == "ml" and converged:
-        std_errors = _standard_errors(estimates, xs, family)
+        std_errors = _standard_errors(model, xs)
 
     return FitResult(
         estimates=estimates,
@@ -354,20 +354,20 @@ def standard_errors_from_params(params: ParamVector, sample, family: str):
     other parameters positive), then symmetrized.  Returns None (absent,
     not zero) when the likelihood is not finite at a step or the Hessian is
     not positive definite.  The sample is refused as ``fit`` refuses it,
-    against the support at ``params``.
+    against the support at ``params``; an unknown family, or shapes that
+    are not the family's, as the model refuses them (ValueError).
     """
-    _check_shapes(family, params.shape)
-    s1 = kernel_shapes(params.as_array(family)[:-3].tolist())[0]
-    low = _kernels._FAMILIES[_kernels.FAMILY_IDS[family]].edge(s1)[2]
-    return _standard_errors(params, np.sort(_finite_sample(sample, low)), family)
+    model = GtldModel(family, params)
+    return _standard_errors(model, np.sort(_finite_sample(sample, model.support_low)))
 
 
-def _standard_errors(params: ParamVector, xs, family: str):
-    """``standard_errors_from_params`` on a sorted sample already checked."""
-    v0 = params.as_array(family)
+def _standard_errors(model: GtldModel, xs):
+    """``standard_errors_from_params`` at the model, on a sorted sample
+    already checked."""
+    v0 = model.params.as_array(model.family)
     d = v0.size
-    k = len(SUBFAMILY_SHAPES[family])
-    fam = _kernels.FAMILY_IDS[family]
+    k = len(model.params.shape)
+    fam = model.kernel_args[0]
     plan = _kernels.Plan(xs, fam, 0)
     low = np.r_[np.zeros(d - 1), -1.0]
     high = np.r_[np.full(d - 1, np.inf), 1.0]
@@ -406,11 +406,12 @@ def _standard_errors(params: ParamVector, xs, family: str):
     return tuple(float(s) for s in np.sqrt(diag))
 
 
-def standard_errors(result: FitResult, sample, family: str):
-    """Standard errors for a converged ML fit (see the _from_params variant)."""
+def standard_errors(result: FitResult, sample):
+    """Standard errors for a converged ML fit, of its own family (see the
+    _from_params variant)."""
     if result.method != "ml":
         raise ValueError("standard errors are defined for ML fits only")
-    return standard_errors_from_params(result.estimates, sample, family)
+    return standard_errors_from_params(result.estimates, sample, result.family)
 
 
 def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
@@ -423,7 +424,7 @@ def mle_theta_bracket(sample, family: str, shape, beta: float, lam: float):
     if not -1.0 < lam < 0.0:
         raise ValueError("the theta bracket applies only for lambda in (-1, 0)")
     params = ParamVector(beta=beta, theta=1.0, lam=0.0, shape=dict(shape))
-    model = model_from_params(family, params)
+    model = GtldModel(family, params)
     u = model.cdf(_finite_sample(sample, model.support_low))
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("all u_i = 1 - exp(-beta G(x_i)) must lie in (0, 1)")
@@ -440,7 +441,7 @@ def theta_score(sample, family: str, shape, beta: float, lam: float, theta: floa
     among those cases).
     """
     params = ParamVector(beta=beta, theta=theta, lam=lam, shape=dict(shape))
-    value, _, grad = _objective_value("ml", model_from_params(family, params), sample, True)
+    value, _, grad = _objective_value("ml", GtldModel(family, params), sample, True)
     if value == _BIG:
         raise ValueError("the log-likelihood is not finite at these parameters")
     return -float(grad[-2])

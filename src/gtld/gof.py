@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FitError, FitResult, _finite_sample, _objective_value, fit
-from .model import GtldModel, model_from_params, param_names
+from .model import GtldModel, param_names
 
 _KOLMOG_CUTOVER = 0.82
 _KOLMOG_TERMS = 12
@@ -234,13 +234,9 @@ def ad_statistic(sample, model: GtldModel):
     return a2, 1.0 - cdf_val
 
 
-def gof_report(sample, model: GtldModel, family: str) -> GofReport:
-    """Assemble the full report for a fitted model.
-
-    ``family`` must be the model's own; the AIC counts the model's parameters.
-    """
-    if family != model.family:
-        raise ValueError(f"family {family!r} is not the model's ({model.family!r})")
+def gof_report(sample, model: GtldModel) -> GofReport:
+    """Assemble the full report for a fitted model; the AIC counts the
+    model's parameters."""
     xs = np.asarray(sample, dtype=float)
     neg2 = 2.0 * _fit_statistic("ml", xs, model)
     k = len(param_names(model.family))
@@ -276,8 +272,7 @@ def model_select(sample, candidates, seed: int = 0) -> list[ModelSelectEntry]:
         family, method = (cand, "ml") if isinstance(cand, str) else cand
         try:
             result = fit(sample, family, method=method, seed=seed)
-            model = model_from_params(family, result.estimates)
-            report = gof_report(sample, model, family)
+            report = gof_report(sample, GtldModel(family, result.estimates))
             entries.append(ModelSelectEntry(family, method, result, report))
         except (FitError, ArithmeticError, ValueError) as exc:
             # a candidate that fails numerically is ranked last; any other

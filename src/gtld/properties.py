@@ -108,7 +108,9 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     t >= n*m*beta*c.  t = inf diverges for every family: e^(t*x) is inf on
     the whole support.  Over v, dx = dv/f: where S ~ x^-kappa that makes
     a = 1 - n + (e + 1)/kappa at t = 0 (-inf for t < 0), where p = 1 it
-    makes a = 1 - n + t/(m*beta*c), and elsewhere a = 1 - n.
+    makes a = 1 - n + t/(m*beta*c), and elsewhere a = 1 - n.  Where a < 1
+    rounds to 1 (n = 1e-17, say), a QuadratureError naming ``what``: the
+    survival levels' substitution (``_over_levels``) needs 1/(1 - a).
     """
     if t == math.inf:
         raise DivergenceError(f"{what}: e^(t*x) is infinite on the whole support")
@@ -119,12 +121,19 @@ def _screen_tail(model: GtldModel, what, e, n, t=0.0):
     if p == 0.0:
         if t > 0.0 or (t == 0.0 and n * rate <= e + 1.0):
             raise DivergenceError(f"{what}: diverges in the tail, where S(x) ~ x^-{rate:.6g}")
-        return 1.0 - n + (e + 1.0) / rate if t == 0.0 else -math.inf
-    if t > 0.0 and (p < 1.0 or (p == 1.0 and t >= n * rate)):
-        raise DivergenceError(
-            f"{what}: diverges in the tail, where S(x) ~ exp(-{rate:.6g}*x^{p:.6g})"
+        a = 1.0 - n + (e + 1.0) / rate if t == 0.0 else -math.inf
+    else:
+        if t > 0.0 and (p < 1.0 or (p == 1.0 and t >= n * rate)):
+            raise DivergenceError(
+                f"{what}: diverges in the tail, where S(x) ~ exp(-{rate:.6g}*x^{p:.6g})"
+            )
+        a = 1.0 - n + (t / rate if p == 1.0 else 0.0)
+    if a >= 1.0:
+        raise numerics.QuadratureError(
+            f"{what}: the integrand over the survival levels v behaves like v^-a with "
+            f"a = {a!r} in floating point, too close to 1 to integrate"
         )
-    return 1.0 - n + (t / rate if p == 1.0 else 0.0)
+    return a
 
 
 def _screen_edge(model: GtldModel, what, rho):

@@ -182,9 +182,9 @@ STUDY_TRUTH = ParamVector(beta=3.0, theta=0.5, lam=0.2, shape={"alpha": 2.5})
 STUDY_SEEDS = range(20240811, 20240817)
 
 
-def _gof(sample, model, family):
+def _gof(sample, model):
     """The report of the fitted model, its floats as hex."""
-    rep = gof_report(sample, model, family)
+    rep = gof_report(sample, model)
     return {
         "neg2_loglik": float(rep.neg2_loglik).hex(),
         "aic": float(rep.aic).hex(),
@@ -221,7 +221,7 @@ def compute_fits() -> dict:
                     "std_errors": None if r.std_errors is None else _hex(r.std_errors),
                 })
                 try:
-                    rec["gof"] = _gof(xs, model_from_params(family, r.estimates), family)
+                    rec["gof"] = _gof(xs, model_from_params(family, r.estimates))
                 except (ArithmeticError, ValueError) as exc:
                     rec["gof"] = {"error": type(exc).__name__}
     study = []

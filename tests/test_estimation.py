@@ -465,8 +465,8 @@ class TestErrstate:
             assert np.geterr() == caller
             model = model_from_params("gtw", res.estimates)
             steps = [
-                lambda: standard_errors(res, xs, "gtw"),
-                lambda: gof_report(xs, model, "gtw"),
+                lambda: standard_errors(res, xs),
+                lambda: gof_report(xs, model),
             ]
             for step in steps:
                 step()
@@ -476,8 +476,8 @@ class TestErrstate:
                 (FitError, lambda: fit(xs, "gtp1", n_starts=1, init=ParamVector(
                     beta=1.0, theta=1.0, lam=0.0, shape={"alpha": 1e200}))),
                 (SupportError, lambda: fit(bad, "gtw")),
-                (SupportError, lambda: standard_errors(res, bad, "gtw")),
-                (SupportError, lambda: gof_report(bad, model, "gtw")),
+                (SupportError, lambda: standard_errors(res, bad)),
+                (SupportError, lambda: gof_report(bad, model)),
             ]
             for error, step in raising:
                 with pytest.raises(error):
@@ -517,10 +517,34 @@ class TestStandardErrors:
             assert res.converged and res.std_errors is None
             assert standard_errors_from_params(res.estimates, xs, "gtw") is None
 
+    def test_a_fits_standard_errors_are_its_own_familys(self):
+        # the fit carries its family: standard_errors once took a family
+        # beside the fit, and for this gtb12 fit with "gtl" returned gtl's
+        # (0.9328, 1.1876, 0.5497, 0.3684) without a word
+        x = make_model("gtb12", beta=1, theta=1, lam=0, alpha=2).sample(300, 1)
+        r = fit(x, "gtb12", method="ml", seed=0, n_starts=1)
+        assert r.std_errors == pytest.approx((0.6098, 1.3313, 3.4039, 0.1421), abs=5e-5)
+        assert standard_errors(r, x) == r.std_errors
+        assert standard_errors_from_params(r.estimates, x, "gtb12") == r.std_errors
+
+    @pytest.mark.parametrize(
+        "family, shape, message",
+        [
+            ("nope", {}, r"^unknown sub-family 'nope'"),
+            ("gtw", {}, r"gtw requires shape parameter\(s\) \['alpha'\]"),
+            ("gte", {"alpha": 2.0}, r"gte does not take shape parameter\(s\) \['alpha'\]"),
+        ],
+        ids=["unknown", "missing", "extra"],
+    )
+    def test_params_not_the_familys_refused(self, gte_sample, family, shape, message):
+        p = ParamVector(beta=1.0, theta=1.0, lam=0.0, shape=shape)
+        with pytest.raises(ValueError, match=message):
+            standard_errors_from_params(p, gte_sample, family)
+
     def test_methods_other_than_ml_rejected(self, gte_sample):
         res = fit(gte_sample[:50], "gte", method="ols", n_starts=1)
         with pytest.raises(ValueError):
-            estimation.standard_errors(res, gte_sample[:50], "gte")
+            estimation.standard_errors(res, gte_sample[:50])
 
 
 @pytest.fixture(scope="module")
@@ -534,7 +558,7 @@ SAMPLE_ENTRY_POINTS = {
     "standard_errors_from_params": lambda xs, res: standard_errors_from_params(
         res.estimates, xs, "gtw"
     ),
-    "standard_errors": lambda xs, res: estimation.standard_errors(res, xs, "gtw"),
+    "standard_errors": lambda xs, res: estimation.standard_errors(res, xs),
     "mle_theta_bracket": lambda xs, res: mle_theta_bracket(xs, "gtw", {"alpha": 1.0}, 1.0, -0.5),
     "theta_score": lambda xs, res: theta_score(xs, "gtw", {"alpha": 1.0}, 1.0, -0.5, 1.0),
 }

@@ -197,7 +197,7 @@ def test_non_finite_sample_refused(model_and_sample, statistic, bad):
     with pytest.raises(ValueError, match="sample point at index 7 is not finite"):
         statistic(xs, m)
     with pytest.raises(ValueError, match="sample point at index 7 is not finite"):
-        gof_report(xs, m, "gte")
+        gof_report(xs, m)
 
 
 @pytest.mark.parametrize("statistic", [ks_statistic, cvm_statistic, ad_statistic])
@@ -221,7 +221,7 @@ def test_sample_at_the_support_low_end_refused_as_the_objectives_refuse_it(stati
 class TestReport:
     def test_fields_and_json(self, model_and_sample):
         m, xs = model_and_sample
-        rep = gof_report(xs, m, "gte")
+        rep = gof_report(xs, m)
         assert isinstance(rep, GofReport)
         assert rep.n == xs.size
         assert rep.aic == pytest.approx(rep.neg2_loglik + 2 * 3, rel=1e-12)
@@ -230,17 +230,15 @@ class TestReport:
             assert key in blob
 
     def test_aic_counts_the_models_parameters(self):
-        # gte has 3 parameters, gtmw 5; a family that is not the model's is
-        # refused, not counted
+        # gte has 3 parameters, gtmw 5
         xs = load_values("failure")
         m = model_from_params("gte", fit(xs, "gte").estimates)
-        rep = gof_report(xs, m, "gte")
+        rep = gof_report(xs, m)
         assert rep.aic == pytest.approx(306.383, abs=5e-4)
         assert rep.aic == rep.neg2_loglik + 2.0 * 3
-        for other in ("gtmw", "nope"):
-            message = f"^family '{other}' is not the model's \\('gte'\\)$"
-            with pytest.raises(ValueError, match=message):
-                gof_report(xs, m, other)
+        m = make_model("gtmw", beta=0.1, theta=1.0, lam=0.0, alpha=1.0, gamma=0.01)
+        rep = gof_report(xs, m)
+        assert rep.aic == rep.neg2_loglik + 2.0 * 5
 
     def test_statistics_invariant_under_monotone_map(self, model_and_sample):
         # KS/CvM/AD depend only on the fitted F(x_(i)) values; feeding the

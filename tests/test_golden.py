@@ -131,6 +131,7 @@ def test_study_block_matches_the_record(index, fits_fresh):
     want, got = FITS_STORED["study"][index], fits_fresh["study"][index]
     assert list(got) == list(want)
     assert got.get("error") == want.get("error")
+    assert len(got.get("cells", [])) == len(want.get("cells", []))
     for w, g in zip(want.get("cells", []), got.get("cells", [])):
         cell = f"{w['method']}, n = {w['n']}"
         assert (g["method"], g["n"], g["failure_count"]) == (w["method"], w["n"], w["failure_count"])

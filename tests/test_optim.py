@@ -1,9 +1,10 @@
 """gtld._optim against scipy.optimize.minimize, compared bit for bit.
 
 Each BFGS and Nelder-Mead call that ``fit`` makes is run twice, once by
-SciPy and once by the port, on the same objective from the same start.
-The results and the sequence of points each one evaluates must be equal
-to the last bit.
+SciPy and once by the port, on the same objective from the same start:
+the port hands the objective each point as a list of floats, and SciPy's
+side hands it the list of SciPy's array.  The results and the sequence of
+points each one evaluates must be equal to the last bit.
 """
 
 import numpy as np
@@ -64,7 +65,8 @@ class Oracle:
             seen_ref, seen_port = [], []
             ref, port = _both(
                 lambda: optimize.minimize(
-                    _logged(fun_and_grad, seen_ref), x0, jac=True, method="BFGS",
+                    _logged(lambda x: fun_and_grad(x.tolist()), seen_ref), x0, jac=True,
+                    method="BFGS",
                     options={"gtol": 1e-6, "maxiter": 500},
                 ),
                 lambda: port_bfgs(_logged(fun_and_grad, seen_port), x0),
@@ -81,7 +83,7 @@ class Oracle:
             seen_ref, seen_port = [], []
             ref, port = _both(
                 lambda: optimize.minimize(
-                    _logged(fun, seen_ref), x0, method="Nelder-Mead",
+                    _logged(lambda x: fun(x.tolist()), seen_ref), x0, method="Nelder-Mead",
                     options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8},
                 ),
                 lambda: port_nm(_logged(fun, seen_port), x0),
@@ -134,8 +136,13 @@ def test_gtmw_real_data(monkeypatch, method):
 
 
 def test_result_fields():
-    res = _optim.bfgs(lambda x: (float(x @ x), 2.0 * x), np.array([1.0, -2.0]))
+    # both optimizers hand the objective its point as a list of floats
+    def f(xl):
+        assert type(xl) is list and all(type(v) is float for v in xl)
+        return sum(v * v for v in xl)
+
+    res = _optim.bfgs(lambda xl: (f(xl), 2.0 * np.array(xl)), np.array([1.0, -2.0]))
     assert res.success and res.status == 0 and res.nit > 0
     assert np.all(np.abs(res.x) < 1e-6) and res.jac is not None
-    nm = _optim.nelder_mead(lambda x: float(x @ x), np.array([1.0, -2.0]))
+    nm = _optim.nelder_mead(f, np.array([1.0, -2.0]))
     assert nm.success and nm.jac is None and nm.fun < 1e-10

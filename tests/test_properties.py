@@ -501,6 +501,15 @@ class TestTailScreen:
             properties.mgf(self.GTW, t)
 
     @pytest.mark.usefixtures("no_quadrature")
+    def test_tail_power_rounding_to_one_is_a_quadrature_error(self):
+        # cigf(0, n) = 1/n here; at n = 1e-17 the survival levels' power
+        # a = 1 - n rounds to 1, and k = 1/(1 - a) raised a bare
+        # ZeroDivisionError
+        m = make_model("gte", beta=1, theta=1, lam=0)
+        with pytest.raises(numerics.QuadratureError, match=r"^cigf m=0.0, n=1e-17: .* a = 1.0 "):
+            properties.cigf(m, 0.0, 1e-17)
+
+    @pytest.mark.usefixtures("no_quadrature")
     @pytest.mark.parametrize(
         "call, what",
         [
