@@ -1,6 +1,7 @@
-"""The golden records of the model layer, the property catalog and the
-fits, ``tests/golden/model.json``, ``tests/golden/properties.json`` and
-``tests/golden/fits.json``.
+"""The golden records of the model layer, the property catalog, the fits
+and the CLI reports, ``tests/golden/model.json``,
+``tests/golden/properties.json``, ``tests/golden/fits.json`` and
+``tests/golden/cli.json``.
 
 The model record: eight families, three fixed parameter sets each (one
 set passes its shape as an int, one gtmw set passes gamma before alpha):
@@ -27,6 +28,14 @@ truth of the paper's table 3, master seeds 20240811 to 20240816, n = 50
 and 400, two replications, six methods, the truth start and one start),
 each cell's ``abs_bias``, ``mse`` and ``failure_count``.
 
+The CLI record: for the gauge and failure data and each of the eight
+families, the reports of ``gtld --precision 17`` ``fit`` (the defaults:
+ML, seed 0, five starts), ``props`` on the fitted parameters as the fit
+report prints them (``--quantiles`` and the quadrature catalog, ages and
+bounds at the data's median) and ``curves`` over the data's range; each
+report's exit code and its JSON or CSV, or else its error line.  At 17 significant digits a
+printed float is the float itself, so the record stores its ``float.hex``.
+
 Every float is stored as ``float.hex``, so the records keep their bits.
 ``tests/test_golden.py`` compares fresh records with the stored ones at a
 relative tolerance of 1e-12.  Run as a script to compare bytes or to
@@ -39,6 +48,8 @@ write the records anew::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -51,11 +62,13 @@ from gtld.gof import gof_report
 from gtld.model import model_from_params, param_names
 from gtld.simulation import run_simulation
 from gtld.numerics import NumericsError
+from gtld import cli
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 PATH = os.path.join(HERE, "model.json")
 PROPERTIES_PATH = os.path.join(HERE, "properties.json")
 FITS_PATH = os.path.join(HERE, "fits.json")
+CLI_PATH = os.path.join(HERE, "cli.json")
 
 OFFSETS = (0.0, 0.05, 0.5, 1.5, 4.0)  # the points, above the support's low end
 LEVELS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6)
@@ -250,8 +263,73 @@ def compute_fits() -> dict:
     return {"fits": fits, "study": study}
 
 
+def _run_cli(argv):
+    """gtld --precision 17 ``argv`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--precision", "17", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _hex_report(obj):
+    """A parsed JSON report with its floats as hex, the ``params`` list too."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {
+            k: _hex(v.split(",")) if k == "params" else _hex_report(v) for k, v in obj.items()
+        }
+    if isinstance(obj, list):
+        return [_hex_report(v) for v in obj]
+    return obj
+
+
+def _cli_report(argv, csv=False):
+    code, text, err = _run_cli(argv)
+    rec = {"exit": code}
+    if code != 0:
+        rec["stderr"] = err
+    elif csv:
+        header, *rows = text.splitlines()
+        rec["header"] = header
+        rec["rows"] = [_hex(row.split(",")) for row in rows]
+    else:
+        rec["report"] = _hex_report(json.loads(text))
+    return rec
+
+
+CURVE_POINTS = 41
+
+
+def compute_cli() -> dict:
+    """The CLI record, from the code on the import path."""
+    reports = []
+    for data in DATA:
+        xs = load_values(data)
+        med = repr(float(np.median(xs)))
+        grid = f"{float(xs.min())!r}:{float(xs.max())!r}:{CURVE_POINTS}"
+        for family in SHAPES:
+            rec = {"data": data, "family": family}
+            reports.append(rec)
+            rec["fit"] = _cli_report(["fit", "--data", data, "--family", family])
+            if rec["fit"]["exit"] != 0:
+                continue
+            estimates = rec["fit"]["report"]["estimates"]
+            params = ",".join(repr(float.fromhex(v)) for v in estimates.values())
+            model = ["--family", family, "--params", params]
+            rec["props"] = _cli_report([
+                "props", *model, "--quantiles", "--moment", "1", "--moment", "2",
+                "--incomplete-moment", f"1,{med}", "--pwm", "1,1", "--mgf=-1",
+                "--renyi", "2", "--q-entropy", "2", "--residual", f"1,{med}",
+                "--reversed-residual", f"1,{med}", "--cigf", "1,1",
+            ])
+            rec["curves"] = _cli_report(["curves", *model, "--grid", grid], csv=True)
+    return {"reports": reports}
+
+
 RECORDS = (
     (PATH, compute), (PROPERTIES_PATH, compute_properties), (FITS_PATH, compute_fits),
+    (CLI_PATH, compute_cli),
 )
 
 

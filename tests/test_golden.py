@@ -1,13 +1,18 @@
-"""The model layer, the property catalog and the fits against their golden
-records (``tests/golden/model.json``, ``tests/golden/properties.json``,
-``tests/golden/fits.json``).
+"""The model layer, the property catalog, the fits and the CLI reports
+against their golden records (``tests/golden/model.json``,
+``tests/golden/properties.json``, ``tests/golden/fits.json``,
+``tests/golden/cli.json``).
 
 The records hold every float as ``float.hex``; here a fresh record must
 match its stored one to a relative 1e-12, inf and NaN where the record
 has them, counts and flags exactly, and a property call, a fit or a
-report must raise the recorded error type.
+report must raise the recorded error type; a CLI call must give the
+recorded exit code, and where it fails, the recorded error line up to
+the numbers in it.
 ``python tests/golden_model.py --exact`` compares the bytes instead.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -137,3 +142,49 @@ def test_study_block_matches_the_record(index, fits_fresh):
         assert (g["method"], g["n"], g["failure_count"]) == (w["method"], w["n"], w["failure_count"])
         _assert_close(g["abs_bias"], w["abs_bias"], f"abs_bias of {cell}")
         _assert_close(g["mse"], w["mse"], f"mse of {cell}")
+
+
+CLI_STORED = golden_model.load(golden_model.CLI_PATH)
+
+
+@pytest.fixture(scope="module")
+def cli_fresh():
+    return golden_model.compute_cli()
+
+
+_HEX = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|-?inf|nan")
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|[-+]?inf|nan")
+
+
+def _assert_report_close(got, want, where):
+    """Two hexed reports: the same structure, floats within a relative 1e-12."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_report_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, str) and _HEX.fullmatch(want):
+        _assert_close(got, want, where)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize(
+    "index", range(len(CLI_STORED["reports"])),
+    ids=[f"{r['data']}-{r['family']}" for r in CLI_STORED["reports"]],
+)
+def test_cli_reports_match_the_record(index, cli_fresh):
+    want, got = CLI_STORED["reports"][index], cli_fresh["reports"][index]
+    assert list(got) == list(want)
+    for command in list(want)[2:]:
+        w, g = want[command], got[command]
+        assert g["exit"] == w["exit"], command
+        if "stderr" in w:
+            assert _NUMBER.sub("#", g["stderr"]) == _NUMBER.sub("#", w["stderr"]), command
+        _assert_report_close(
+            {k: v for k, v in g.items() if k != "stderr"},
+            {k: v for k, v in w.items() if k != "stderr"}, command,
+        )
