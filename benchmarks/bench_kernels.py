@@ -16,7 +16,12 @@ quadrature runs on: the first call covers the tanh-sinh levels h = 1 ...
 0.25, and each round of finer levels that a range still needs is one call
 more.  gtmw is the one family whose G^-1, which every integrand call
 evaluates, is iterative (Newton's method).  Whether a property exists is
-decided from the family table before that, with no integrand call.
+decided from the family table before that, with no integrand call.  Each
+property row also gives the us per call spent outside the integrand, in
+the screens, the driver and the rule: the call is timed once more with
+its integrands handing back their recorded values, as the fit rows replay
+the kernel; the script exits non-zero if a property makes no integrand
+call, or if the replay does not serve every recorded one.
 
 Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
@@ -83,26 +88,44 @@ BATCHES = 5  # every row is the best of this many batches
 BATCH = max(1, REPEATS // BATCHES)  # calls per layer-1 batch
 
 
-def integrand_calls(fn, *args):
-    """Integrand calls made by the quadrature driver in one call of fn
-    (``numerics.integrate`` runs on the driver too)."""
+def replaying_integrands(fn, *args):
+    """Run ``fn(*args)`` once, recording every value that its integrands
+    return to the quadrature driver (``numerics.integrate`` runs on the
+    driver too), and return (the integrand calls, a function that runs it
+    again with the integrands handing those values back in order): that
+    run costs only what lies outside the integrand.  Exits if ``fn`` makes
+    no integrand call, or the replay does not serve every recorded one."""
     drive = numerics.integrate_ranges
-    calls = 0
+    values = []
 
-    def counting(f, *rest, **kwargs):
-        def counted(*parts):
-            nonlocal calls
-            calls += 1
-            return f(*parts)
+    def with_integrand(wrap):
+        def driving(f, *rest, **kwargs):
+            return drive(wrap(f), *rest, **kwargs)
 
-        return drive(counted, *rest, **kwargs)
+        numerics.integrate_ranges = driving
+        try:
+            fn(*args)
+        finally:
+            numerics.integrate_ranges = drive
 
-    numerics.integrate_ranges = counting
-    try:
-        fn(*args)
-    finally:
-        numerics.integrate_ranges = drive
-    return calls
+    def recording(f):
+        def recorded(*parts):
+            values.append(f(*parts))
+            return values[-1]
+
+        return recorded
+
+    with_integrand(recording)
+    if not values:
+        sys.exit(f"bench_kernels: {fn.__name__} made no integrand call")
+
+    def replayed():
+        it = iter(values)
+        with_integrand(lambda f: lambda *parts: next(it))
+        if any(True for _ in it):
+            sys.exit(f"bench_kernels: the replay of {fn.__name__} left integrand values unserved")
+
+    return len(values), replayed
 
 
 def replaying_kernels(fits):
@@ -223,14 +246,18 @@ for n in GRAD_SIZES:
 
 prop_batch = max(1, REPEATS // 10 // BATCHES)
 print(f"properties, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")
-prop_rows = [(fam, m, label, fn, args) for fam, m in PROP_MODELS.items()
-             for label, fn, args in PROP_CALLS]
-prop_times = best_times(
-    [lambda fn=fn, m=m, args=args: fn(m, *args) for _, m, _, fn, args in prop_rows], prop_batch
-)
-for (fam, m, label, fn, args), t in zip(prop_rows, prop_times):
-    calls = integrand_calls(fn, m, *args)
-    print(f"  {fam:<5} {label:<14} {t * 1e3:9.3f} ms/call {calls:6d} integrand calls")
+prop_rows = []  # (family, label, integrand calls, call, replayed call)
+for fam, m in PROP_MODELS.items():
+    for label, fn, args in PROP_CALLS:
+        calls, replayed = replaying_integrands(fn, m, *args)
+        prop_rows.append((fam, label, calls, lambda fn=fn, m=m, args=args: fn(m, *args), replayed))
+prop_times = best_times([row[3] for row in prop_rows] + [row[4] for row in prop_rows], prop_batch)
+print(f"  {'family':<6} {'property':<14} {'ms/call':>8} {'integrand calls':>16} "
+      f"{'us/call outside the integrand':>30}")
+for (fam, label, calls, _, _), t, t_outside in zip(
+    prop_rows, prop_times, prop_times[len(prop_rows):]
+):
+    print(f"  {fam:<6} {label:<14} {t * 1e3:8.3f} {calls:16d} {t_outside * 1e6:30.1f}")
 
 print(
     f"fits: gtwe at the study truth, truth start, one start "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -89,6 +90,14 @@ def _pair(text: str, what: str, kinds=(float, float)):
         raise UsageError(f"cannot parse --{what} value {text!r}{need}") from None
 
 
+def _finite(option: str, *values):
+    """``values`` of ``--option``, refused where one is infinite or NaN."""
+    for value in values:
+        if not math.isfinite(value):
+            raise UsageError(f"--{option} takes finite values, got {value}")
+    return values
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(_round_floats(payload, args.precision), indent=2)
     if getattr(args, "out", None):
@@ -136,6 +145,13 @@ def cmd_props(args) -> int:
     params = _parse_params(args.family, args.params)
     model = model_from_params(args.family, params)
     out: dict = {"family": args.family, "params": args.params}
+    # orders, ages and entropy bounds must be finite; an infinite --mgf t
+    # has its limits, and an infinite --incomplete-moment z is refused by
+    # the property, naming raw_moment
+    _finite("renyi", *args.renyi or ())
+    _finite("q-entropy", *args.q_entropy or ())
+    if args.entropy_lower is not None:
+        _finite("entropy-lower", args.entropy_lower)
 
     def run(key, fn):
         try:
@@ -168,15 +184,15 @@ def cmd_props(args) -> int:
     if args.quantiles:
         run("quantiles", lambda: model.quantile_measures()._asdict())
     for spec in args.residual or ():
-        n, t = _pair(spec, "residual", (int, float))
+        n, t = _finite("residual", *_pair(spec, "residual", (int, float)))
         run(f"residual_{spec}",
             lambda n=n, t=t: properties.residual_moment(model, n, t))
     for spec in args.reversed_residual or ():
-        n, t = _pair(spec, "reversed-residual", (int, float))
+        n, t = _finite("reversed-residual", *_pair(spec, "reversed-residual", (int, float)))
         run(f"reversed_residual_{spec}",
             lambda n=n, t=t: properties.reversed_residual_moment(model, n, t))
     for spec in args.cigf or ():
-        m, n = _pair(spec, "cigf")
+        m, n = _finite("cigf", *_pair(spec, "cigf"))
         run(f"cigf_{spec}", lambda m=m, n=n: properties.cigf(model, m, n))
 
     _emit(out, args)

@@ -10,6 +10,13 @@ substitution x = lo + t/(1-t).  The node tables for the step sizes
 h = 1, 1/2, ..., 1/128 are built once at import, grouped into the array
 calls of the integrand: one call covers the levels h = 1 ... 1/16, where
 most integrals converge, and each finer level makes one call more.
+Mapping a block's nodes onto a range (x, the Jacobian, and the level
+table once nodes that round onto an endpoint are dropped) depends on the
+range alone, so it is memoized per (lower, upper, block) in a cache of
+``_NODE_MAPS`` entries (``_node_map``): the property catalog integrates
+over a few fixed ranges of levels again and again.  The mapped arrays are
+shared between calls and read-only, and so are the parts an integrand is
+handed: one that writes into them raises ``ValueError``.
 
 The rule on one range is a reverse-communication generator (``_rule``):
 it yields each block's nodes and is sent the integrand's values there.
@@ -21,6 +28,7 @@ the caller's to decide before it integrates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -173,7 +181,7 @@ _FRONT = 5  # levels 0..4 (173 nodes) share the first call of the integrand
 
 
 class _Block(NamedTuple):
-    """The nodes of one integrand call, with what ``_rule`` maps them by."""
+    """The nodes of one integrand call, with what ``_node_map`` maps them by."""
 
     t: np.ndarray
     omt: np.ndarray  # 1 - t
@@ -186,8 +194,14 @@ class _Block(NamedTuple):
     jac_fold: np.ndarray  # its Jacobian, dt/ds / (1 - t)^2
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _node_blocks():
-    """The node tables grouped by integrand call.
+    """The node tables grouped by integrand call, as read-only arrays.
 
     The first block concatenates levels 0.._FRONT-1 and each later level is
     a block of its own; a block lists each level's nodes in the order of
@@ -201,45 +215,77 @@ def _node_blocks():
         starts = np.array([a for _, a, _ in levels])
         near = t < 0.5
         signed = np.where(near, t, -omt)
-        blocks.append(_Block(t, omt, w, levels, starts, near, signed, t / omt, w / (omt * omt)))
+        arrays = _read_only(t, omt, w, starts, near, signed, t / omt, w / (omt * omt))
+        blocks.append(_Block(*arrays[:3], levels, *arrays[3:]))
     return blocks
 
 
 _BLOCKS = _node_blocks()
+# the mapped blocks held: the catalog's fixed ranges of levels, (0, 0.75),
+# (0, 0.25) and (0, 1), take 12 with every block, and most integrals one each
+_NODE_MAPS = 16
+
+
+class _NodeMap(NamedTuple):
+    """One block's nodes mapped onto one range, read-only; nodes that round
+    onto an endpoint are left out."""
+
+    x: np.ndarray
+    jac: np.ndarray  # dx/ds
+    t: np.ndarray
+    omt: np.ndarray  # 1 - t
+    # (h, start, stop, t, 1 - t): [start:stop] holds level h's nodes, and
+    # the floats are its outermost nodes' t and 1 - t (None for no nodes)
+    levels: tuple
+
+
+@functools.lru_cache(maxsize=_NODE_MAPS)
+def _node_map(lower, upper, index):
+    """The nodes of block ``index`` of ``_BLOCKS`` on (lower, upper), float
+    bounds; the map depends on these alone, so each is made once while it
+    stays among the ``_NODE_MAPS`` most recently used."""
+    t, omt, w, levels, starts, near_lower, signed, t_fold, jac_fold = _BLOCKS[index]
+    if math.isinf(upper):
+        x = lower + t_fold
+        jac = jac_fold
+        keep = x > lower
+    else:
+        # lower + width*t near the lower end, upper - width*(1 - t) near the upper
+        width = upper - lower
+        x = np.where(near_lower, lower, upper) + width * signed
+        jac = width * w
+        keep = (x > lower) & (x < upper)
+    kept = np.add.reduceat(keep, starts, dtype=np.intp).tolist()  # per level
+    if sum(kept) < keep.size:
+        x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
+        stops = itertools.accumulate(kept)
+        levels = [(h, stop - n, stop) for (h, _, _), n, stop in zip(levels, kept, stops)]
+    # the tables order nodes by s, so a level's outermost nodes are its ends
+    levels = tuple(
+        (h, a, b, float(t[a]), float(omt[b - 1])) if b > a else (h, a, b, None, None)
+        for h, a, b in levels
+    )
+    return _NodeMap(*_read_only(x, jac, t, omt), levels)
 
 
 def _rule(lower, upper, spec):
     """The tanh-sinh rule on one range, by reverse communication.
 
-    A generator: it yields the nodes of each block of ``_BLOCKS`` in turn
-    and is sent the integrand's values there (an array of the nodes' shape,
-    or a scalar); it returns the estimate or raises
+    A generator: it yields the (read-only) nodes of each block of
+    ``_BLOCKS`` in turn and is sent the integrand's values there (an array
+    of the nodes' shape, or a scalar); it returns the estimate or raises
     :class:`QuadratureError`.  :func:`integrate_ranges` drives it.
     """
     if lower == upper:
         return 0.0
-    fold = math.isinf(upper)
-    width = upper - lower
+    lower, upper = float(lower), float(upper)
     outer_lo = outer_hi = None  # (t or 1 - t, term) at the outermost node used
     total = None
-    for t, omt, w, levels, starts, near_lower, signed, t_fold, jac_fold in _BLOCKS:
-        if fold:
-            x = lower + t_fold
-            jac = jac_fold
-            keep = x > lower
-        else:
-            # lower + width*t near the lower end, upper - width*(1 - t) near the upper
-            x = np.where(near_lower, lower, upper) + width * signed
-            jac = width * w
-            keep = (x > lower) & (x < upper)
-        kept = np.add.reduceat(keep, starts, dtype=np.intp).tolist()  # per level
-        if sum(kept) < keep.size:
-            x, jac, t, omt = x[keep], jac[keep], t[keep], omt[keep]
-            stops = itertools.accumulate(kept)
-            levels = [(h, stop - n, stop) for (h, _, _), n, stop in zip(levels, kept, stops)]
+    for index in range(len(_BLOCKS)):
+        x, jac, t, omt, levels = _node_map(lower, upper, index)
         values = yield x
         block = np.asarray(values, dtype=float) * jac  # under the driver's errstate
-        for h, a, b in levels:
+        for h, a, b, t_lo, omt_hi in levels:
             terms = block[a:b]
             level = float(np.add.reduce(terms))  # terms.sum() without its wrapper
             if not math.isfinite(level):  # a term is not finite, or the sum overflowed
@@ -257,11 +303,11 @@ def _rule(lower, upper, spec):
                     terms[bad] = 0.0
                     level = float(np.add.reduce(terms))
             if b > a:
-                # the tables order nodes by s, and each level reaches at least as far
-                if outer_lo is None or t[a] <= outer_lo[0]:
-                    outer_lo = (t[a], float(terms[0]))
-                if outer_hi is None or omt[b - 1] <= outer_hi[0]:
-                    outer_hi = (omt[b - 1], float(terms[-1]))
+                # each level reaches at least as far as the one before
+                if outer_lo is None or t_lo <= outer_lo[0]:
+                    outer_lo = (t_lo, float(terms[0]))
+                if outer_hi is None or omt_hi <= outer_hi[0]:
+                    outer_hi = (omt_hi, float(terms[-1]))
             level *= h
             if total is None:
                 total = level
@@ -288,7 +334,7 @@ def _step(rule, values):
         return None, exc
 
 
-_NO_NODES = np.empty(0)
+(_NO_NODES,) = _read_only(np.empty(0))  # the part of a range that has finished
 
 
 def integrate_ranges(
@@ -305,8 +351,9 @@ def integrate_ranges(
     ``f`` returns its values on the concatenation of the parts (a scalar is
     broadcast), and is called inside ``np.errstate(all="ignore")``; so an
     elementwise ``f`` sees, besides its own range's nodes, those of the
-    other ranges.  Ranges are checked as in :func:`integrate` before any
-    call.
+    other ranges.  The parts are read-only (a range's mapped nodes are
+    memoized and shared between calls), so ``f`` must not write into them.
+    Ranges are checked as in :func:`integrate` before any call.
 
     Returns, per range, its estimate or the :class:`QuadratureError` that
     ended it, for the caller to raise or accept in its own order.
@@ -345,7 +392,9 @@ def integrate(
     either endpoint.  Its first call evaluates every node of the levels
     h = 1, 1/2, ..., 1/16 at once, and each later level is one more call,
     so ``f`` may see nodes of levels the rule never consumes: it must
-    accept every point of the open range.  A finite range maps
+    accept every point of the open range, and it must not write into
+    them: the nodes are read-only, memoized per range and block, and
+    shared between calls.  A finite range maps
     x = lower + (upper-lower)*t from the nearer end, so that no node
     rounds onto an endpoint (nodes that would are left out); a
     semi-infinite one folds x = lower + t/(1-t).  The rule halves h until

@@ -19,10 +19,13 @@ reversed one over w at p = F(t) w, so that neither divides by a
 probability.  Where an integrand is singular as v -> 0, like v^-a with
 a > 1/2 (the tail screen below gives a), the survival levels are taken
 as a power of the rule's variable that leaves it bounded.  The core runs
-straight on the nodes, inside the quadrature's errstate, with no support
-check or scalar handling per call: arguments are refused before the
-first integrand call instead (an age below the support by the scalar
-``survival`` or ``cdf``), and a moment, PWM, residual moment or ``cigf``
+straight on the nodes, which are read-only, inside the quadrature's
+errstate, with no support check or scalar handling per call: arguments
+are refused before the first integrand call instead (an age below the
+support by the scalar ``survival`` or ``cdf``, and an order, age or
+entropy bound that is NaN or infinite by a ``ValueError`` naming it;
+``mgf``'s t may be infinite, with the limits 0 at -inf and a divergence
+at inf), and a moment, PWM, residual moment or ``cigf``
 that meets a Q past the float range below the level 0.75 (for the
 residual moment, at w >= 1/2) raises ``OverflowError``.  Each range's
 degraded result is accepted or raised in range order.  The closed-form
@@ -80,6 +83,13 @@ def _accept(outcome):
             return est
         raise outcome
     return outcome
+
+
+def _finite_arg(value, name):
+    """Refuse an order or argument that is inf, before any integrand call
+    (NaN is refused by each function's own checks, with their messages)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _finite(q, what):
@@ -248,6 +258,7 @@ def raw_moment(model: GtldModel, r: int, method: str = "quadrature") -> float:
     """E[X^r]."""
     if not r >= 1:  # NaN fails it
         raise ValueError(f"moment order r must be >= 1, got {r}")
+    _finite_arg(r, "moment order r")
     if method == "series":
         if model.family != "gtw":
             raise ValueError("series moments are implemented for 'gtw' only")
@@ -270,6 +281,7 @@ def incomplete_moment(
     """E[X^r; X <= z] = integral of x^r f(x) over (support_low, z]."""
     if not r >= 1:
         raise ValueError(f"moment order r must be >= 1, got {r}")
+    _finite_arg(r, "moment order r")
     if z < model.support_low:
         raise ValueError("z below the support")
     if not math.isfinite(z):
@@ -296,6 +308,8 @@ def pwm(model: GtldModel, r: int, s: int) -> float:
     """Probability weighted moment E[X^r F(X)^s]."""
     if not (r >= 0 and s >= 0):
         raise ValueError(f"pwm orders r, s must be nonnegative, got {r}, {s}")
+    _finite_arg(r, "pwm order r")
+    _finite_arg(s, "pwm order s")
 
     what = f"pwm r={r}, s={s}"
 
@@ -366,8 +380,10 @@ def _density_power_integral(model: GtldModel, rho: float, lower: float | None):
     ``_screen_tail``, and over the whole support also at the low edge by
     ``_screen_edge``; the tail's verdict comes first.
     """
-    if lower is not None and math.isnan(lower):
-        raise ValueError("the entropy integral's lower limit is nan")
+    if lower is not None:
+        if math.isnan(lower):
+            raise ValueError("the entropy integral's lower limit is nan")
+        _finite_arg(lower, "the entropy integral's lower limit")
     truncated = lower is not None and lower > model.support_low
 
     def log_h(p, lv, q, log_f):
@@ -394,6 +410,7 @@ def renyi_entropy(model: GtldModel, rho: float, lower: float | None = None) -> f
     """
     if not rho > 0 or rho == 1:
         raise ValueError("rho must be positive and != 1")
+    _finite_arg(rho, "rho")
     val = _density_power_integral(model, rho, lower)
     if val <= 0:
         raise DivergenceError("density-power integral evaluated to a non-positive value")
@@ -404,6 +421,7 @@ def q_entropy(model: GtldModel, q: float, lower: float | None = None) -> float:
     """q-entropy (1/(q-1)) log(1 - integral(f^q)); needs integral(f^q) < 1."""
     if not q > 0 or q == 1:
         raise ValueError("q must be positive and != 1")
+    _finite_arg(q, "q")
     val = _density_power_integral(model, q, lower)
     if val >= 1.0:
         raise EntropyDomainError(
@@ -421,6 +439,8 @@ def residual_moment(model: GtldModel, n: int, t: float) -> float:
         raise ValueError(f"residual moment order n must be >= 1, got {n}")
     if math.isnan(t):
         raise ValueError("residual moment needs an age t, got nan")
+    _finite_arg(n, "residual moment order n")
+    _finite_arg(t, "residual moment age t")
     s = model.survival(t)
     if s <= 0.0:
         raise ZeroDivisionError("survival(t) is 0; residual life undefined")
@@ -447,6 +467,8 @@ def reversed_residual_moment(model: GtldModel, n: int, t: float) -> float:
         raise ValueError(f"reversed residual moment order n must be >= 0, got {n}")
     if math.isnan(t):
         raise ValueError("reversed residual moment needs an age t, got nan")
+    _finite_arg(n, "reversed residual moment order n")
+    _finite_arg(t, "reversed residual moment age t")
     if n == 0:
         return 1.0
     F = model.cdf(t)
@@ -471,6 +493,8 @@ def cigf(model: GtldModel, m: float, n: float) -> float:
         raise ValueError(f"cigf order m must be >= 0, got {m}")
     if not n >= 0:
         raise ValueError(f"cigf order n must be >= 0, got {n}")
+    _finite_arg(m, "cigf order m")
+    _finite_arg(n, "cigf order n")
     if n == 0:
         raise DivergenceError(
             "cigf(m, 0) diverges: F^m tends to 1 on an unbounded support"

@@ -322,6 +322,41 @@ def test_non_integer_orders_are_usage_errors(capsys, option, value):
     )
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--renyi", "inf"), "--renyi takes finite values, got inf"),
+        (("--q-entropy", "inf"), "--q-entropy takes finite values, got inf"),
+        (("--renyi", "2", "--entropy-lower", "inf"), "--entropy-lower takes finite values, got inf"),
+        (("--residual", "1,inf"), "--residual takes finite values, got inf"),
+        (("--reversed-residual", "1,inf"), "--reversed-residual takes finite values, got inf"),
+        (("--reversed-residual", "1,-inf"), "--reversed-residual takes finite values, got -inf"),
+        (("--cigf", "inf,1"), "--cigf takes finite values, got inf"),
+        (("--cigf", "1,nan"), "--cigf takes finite values, got nan"),
+    ],
+)
+def test_non_finite_property_arguments_are_usage_errors(capsys, options, message):
+    # before, --reversed-residual 1,inf exited 1 on a QuadratureError and
+    # --q-entropy inf reported -0.0
+    code, out, err = run_cli(
+        capsys, "props", "--family", "gtw", "--params", "1.5,0.5,1.2,-0.3", *options
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_infinite_mgf_argument_keeps_its_limits(capsys):
+    code, out, _ = run_cli(
+        capsys, "props", "--family", "gtw", "--params", "1.5,0.5,1.2,-0.3",
+        "--mgf=-inf", "--mgf", "inf",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mgf_-inf"] == 0.0
+    assert payload["mgf_inf"]["error"].startswith("mgf t=inf")
+
+
 def test_curves_where_the_survival_underflows_is_exit_1(capsys, tmp_path):
     # the hazard is undefined where S underflows to 0: an error line and
     # no CSV, not a traceback

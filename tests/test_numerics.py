@@ -262,6 +262,92 @@ class TestIntegrateMatchesPerLevelRule:
             integrate(f, 0.0, math.inf)
 
 
+def _seen_and_outcome(f, lower, upper):
+    """The bytes of every node ``f`` was handed, and the outcome's bits."""
+    seen = []
+
+    def logged(x):
+        seen.append(x.tobytes())
+        return f(x)
+
+    return seen, _outcome(integrate, logged, lower, upper)
+
+
+def _evict():
+    """Integrate over more new ranges than the node-map cache holds."""
+    for k in range(numerics._NODE_MAPS + 1):
+        integrate(np.exp, 0.0, 2.0 + k)
+        assert numerics._node_map.cache_info().currsize <= numerics._NODE_MAPS
+
+
+class TestNodeMapCache:
+    """Node maps are memoized per (lower, upper, block): the bits of an
+    integral do not depend on whether its maps were cached, and the maps
+    are read-only."""
+
+    @pytest.mark.parametrize(
+        "f, lower, upper",
+        [
+            (lambda x: np.sqrt(x - 1.0), 1.0, 1.0 + 1e-6),  # drops nodes
+            (lambda x: np.exp(1e8 - x), 1e8, math.inf),  # folded, drops nodes
+            (lambda x: x**-0.5, 0.0, 1.0),
+            (lambda x: x**-0.5, -0.0, 1.0),
+            (lambda x: np.exp(-x), 0.0, math.inf),
+            (lambda x: np.exp(-x), -0.0, math.inf),
+        ],
+        ids=["narrow", "far-fold", "zero", "negative-zero", "fold-zero", "fold-negative-zero"],
+    )
+    def test_same_bits_on_miss_hit_and_after_eviction(self, f, lower, upper):
+        numerics._node_map.cache_clear()
+        miss = _seen_and_outcome(f, lower, upper)
+        hits = numerics._node_map.cache_info().hits
+        assert _seen_and_outcome(f, lower, upper) == miss
+        assert numerics._node_map.cache_info().hits > hits
+        _evict()
+        assert _seen_and_outcome(f, lower, upper) == miss
+        assert miss[1] == _outcome(per_level_integrate, f, lower, upper)
+
+    @pytest.mark.parametrize("upper", [1.0, math.inf])
+    def test_zero_and_negative_zero_share_a_map(self, upper):
+        # 0.0 == -0.0, so one cache entry serves both: each must give the
+        # bits it gives on its own map
+        f = lambda x: np.exp(-x) * x**-0.5  # noqa: E731
+        numerics._node_map.cache_clear()
+        alone = _seen_and_outcome(f, -0.0, upper)
+        numerics._node_map.cache_clear()
+        _seen_and_outcome(f, 0.0, upper)
+        assert _seen_and_outcome(f, -0.0, upper) == alone
+
+    def test_an_integrand_that_writes_into_its_nodes_is_refused(self):
+        f = lambda x: x * x  # noqa: E731
+        before = _seen_and_outcome(f, 0.0, 1.0)
+
+        def writes(x):
+            x[:] = 0.5
+            return x
+
+        def writes_second(p, v):
+            v *= 2.0
+            return np.concatenate([p, v])
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate(writes, 0.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            numerics.integrate_ranges(writes_second, [(0.0, 1.0), (1.0, math.inf)])
+        assert _seen_and_outcome(f, 0.0, 1.0) == before
+        assert numerics.integrate_ranges(
+            lambda p, v: np.concatenate([p, np.exp(-v)]), [(0.0, 1.0), (1.0, math.inf)]
+        ) == [integrate(lambda x: x, 0.0, 1.0), integrate(lambda x: np.exp(-x), 1.0, math.inf)]
+
+    def test_cache_never_holds_more_than_its_size(self):
+        numerics._node_map.cache_clear()
+        for k in range(3 * numerics._NODE_MAPS):
+            integrate(lambda x: np.exp(-x), float(k), math.inf)
+            integrate(lambda x: np.exp(-x), 0.0, 1.0 + k)
+            assert numerics._node_map.cache_info().currsize <= numerics._NODE_MAPS
+        assert numerics._node_map.cache_info().maxsize == numerics._NODE_MAPS
+
+
 class TestSumSeries:
     def test_geometric(self):
         val = sum_series(lambda k: 0.5**k)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -425,6 +426,64 @@ def test_nan_orders_and_arguments_refused(call, message):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):
             call(exp_model())
+
+
+def gtw_model():
+    return make_model("gtw", beta=0.5, theta=1.2, lam=-0.3, alpha=1.5)
+
+
+@pytest.mark.usefixtures("no_quadrature")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: properties.raw_moment(m, math.inf), "moment order r must be finite, got inf"),
+        (lambda m: properties.incomplete_moment(m, math.inf, 1.0),
+         "moment order r must be finite, got inf"),
+        (lambda m: properties.pwm(m, math.inf, 1), "pwm order r must be finite, got inf"),
+        (lambda m: properties.pwm(m, 1, math.inf), "pwm order s must be finite, got inf"),
+        (lambda m: properties.renyi_entropy(m, math.inf), "rho must be finite, got inf"),
+        (lambda m: properties.renyi_entropy(m, 2.0, lower=math.inf),
+         "the entropy integral's lower limit must be finite, got inf"),
+        (lambda m: properties.renyi_entropy(m, 2.0, lower=-math.inf),
+         "the entropy integral's lower limit must be finite, got -inf"),
+        (lambda m: properties.q_entropy(m, math.inf), "q must be finite, got inf"),
+        (lambda m: properties.q_entropy(m, 2.0, lower=math.inf),
+         "the entropy integral's lower limit must be finite, got inf"),
+        (lambda m: properties.residual_moment(m, math.inf, 1.0),
+         "residual moment order n must be finite, got inf"),
+        (lambda m: properties.residual_moment(m, 1, math.inf),
+         "residual moment age t must be finite, got inf"),
+        (lambda m: properties.residual_moment(m, 1, -math.inf),
+         "residual moment age t must be finite, got -inf"),
+        (lambda m: properties.reversed_residual_moment(m, math.inf, 1.0),
+         "reversed residual moment order n must be finite, got inf"),
+        (lambda m: properties.reversed_residual_moment(m, 1, math.inf),
+         "reversed residual moment age t must be finite, got inf"),
+        (lambda m: properties.reversed_residual_moment(m, 0, math.inf),
+         "reversed residual moment age t must be finite, got inf"),
+        (lambda m: properties.cigf(m, math.inf, 1.0), "cigf order m must be finite, got inf"),
+        (lambda m: properties.cigf(m, 1.0, math.inf), "cigf order n must be finite, got inf"),
+    ],
+    ids=["raw_moment", "incomplete_moment-r", "pwm-r", "pwm-s", "renyi-rho", "renyi-lower",
+         "renyi-lower-neg", "q_entropy-q", "q_entropy-lower", "residual-n", "residual-t",
+         "residual-t-neg", "reversed_residual-n", "reversed_residual-t",
+         "reversed_residual-t-order-0", "cigf-m", "cigf-n"],
+)
+def test_infinite_orders_and_arguments_refused(call, message):
+    # before, on this gtw model: raw_moment(m, inf) and residual_moment(m,
+    # inf, 1) raised QuadratureError, renyi_entropy(m, inf) and lower=inf a
+    # DivergenceError, q_entropy(m, inf) returned -0.0 and
+    # reversed_residual_moment(m, inf, 1) 7.8e-30
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(gtw_model())
+
+
+def test_mgf_keeps_its_infinite_limits():
+    # e^(tX) tends to 0 as t -> -inf, and is infinite for t = inf
+    m = gtw_model()
+    assert properties.mgf(m, -math.inf) == 0.0
+    with pytest.raises(properties.DivergenceError, match="mgf t=inf"):
+        properties.mgf(m, math.inf)
 
 
 class TestQuantilePastTheFloatRange:
