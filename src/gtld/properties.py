@@ -20,7 +20,15 @@ probability.  Where an integrand is singular as v -> 0, like v^-a with
 a > 1/2 (the tail screen below gives a), the survival levels are taken
 as a power of the rule's variable that leaves it bounded.  The core runs
 straight on the nodes, which are read-only, inside the quadrature's
-errstate, with no support check or scalar handling per call: arguments
+errstate, and what it returns there is memoized (``_quantiles``), so the
+catalog's integrals over one model solve Q once per block of nodes: the
+key is the model's kernel arguments by type and exact bits (-0.0 is not
+0.0), the node parts, which the entry holds, and the survival levels'
+substitution (k, v_scale); an entry holds Q, and log f once a caller has
+asked for it, both read-only; the cache keeps the ``_QUANTILE_MEMO`` (64)
+most recently used entries; and, as in ``functools.lru_cache``, one lock
+guards its lookups and insertions but not the computation.  The core
+takes no support check or scalar handling per call: arguments
 are refused before the first integrand call instead (an age below the
 support by the scalar ``survival`` or ``cdf``, and an order, age or
 entropy bound that is NaN or infinite by a ``ValueError`` naming it;
@@ -46,9 +54,12 @@ density follows from the table's ``edge``, with theta doubled at lam = -1
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
+import struct
+import threading
 
 import numpy as np
 
@@ -63,6 +74,12 @@ _ACCEPT_REL = 1e-6  # degraded-quadrature acceptance threshold
 # n-th power of x's scale, which can lie far below 1
 _RELATIVE = QuadratureSpec(abs_tol=1e-300)
 _CIGF_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+# the quantile memo's bound, in entries: the catalog's properties of one
+# model share a few node blocks, and an entry holds at most a few
+# thousand floats
+_QUANTILE_MEMO = 64
+_memo: collections.OrderedDict = collections.OrderedDict()  # key -> (p, s, Q, log f)
+_memo_lock = threading.Lock()
 
 
 class DivergenceError(ArithmeticError):
@@ -174,6 +191,39 @@ def _integrate(f, ranges, spec=None):
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
+def _quantiles(key, args, p, s, lv, log_f):
+    """Q, and log f (or None where ``log_f`` is false), of the kernel
+    arguments ``args`` on the levels p and the log survival levels lv, which
+    ``_over_levels`` makes from the node parts p and s under ``key``.
+
+    Memoized, least recently used first out, in ``_QUANTILE_MEMO`` entries
+    keyed on ``key`` and the parts' identities; an entry holds the parts,
+    so that neither id can be reused while it lives.  A miss computes what
+    the caller asks for, log f only where asked; a caller that asks for log
+    f where an entry holds Q alone computes both and upgrades the entry.
+    The arrays are read-only.  Lookups and insertions hold one lock, the
+    computation none: threads may compute one entry at once, with the same
+    bits.
+    """
+    key = (key, id(p), id(s))
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+    if entry is None or (log_f and entry[3] is None):
+        if log_f:
+            q, lf = numerics._read_only(*_kernels._quantile_core(*args, p, lv, True))
+        else:
+            (q,), lf = numerics._read_only(_kernels._quantile_core(*args, p, lv)), None
+        entry = (p, s, q, lf)
+        with _memo_lock:
+            _memo[key] = entry
+            _memo.move_to_end(key)
+            if len(_memo) > _QUANTILE_MEMO:
+                _memo.popitem(last=False)
+    return entry[2], entry[3] if log_f else None
+
+
 def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 0.25),
                  v_scale=1.0, spec=None, log_f=False):
     """The integral of e^log_h over the levels p in ``p_range`` plus that over
@@ -183,7 +233,8 @@ def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 
 
     ``log_h(p, lv, q, log_f)`` returns the integrand's log on the
     concatenated levels, given the levels p, the log survival levels lv,
-    and Q there (and log f, or None).  Where the integrand behaves like
+    and Q there (and log f, or None), read-only and memoized per model and
+    node block (``_quantiles``).  Where the integrand behaves like
     v^-a as v -> 0 with a > 1/2 (``_screen_tail``), w = s^k with
     k = 1/(1 - a) takes its place, which leaves it bounded as s -> 0:
     otherwise the mass below the rule's nodes nearest v = 0, a fraction
@@ -194,17 +245,16 @@ def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 
     k = 1.0 if a <= 0.5 else 1.0 / (1.0 - a)
     log_scale = math.log(v_scale)
     args = model.kernel_args
+    # the kernel arguments by type and exact bits (-0.0 is not 0.0), and
+    # the substitution; the memo adds the node parts
+    key = (args[0], tuple(map(type, args)), struct.pack("7d", *args[1:], k, v_scale))
 
     def integrand(p, s):
         ls = np.log(s)
         lv = ls if k == 1.0 else k * ls
         if v_scale != 1.0:
             lv = lv + log_scale
-        # the kernels' quantile core, straight on the nodes
-        if log_f:
-            q, lf = _kernels._quantile_core(*args, p, lv, True)
-        else:
-            q, lf = _kernels._quantile_core(*args, p, lv), None
+        q, lf = _quantiles(key, args, p, s, lv, log_f)
         out = log_h(p, lv, q, lf)
         if k != 1.0:
             out[p.size :] += math.log(k) + (k - 1.0) * ls

@@ -1,3 +1,5 @@
+import collections
+import concurrent.futures
 import math
 import re
 import warnings
@@ -8,11 +10,12 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp
 from scipy import stats as st
 
-from gtld import numerics, properties
+from gtld import _kernels, numerics, properties
 from gtld.model import SUBFAMILY_SHAPES, SupportError, make_model, model_from_params
 
+import golden_model
 from conftest import random_params
-from test_lockstep import Composition
+from test_lockstep import Composition, outcome
 from test_numerics import per_level_integrate
 
 
@@ -806,3 +809,128 @@ class TestQuadratureRule:
         with pytest.raises(properties.DivergenceError, match="tail"):
             properties.raw_moment(m, 2)
         assert seen == []
+
+
+# -- the quantile memo ---------------------------------------------------------
+
+
+LOG_F_CALLERS = ("renyi_entropy", "q_entropy", "cigf")
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty quantile memo for this test alone."""
+    fresh = collections.OrderedDict()
+    monkeypatch.setattr(properties, "_memo", fresh)
+    return fresh
+
+
+def _record_models(family):
+    """The property record's models of ``family``: its three fixed parameter
+    sets and its two seeded ones."""
+    sets = [*zip(golden_model.SETS, golden_model.SHAPES[family]),
+            *golden_model._seeded_sets(family)]
+    return [make_model(family, beta=b, theta=t, lam=lam, **dict(shape))
+            for (b, t, lam), shape in sets]
+
+
+def _outcomes(m, calls, memo=None):
+    """Each call's outcome on m, in order; on an emptied memo each, if given."""
+    out = {}
+    for label, name, args, kwargs in calls:
+        if memo is not None:
+            memo.clear()
+        out[label] = outcome(getattr(properties, name), m, *args, **kwargs)
+    return out
+
+
+class TestQuantileMemo:
+    def test_same_bytes_in_either_order(self, family, memo):
+        for m in _record_models(family):
+            calls = golden_model.property_calls(m)
+            fresh = _outcomes(m, calls, memo)
+            log_f_first = sorted(calls, key=lambda call: call[1] not in LOG_F_CALLERS)
+            q_first = sorted(calls, key=lambda call: call[1] in LOG_F_CALLERS)
+            assert log_f_first[0][1] in LOG_F_CALLERS and q_first[0][1] not in LOG_F_CALLERS
+            for order in (log_f_first, q_first):
+                memo.clear()
+                assert _outcomes(m, order) == fresh, (m, order[0][0])
+
+    @pytest.mark.parametrize(
+        "first, second, shared",
+        [
+            (dict(beta=1.3), dict(beta=math.nextafter(1.3, 2.0)), False),
+            (dict(beta=1.3, lam=0.0), dict(beta=1.3, lam=-0.0), False),
+            (dict(beta=1.3, lam=-0.0), dict(beta=1.3, lam=0.0), False),
+            (dict(beta=2), dict(beta=2.0), False),
+            (dict(beta=2.0), dict(beta=2), False),
+            # the model holds its shapes as floats
+            (dict(beta=1.3, alpha=2), dict(beta=1.3, alpha=2.0), True),
+        ],
+        ids=["beta-ulp", "lam-0-then-minus-0", "lam-minus-0-then-0", "int-beta",
+             "float-beta", "int-alpha"],
+    )
+    def test_twin_gets_its_own_bytes(self, first, second, shared, memo):
+        def model(p):
+            return make_model("gtw", **{"theta": 1.4, "lam": 0.3, "alpha": 1.7, **p})
+
+        calls = golden_model.property_calls(model(second))
+        fresh = _outcomes(model(second), calls, memo)
+        memo.clear()
+        _outcomes(model(first), calls)
+        entries = len(memo)
+        assert _outcomes(model(second), calls) == fresh
+        # the key takes the kernel arguments by type and exact bits
+        assert len(memo) == (entries if shared else 2 * entries) < properties._QUANTILE_MEMO
+
+    def test_repeated_call_solves_no_quantile(self, memo, monkeypatch):
+        core = _kernels._quantile_core
+        seen = []
+
+        def counting(*args):
+            seen.append(args[-1] is True)  # whether log f was asked for
+            return core(*args)
+
+        monkeypatch.setattr(_kernels, "_quantile_core", counting)
+        properties.raw_moment(BENCH_MODEL, 1)
+        assert seen == [False]  # a miss computes Q alone
+        properties.pwm(BENCH_MODEL, 1, 1)
+        properties.mgf(BENCH_MODEL, -0.5)
+        assert seen == [False]
+        properties.renyi_entropy(BENCH_MODEL, 0.5)
+        assert seen == [False, True]  # which upgrades the entry
+        properties.q_entropy(BENCH_MODEL, 2.0)
+        properties.cigf(BENCH_MODEL, 1, 1)
+        properties.raw_moment(BENCH_MODEL, 1)
+        assert seen == [False, True]
+
+    @pytest.mark.parametrize("log_f", [False, True])
+    @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+    def test_handed_arrays_are_read_only(self, log_f, warm, memo):
+        def writes_q(p, lv, q, lf):
+            q[0] = 1.0
+
+        def writes_log_f(p, lv, q, lf):
+            lf[0] = 0.0
+
+        if warm:
+            properties.renyi_entropy(BENCH_MODEL, 0.5)
+        for log_h in (writes_q, writes_log_f) if log_f else (writes_q,):
+            with pytest.raises(ValueError, match="read-only"):
+                properties._over_levels(BENCH_MODEL, log_h, 0.0, log_f=log_f)
+
+    def test_bounded(self, memo):
+        for i in range(properties._QUANTILE_MEMO + 8):
+            properties.raw_moment(make_model("gte", beta=1.0 + i / 64, theta=1.3, lam=0.2), 1)
+            assert len(memo) <= properties._QUANTILE_MEMO
+        assert len(memo) == properties._QUANTILE_MEMO
+
+    def test_threads_get_their_own_bytes(self, memo):
+        models = [make_model("gtmw", beta=0.5 + i / 8, theta=1.2, lam=-0.3, alpha=1.5,
+                             gamma=0.3) for i in range(4)]
+        calls = golden_model.property_calls(models[0])
+        fresh = [_outcomes(m, calls, memo) for m in models]
+        memo.clear()
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda m: _outcomes(m, calls), models * 2))
+        assert got == fresh * 2
