@@ -25,9 +25,9 @@ catalog's integrals over one model solve Q once per block of nodes: the
 key is the model's kernel arguments by type and exact bits (-0.0 is not
 0.0), the node parts, which the entry holds, and the survival levels'
 substitution (k, v_scale); an entry holds Q, and log f once a caller has
-asked for it, both read-only; the cache keeps the ``_QUANTILE_MEMO`` (64)
-most recently used entries; and, as in ``functools.lru_cache``, one lock
-guards its lookups and insertions but not the computation.  The core
+asked for it, both read-only; and the cache, a ``functools.lru_cache``
+as the nodes' maps are, keeps the ``_QUANTILE_MEMO`` (64) most recently
+used entries.  The core
 takes no support check or scalar handling per call: arguments
 are refused before the first integrand call instead (an age below the
 support by the scalar ``survival`` or ``cdf``, and an order, age or
@@ -54,12 +54,10 @@ density follows from the table's ``edge``, with theta doubled at lam = -1
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
 import struct
-import threading
 
 import numpy as np
 
@@ -78,8 +76,6 @@ _CIGF_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 # model share a few node blocks, and an entry holds at most a few
 # thousand floats
 _QUANTILE_MEMO = 64
-_memo: collections.OrderedDict = collections.OrderedDict()  # key -> (p, s, Q, log f)
-_memo_lock = threading.Lock()
 
 
 class DivergenceError(ArithmeticError):
@@ -191,37 +187,37 @@ def _integrate(f, ranges, spec=None):
     return functools.reduce(operator.add, map(_accept, outcomes))
 
 
+@functools.lru_cache(maxsize=_QUANTILE_MEMO)
+def _memo_entry(key, p_id, s_id):
+    """The quantile memo's entry for the node parts of ids ``p_id`` and
+    ``s_id`` under ``key``: [p, s, Q, log f], which ``_quantiles`` fills."""
+    return [None, None, None, None]
+
+
 def _quantiles(key, args, p, s, lv, log_f):
     """Q, and log f (or None where ``log_f`` is false), of the kernel
     arguments ``args`` on the levels p and the log survival levels lv, which
     ``_over_levels`` makes from the node parts p and s under ``key``.
 
-    Memoized, least recently used first out, in ``_QUANTILE_MEMO`` entries
-    keyed on ``key`` and the parts' identities; an entry holds the parts,
-    so that neither id can be reused while it lives.  A miss computes what
-    the caller asks for, log f only where asked; a caller that asks for log
-    f where an entry holds Q alone computes both and upgrades the entry.
-    The arrays are read-only.  Lookups and insertions hold one lock, the
-    computation none: threads may compute one entry at once, with the same
-    bits.
+    Memoized in the ``_QUANTILE_MEMO`` most recently used entries of
+    ``_memo_entry``, keyed on ``key`` and the parts' identities; an entry
+    holds the parts, so that neither id can be reused while it lives.  A
+    miss computes what the caller asks for, log f only where asked; a
+    caller that asks for log f where an entry holds Q alone computes both
+    and upgrades the entry.  The arrays are read-only.  Threads may fill
+    one entry at once, with the same bits.
     """
-    key = (key, id(p), id(s))
-    with _memo_lock:
-        entry = _memo.get(key)
-        if entry is not None:
-            _memo.move_to_end(key)
-    if entry is None or (log_f and entry[3] is None):
+    entry = _memo_entry(key, id(p), id(s))
+    q, lf = entry[2], entry[3]
+    if q is None or (log_f and lf is None):
         if log_f:
-            q, lf = numerics._read_only(*_kernels._quantile_core(*args, p, lv, True))
+            q, lf = _kernels._quantile_core(*args, p, lv, True)
+            lf.setflags(write=False)
         else:
-            (q,), lf = numerics._read_only(_kernels._quantile_core(*args, p, lv)), None
-        entry = (p, s, q, lf)
-        with _memo_lock:
-            _memo[key] = entry
-            _memo.move_to_end(key)
-            if len(_memo) > _QUANTILE_MEMO:
-                _memo.popitem(last=False)
-    return entry[2], entry[3] if log_f else None
+            q = _kernels._quantile_core(*args, p, lv)
+        q.setflags(write=False)
+        entry[:] = p, s, q, lf
+    return q, lf if log_f else None
 
 
 def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 0.25),
@@ -260,7 +256,9 @@ def _over_levels(model: GtldModel, log_h, a, p_range=(0.0, 0.75), v_range=(0.0, 
             out[p.size :] += math.log(k) + (k - 1.0) * ls
         return np.exp(out)
 
-    return _integrate(integrand, [p_range, tuple(w ** (1.0 / k) for w in v_range)], spec)
+    if k != 1.0:
+        v_range = tuple(w ** (1.0 / k) for w in v_range)
+    return _integrate(integrand, [p_range, v_range], spec)
 
 
 def _log_levels(p, lv):

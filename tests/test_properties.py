@@ -1,7 +1,7 @@
-import collections
 import concurrent.futures
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -817,12 +817,21 @@ class TestQuadratureRule:
 LOG_F_CALLERS = ("renyi_entropy", "q_entropy", "cigf")
 
 
+class _Memo:
+    """The quantile memo's entry count, and a way to empty it."""
+
+    clear = staticmethod(properties._memo_entry.cache_clear)
+
+    def __len__(self):
+        return properties._memo_entry.cache_info().currsize
+
+
 @pytest.fixture
-def memo(monkeypatch):
-    """An empty quantile memo for this test alone."""
-    fresh = collections.OrderedDict()
-    monkeypatch.setattr(properties, "_memo", fresh)
-    return fresh
+def memo():
+    """The quantile memo, empty at the start and at the end of the test."""
+    _Memo.clear()
+    yield _Memo()
+    _Memo.clear()
 
 
 def _record_models(family):
@@ -919,6 +928,16 @@ class TestQuantileMemo:
             with pytest.raises(ValueError, match="read-only"):
                 properties._over_levels(BENCH_MODEL, log_h, 0.0, log_f=log_f)
 
+    def test_parts_of_a_finished_call_are_not_hits(self, memo):
+        # incomplete moments up to ever new levels: each maps new nodes,
+        # while the node maps of the calls before leave numerics' cache;
+        # an array that took over a freed part's id must not hit
+        m = make_model("gtw", beta=1.3, theta=1.4, lam=0.3, alpha=1.7)
+        calls = [(f"z={z}", "incomplete_moment", (1, z), {}) for z in np.linspace(0.3, 1.2, 48)]
+        fresh = _outcomes(m, calls, memo)
+        memo.clear()
+        assert _outcomes(m, calls) == fresh
+
     def test_bounded(self, memo):
         for i in range(properties._QUANTILE_MEMO + 8):
             properties.raw_moment(make_model("gte", beta=1.0 + i / 64, theta=1.3, lam=0.2), 1)
@@ -926,11 +945,20 @@ class TestQuantileMemo:
         assert len(memo) == properties._QUANTILE_MEMO
 
     def test_threads_get_their_own_bytes(self, memo):
+        # more threads than cores, switching often, on four models that
+        # share the memo: each call still gets its model's own bytes
         models = [make_model("gtmw", beta=0.5 + i / 8, theta=1.2, lam=-0.3, alpha=1.5,
                              gamma=0.3) for i in range(4)]
         calls = golden_model.property_calls(models[0])
         fresh = [_outcomes(m, calls, memo) for m in models]
         memo.clear()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda m: _outcomes(m, calls), models * 2))
-        assert got == fresh * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_outcomes, m, calls) for m in models * 4]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == fresh * 4
+        assert len(memo) <= properties._QUANTILE_MEMO
