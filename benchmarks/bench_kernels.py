@@ -16,12 +16,19 @@ quadrature runs on: the first call covers the tanh-sinh levels h = 1 ...
 0.25, and each round of finer levels that a range still needs is one call
 more.  gtmw is the one family whose G^-1, which every integrand call
 evaluates, is iterative (Newton's method).  Whether a property exists is
-decided from the family table before that, with no integrand call.  Each
-property row also gives the us per call spent outside the integrand, in
-the screens, the driver and the rule: the call is timed once more with
-its integrands handing back their recorded values, as the fit rows replay
-the kernel; the script exits non-zero if a property makes no integrand
-call, or if the replay does not serve every recorded one.
+decided from the family table before that, with no integrand call.  The
+properties memoize what the quantile core returns on their nodes, per
+parameter set and node block, so each property row is timed on one model
+called again and again, where every call after the first finds its Q in
+the memo (ms/call), and on a fresh parameter set for every call, beta one
+ulp above the last one's, where every call is a miss and solves Q as an
+unmemoized call would (fresh).  Each property row also gives the us per
+call spent outside the integrand, in the screens, the driver and the
+rule: the call is timed once more with its integrands handing back their
+recorded values, as the fit rows replay the kernel; the script exits
+non-zero if a property makes no integrand call, if the replay does not
+serve every recorded one, or if a repeated call on one model still calls
+the quantile core, whose every block the memo then holds.
 
 Layer 2: truth-start, one-start gtwe fits at the Monte Carlo study's truth,
 n = 50 and 400, for each method: ms per fit, kernel evaluations per fit
@@ -45,12 +52,15 @@ Usage: python benchmarks/bench_kernels.py [sample_size] [repeats]
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import math
 import sys
 import timeit
 
 import numpy as np
 
 from gtld import ParamVector, _kernels, estimation, make_model, numerics, properties
+from gtld.model import model_from_params
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 200
 REPEATS = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
@@ -126,6 +136,38 @@ def replaying_integrands(fn, *args):
             sys.exit(f"bench_kernels: the replay of {fn.__name__} left integrand values unserved")
 
     return len(values), replayed
+
+
+def fresh_models(m, count):
+    """``count`` twins of model m, each with beta one ulp above the one
+    before, m's first: the property memo holds nothing for any of them."""
+    out, beta = [], m.params.beta
+    for _ in range(count):
+        beta = math.nextafter(beta, math.inf)
+        out.append(model_from_params(m.family, dataclasses.replace(m.params, beta=beta)))
+    return out
+
+
+def check_repeat_hits(fn, m, *args):
+    """Exit if a repeated ``fn(m, *args)`` calls the quantile core: the
+    property memo holds every block of the call before."""
+    fn(m, *args)
+    core = _kernels._quantile_core
+    calls = 0
+
+    def counting(*core_args):
+        nonlocal calls
+        calls += 1
+        return core(*core_args)
+
+    _kernels._quantile_core = counting
+    try:
+        fn(m, *args)
+    finally:
+        _kernels._quantile_core = core
+    if calls:
+        sys.exit(f"bench_kernels: a repeated {fn.__name__} call on one model called the "
+                 f"quantile core {calls} times, which the memo should have served")
 
 
 def replaying_kernels(fits):
@@ -246,18 +288,23 @@ for n in GRAD_SIZES:
 
 prop_batch = max(1, REPEATS // 10 // BATCHES)
 print(f"properties, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")
-prop_rows = []  # (family, label, integrand calls, call, replayed call)
+prop_rows = []  # (family, label, integrand calls, call, fresh call, replayed call)
 for fam, m in PROP_MODELS.items():
+    twin = m  # each row's fresh models go on from the last row's
     for label, fn, args in PROP_CALLS:
+        check_repeat_hits(fn, m, *args)
         calls, replayed = replaying_integrands(fn, m, *args)
-        prop_rows.append((fam, label, calls, lambda fn=fn, m=m, args=args: fn(m, *args), replayed))
-prop_times = best_times([row[3] for row in prop_rows] + [row[4] for row in prop_rows], prop_batch)
-print(f"  {'family':<6} {'property':<14} {'ms/call':>8} {'integrand calls':>16} "
+        fresh = fresh_models(twin, prop_batch * BATCHES)
+        twin, fresh = fresh[-1], iter(fresh)
+        prop_rows.append((fam, label, calls, lambda fn=fn, m=m, args=args: fn(m, *args),
+                          lambda fn=fn, fresh=fresh, args=args: fn(next(fresh), *args), replayed))
+prop_times = iter(best_times([fn for row in prop_rows for fn in row[3:]], prop_batch))
+print(f"  {'family':<6} {'property':<14} {'ms/call':>8} {'fresh':>8} {'integrand calls':>16} "
       f"{'us/call outside the integrand':>30}")
-for (fam, label, calls, _, _), t, t_outside in zip(
-    prop_rows, prop_times, prop_times[len(prop_rows):]
-):
-    print(f"  {fam:<6} {label:<14} {t * 1e3:8.3f} {calls:16d} {t_outside * 1e6:30.1f}")
+for fam, label, calls, *_ in prop_rows:
+    t, t_fresh, t_outside = next(prop_times), next(prop_times), next(prop_times)
+    print(f"  {fam:<6} {label:<14} {t * 1e3:8.3f} {t_fresh * 1e3:8.3f} {calls:16d} "
+          f"{t_outside * 1e6:30.1f}")
 
 print(
     f"fits: gtwe at the study truth, truth start, one start "

@@ -98,6 +98,20 @@ def _finite(option: str, *values):
     return values
 
 
+def _keyed(option: str, values):
+    """(report key, value) per distinct value of ``--option``, the key
+    holding the value as ``:g`` prints it; two different values that share
+    a key are refused."""
+    keyed: dict = {}
+    for value in values or ():
+        key = f"{option.replace('-', '_')}_{value:g}"
+        if keyed.setdefault(key, value).hex() != value.hex():
+            raise UsageError(
+                f"--{option} values {keyed[key]!r} and {value!r} share the report key {key}"
+            )
+    return keyed.items()
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(_round_floats(payload, args.precision), indent=2)
     if getattr(args, "out", None):
@@ -141,6 +155,7 @@ def cmd_fit(args) -> int:
 def cmd_props(args) -> int:
     # the functions are looked up on the module at call time
     from . import properties
+    from .numerics import NumericsError
 
     params = _parse_params(args.family, args.params)
     model = model_from_params(args.family, params)
@@ -152,13 +167,17 @@ def cmd_props(args) -> int:
     _finite("q-entropy", *args.q_entropy or ())
     if args.entropy_lower is not None:
         _finite("entropy-lower", args.entropy_lower)
+    mgfs = _keyed("mgf", args.mgf)
+    renyis = _keyed("renyi", args.renyi)
+    q_entropies = _keyed("q-entropy", args.q_entropy)
 
     def run(key, fn):
         try:
             out[key] = fn()
-        except ArithmeticError as exc:
+        except (ArithmeticError, NumericsError) as exc:
             # DivergenceError and EntropyDomainError among them: a quantity
-            # that diverges, lies past the float range or divides by zero
+            # that diverges, lies past the float range or divides by zero;
+            # or a QuadratureError, a quadrature that missed its bound
             out[key] = {"error": str(exc)}
 
     for r in args.moment or ():
@@ -170,14 +189,12 @@ def cmd_props(args) -> int:
     for spec in args.pwm or ():
         r, s = _pair(spec, "pwm", (int, int))
         run(f"pwm_{spec}", lambda r=r, s=s: properties.pwm(model, r, s))
-    for t in args.mgf or ():
-        run(f"mgf_{t:g}", lambda t=t: properties.mgf(model, t))
-    for rho in args.renyi or ():
-        run(f"renyi_{rho:g}",
-            lambda rho=rho: properties.renyi_entropy(model, rho, lower=args.entropy_lower))
-    for q in args.q_entropy or ():
-        run(f"q_entropy_{q:g}",
-            lambda q=q: properties.q_entropy(model, q, lower=args.entropy_lower))
+    for key, t in mgfs:
+        run(key, lambda t=t: properties.mgf(model, t))
+    for key, rho in renyis:
+        run(key, lambda rho=rho: properties.renyi_entropy(model, rho, lower=args.entropy_lower))
+    for key, q in q_entropies:
+        run(key, lambda q=q: properties.q_entropy(model, q, lower=args.entropy_lower))
     if args.stress_strength:
         l1, l2 = _pair(args.stress_strength, "stress-strength")
         out["stress_strength"] = properties.stress_strength(l1, l2)
@@ -373,7 +390,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a FitError can only come from a loaded gtld.estimation (fit,
         # simulate), a NumericsError (a quadrature or series that failed)
-        # from a loaded gtld.numerics (props, fit's GOF)
+        # from a loaded gtld.numerics (fit's GOF; props reports its own
+        # under their keys)
         homes = (("estimation", "FitError"), ("numerics", "NumericsError"))
         loaded = ((sys.modules.get(f"{__package__}.{m}"), name) for m, name in homes)
         if not isinstance(exc, tuple(getattr(m, name) for m, name in loaded if m is not None)):

@@ -187,16 +187,52 @@ class TestProps:
         assert out == ""
         assert err.startswith("error: ") and "raw_moment" in err
 
-    def test_quadrature_failure_is_exit_1(self, capsys):
+    def test_quadrature_failure_reported_inline(self, capsys):
         # gtw with alpha = 0.00145: e^(-X/2) falls from 1 to 0 over the
         # levels (0.0950, 0.0956), and the quadrature misses its bound (a
-        # QuadratureError, which is a NumericsError)
+        # QuadratureError, which is a NumericsError); the rest prints
         code, out, err = run_cli(
             capsys, "props", "--family", "gtw", "--params", "0.00145,0.1,1,0", "--mgf=-0.5",
+            "--pwm", "0,1",
         )
-        assert code == 1
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["mgf_-0.5"]["error"].startswith(
+            "quadrature did not converge (estimate 0.0947"
+        )
+        assert payload["pwm_0,1"] == pytest.approx(0.5, rel=1e-6)  # E[F(X)]
+
+    @pytest.mark.parametrize(
+        "option, values, key",
+        [
+            ("--mgf", ("0.1234567", "0.1234568"), "mgf_0.123457"),
+            ("--renyi", ("1.5000001", "1.5000002"), "renyi_1.5"),
+            ("--q-entropy", ("2", "2.000000001"), "q_entropy_2"),
+        ],
+        ids=["mgf", "renyi", "q-entropy"],
+    )
+    def test_colliding_keys_are_a_usage_error(self, capsys, option, values, key):
+        code, out, err = run_cli(
+            capsys, "props", "--family", "gte", "--params", "1,1,0",
+            option, values[0], option, values[1],
+        )
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: quadrature did not converge (estimate 0.0947")
+        assert err == (
+            f"error: {option} values {float(values[0])!r} and {float(values[1])!r} "
+            f"share the report key {key}\n"
+        )
+
+    def test_repeated_value_is_reported_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "props", "--family", "gte", "--params", "1,1,0",
+            "--mgf", "0.5", "--mgf", "0.50", "--renyi", "2", "--renyi", "2.0",
+            "--mgf=-0", "--mgf", "0",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["family", "params", "mgf_0.5", "mgf_-0", "mgf_0", "renyi_2"]
 
     @pytest.mark.parametrize(
         "family, params, options, keys",
