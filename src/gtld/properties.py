@@ -27,15 +27,14 @@ key is the model's kernel arguments by type and exact bits (-0.0 is not
 substitution (k, v_scale); an entry holds Q, and log f once a caller has
 asked for it, both read-only; and the cache, a ``functools.lru_cache``
 as the nodes' maps are, keeps the ``_QUANTILE_MEMO`` (64) most recently
-used entries.  The core
-takes no support check or scalar handling per call: arguments
-are refused before the first integrand call instead (an age below the
-support by the scalar ``survival`` or ``cdf``, and an order, age or
-entropy bound that is NaN or infinite by a ``ValueError`` naming it;
-``mgf``'s t may be infinite, with the limits 0 at -inf and a divergence
-at inf), and a moment, PWM, residual moment or ``cigf``
-that meets a Q past the float range below the level 0.75 (for the
-residual moment, at w >= 1/2) raises ``OverflowError``.  Each range's
+used entries.  The core takes no support check or scalar handling per
+call: arguments are refused before the first integrand call instead (an
+age below the support by the scalar ``survival`` or ``cdf``, and an
+order, age or entropy bound that is NaN or infinite by a ``ValueError``
+naming it; ``mgf``'s t may be infinite, with the limits 0 at -inf and a
+divergence at inf), and a moment, PWM, residual moment or ``cigf`` that
+meets a Q past the float range below the level 0.75 (for the residual
+moment, at w >= 1/2) raises ``OverflowError``.  Each range's
 degraded result is accepted or raised in range order.  The closed-form
 series for the Weibull-type sub-family ("gtw") are kept as an
 independent cross-check route; they and the quadrature values must agree
