@@ -204,7 +204,8 @@ def _quantiles(key, args, p, s, lv, log_f):
     miss computes what the caller asks for, log f only where asked; a
     caller that asks for log f where an entry holds Q alone computes both
     and upgrades the entry.  The arrays are read-only.  Threads may fill
-    one entry at once, with the same bits.
+    one entry at once, with the same bits; a Q-only fill leaves log f as
+    it finds it, so it never undoes an upgrade.
     """
     entry = _memo_entry(key, id(p), id(s))
     q, lf = entry[2], entry[3]
@@ -215,7 +216,9 @@ def _quantiles(key, args, p, s, lv, log_f):
         else:
             q = _kernels._quantile_core(*args, p, lv)
         q.setflags(write=False)
-        entry[:] = p, s, q, lf
+        entry[:3] = p, s, q
+        if log_f:
+            entry[3] = lf
     return q, lf if log_f else None
 
 
