@@ -129,13 +129,16 @@ class Plan:
     rtad's 2i-1) and ``w_rev`` ad and rtad's reversed, the two rows of
     ``ww``.  ``len(plan)`` is the sample size.
 
-    A plan also holds its evaluations' scalar slots (``scalars``, seen as
-    the 0-d arrays ``scalar_views``), which every evaluation rewrites: one
-    plan serves one thread at a time.
+    A plan also holds the arrays its evaluations write: the scalar slots
+    (``scalars``, seen as the 0-d arrays ``scalar_views``) and, from its
+    first evaluation on, every per-point array (``bufs``, a ``_Buffers``
+    sized for its family and method).  Every evaluation rewrites them, so
+    one plan serves one thread at a time.
     """
 
     __slots__ = (
-        "fam", "method", "xs", "n", "lx", "target", "w", "w_rev", "ww", "scalars", "scalar_views"
+        "fam", "method", "xs", "n", "lx", "target", "w", "w_rev", "ww", "scalars", "scalar_views",
+        "bufs",
     )
 
     def __init__(self, xs, fam, method):
@@ -148,7 +151,7 @@ class Plan:
         self.fam, self.method, self.xs, self.n = fam, method, xs, n
         self.scalars = np.empty(_N_SLOTS)
         self.scalar_views = tuple(self.scalars[i, ...] for i in range(_N_SLOTS))
-        self.lx = self.target = self.w = self.w_rev = self.ww = None
+        self.lx = self.target = self.w = self.w_rev = self.ww = self.bufs = None
         if (_LOG_X_ML if method == 0 else _LOG_X)[fam]:
             # x <= 0 (outside the support) gives -inf or NaN, as G does
             with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
@@ -172,36 +175,111 @@ class Plan:
         return self.n
 
 
-def _log_u(a, out=None):
+class _Buffers:
+    """Every array one evaluation of a plan writes, made at its first
+    evaluation for the plan's sample size n, shape count k and method.
+
+    The per-point arrays are rows of one C-contiguous float block, in this
+    order (a name per row):
+
+        ml:    terms, dgp (k rows), y, a, L, T, D, lgp
+        other: y, a, L, v, dFdL, dFdlam, q, F, and for ad and rtad S, Fc,
+               Sc, omv
+        all:   tl, e0, e1, g0, g1, g2, chain (k + 2 rows)
+
+    ``_g_parts`` writes a into ``a``, y into ``y`` (the row before it),
+    log G' into ``lgp``, the d log G' / d psi into ``dgp`` and d log G /
+    d psi and phi into ``e0`` and ``e1`` (``e2``, the two together);
+    ``_log_u`` writes L = log u into ``L``; ``g0`` to ``g2`` are scratch
+    that each stage may reuse (ad's r is ``g1`` and ``g2``, ``r2``); the
+    rest are named after what ``_objective`` writes there.  ml's gradient
+    reduces its first k + 6 rows (``summed``) into ``sums`` at once.  The
+    bool masks are ``m2`` (two rows) and ``m``; ``cv`` receives chain @ v.
+    Every 2-row view (``ya``, ``e2``, ``FS``, ``FSc``, ``r2``) and
+    ``chain`` is C-contiguous, as the fresh arrays they replace were.
+    """
+
+    __slots__ = (
+        "block", "chain", "chain_rows", "cv", "tl", "e0", "e1", "e2", "g0", "g1", "g2", "m", "m2",
+        "y", "a", "ya", "L", "summed", "sums", "terms", "dgp", "T", "D", "lgp",
+        "v", "dFdL", "dFdlam", "q", "F", "S", "FS", "Fc", "Sc", "FSc", "Sc_rev", "omv", "r0", "r1",
+        "r2",
+    )
+
+    def __init__(self, n, k, method):
+        if method == 0:
+            own = k + 7
+        else:
+            own = 12 if method >= 4 else 8
+        self.block = block = np.zeros((own + 6 + k + 2, n))
+        rows = list(block)
+        self.tl, self.e0, self.e1, self.g0, self.g1, self.g2 = rows[own:own + 6]
+        self.e2 = block[own + 1:own + 3]
+        self.r0, self.r1 = self.g1, self.g2
+        self.r2 = block[own + 4:own + 6]
+        self.chain = block[own + 6:]
+        self.chain_rows = rows[own + 6:]
+        self.cv = np.empty(k + 2)
+        masks = np.zeros((3, n), dtype=bool)
+        self.m2, self.m = masks[:2], masks[2]
+        if method == 0:
+            self.terms = rows[0]
+            self.dgp = tuple(rows[1:k + 1])
+            self.y, self.a, self.L, self.T, self.D, self.lgp = rows[k + 1:k + 7]
+            self.ya = block[k + 1:k + 3]
+            self.summed = block[:k + 6]
+            self.sums = np.empty(k + 6)
+            return
+        self.y, self.a, self.L, self.v, self.dFdL, self.dFdlam, self.q, self.F = rows[:8]
+        self.ya = block[:2]
+        if method >= 4:
+            self.S, self.Fc, self.Sc, self.omv = rows[8:12]
+            self.FS, self.FSc = block[7:9], block[9:11]
+            self.Sc_rev = self.Sc[::-1]
+
+
+# the rows of a call without a plan: None, so each ufunc makes its result
+_FRESH = _Buffers.__new__(_Buffers)
+_FRESH.y = _FRESH.a = _FRESH.lgp = _FRESH.e0 = _FRESH.e1 = None
+_FRESH.g0 = _FRESH.g1 = _FRESH.g2 = _FRESH.m = None
+
+
+def _log_u(a, out=None, tmp=None, mask=None):
     """log(1 - e^{-a}) for a >= 0 without cancellation on either branch.
 
     log1p(-e^{-a}) is taken everywhere, then log(-expm1(-a)) is copied in
     where a < log 2; callers hold ``np.errstate`` for the values a branch
-    discards.  ``out``, if given, receives the result.
+    discards.  ``out``, if given, receives the result, and ``tmp`` and
+    ``mask`` the other branch and a < log 2.
     """
-    na = np.negative(a)
+    na = np.negative(a, out=tmp)
     out = np.exp(na, out=out)
     np.negative(out, out=out)
     np.log1p(out, out=out)
     np.expm1(na, out=na)
     np.negative(na, out=na)
     np.log(na, out=na)
-    np.copyto(out, na, where=np.less(a, _LOG2_0D))
+    np.copyto(out, na, where=np.less(a, _LOG2_0D, out=mask))
     return out
 
 
-def _x_over_expm1(a):
-    """a / expm1(a), with its limits 1 at a = 0 and 0 at a = inf.
+def _x_over_expm1(a, out, mask):
+    """a / expm1(a), with its limits 1 at a = 0 and 0 at a = inf, written
+    into ``out``; ``mask`` receives a == 0.
 
     The quotient is NaN only at a = 0, inf or NaN, and is >= 0 elsewhere,
-    so fmax with (a == 0) replaces exactly the NaNs, by 1 at a = 0, else 0.
+    so fmax with 0 replaces exactly the NaNs by 0, and 1 is then copied in
+    where a = 0 (the bytes of fmax with the float of a == 0, which would
+    cast that mask through a temporary).
     """
-    out = np.expm1(a)
+    np.expm1(a, out=out)
     np.divide(a, out, out=out)
-    return np.fmax(out, np.equal(a, _ZERO), out=out)
+    np.fmax(out, _ZERO, out=out)
+    np.copyto(out, _ONE, where=np.equal(a, _ZERO, out=mask))
+    return out
 
 
-def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
+def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, b=_FRESH):
     """a = beta*G(x) for family ``fam`` with shapes (s1, s2), and what a
     caller asks for; with beta = 1, a is G itself.
 
@@ -212,32 +290,35 @@ def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
     ``lx`` is log x when the caller has it (a ``Plan``), else it is
     computed here.
 
-    With ``grad``, ``out`` is the caller's block of rows: a goes to its last
-    row and the d log G' / d psi to its first rows.  gtwe, gtb12 and gtl
-    take d log G / d alpha from y / expm1(y) (y = -x^alpha, G and G); they
-    write y to the row before a, so one ``_x_over_expm1`` call on the last
-    two rows gives it and phi.
+    ``b`` holds the arrays written (a plan's ``_Buffers``; ``grad`` needs
+    them), or, by default, None for each, so that each is made here.  gtwe,
+    gtb12 and gtl take d log G / d alpha from y / expm1(y) (y = -x^alpha, G
+    and G); they write y to the row before a, so one ``_x_over_expm1``
+    call on the two rows gives it and phi.
 
     Callers hold ``np.errstate(over="ignore")``: gtwe's G = expm1(x^alpha)
     overflows to inf where x^alpha > 709.78, which is the right limit.
     """
     both = lgp and grad
-    a_out = out[-1] if grad else None
     log_gp = dlog_g = dlog_gp = phi = None
     if fam == 0:  # gte: G = x
-        a = np.multiply(beta, x, out=a_out)
+        a = np.multiply(beta, x, out=b.a)
         if lgp:
-            log_gp = np.zeros_like(x)
+            if b.lgp is None:
+                log_gp = np.zeros_like(x)
+            else:
+                log_gp = b.lgp
+                log_gp.fill(0.0)
         if grad:
             dlog_g = ()
         if both:
             dlog_gp = ()
     elif fam == 1:  # gtr: G = x^2/2
-        a = np.multiply(0.5, x, out=a_out)
+        a = np.multiply(0.5, x, out=b.a)
         a *= x
         a *= beta
         if lgp:
-            log_gp = np.log(x) if lx is None else lx
+            log_gp = np.log(x, out=b.lgp) if lx is None else lx
         if grad:
             dlog_g = ()
         if both:
@@ -246,111 +327,111 @@ def _g_parts(fam, s1, s2, beta, x, lx=None, lgp=False, grad=False, out=None):
         if lx is None:
             lx = np.log(x)
         if fam == 2:  # gtw: G = x^alpha
-            a = np.multiply(s1, lx, out=a_out)
+            a = np.multiply(s1, lx, out=b.a)
             np.exp(a, out=a)
             a *= beta
             if lgp:
-                log_gp = np.multiply(s1 - 1.0, lx)
+                log_gp = np.multiply(s1 - 1.0, lx, out=b.lgp)
                 np.add(np.log(s1), log_gp, out=log_gp)
             if grad:
                 dlog_g = (lx,)
             if both:
-                dlog_gp = (np.add(1.0 / s1, lx, out=out[0]),)
+                dlog_gp = (np.add(1.0 / s1, lx, out=b.dgp[0]),)
         elif fam == 3:  # gtmw: G = x^alpha * exp(gamma*x)
-            s2x = np.multiply(s2, x)
-            a = np.multiply(s1, lx, out=a_out)
+            s2x = np.multiply(s2, x, out=b.g0)
+            a = np.multiply(s1, lx, out=b.a)
             a += s2x
             np.exp(a, out=a)
             a *= beta
             if lgp:
-                r = np.add(s1, s2x)
-                log_gp = np.multiply(s1 - 1.0, lx)
+                r = np.add(s1, s2x, out=b.g1)
+                log_gp = np.multiply(s1 - 1.0, lx, out=b.lgp)
                 log_gp += s2x
-                log_gp += np.log(r)
+                log_gp += np.log(r, out=b.g2)
             if grad:
                 dlog_g = (lx, x)
             if both:
-                d1 = np.divide(1.0, r, out=out[0])
+                d1 = np.divide(1.0, r, out=b.dgp[0])
                 d1 += lx
-                d2 = np.divide(x, r, out=out[1])
+                d2 = np.divide(x, r, out=b.dgp[1])
                 d2 += x
                 dlog_gp = (d1, d2)
         elif fam == 4:  # gtwe: G = exp(x^alpha) - 1
-            xa = np.multiply(s1, lx)
+            xa = np.multiply(s1, lx, out=b.g0)
             np.exp(xa, out=xa)
-            a = np.expm1(xa, out=a_out)
+            a = np.expm1(xa, out=b.a)
             a *= beta
             if lgp:
-                log_gp = np.multiply(s1 - 1.0, lx)
+                log_gp = np.multiply(s1 - 1.0, lx, out=b.lgp)
                 np.add(np.log(s1), log_gp, out=log_gp)
                 log_gp += xa
             if grad:
                 # d log G / d alpha = lx * x^alpha / (1 - exp(-x^alpha))
-                np.negative(xa, out=out[-2])
-                y = _x_over_expm1(out[-2:])
-                phi = y[1]
-                dlog_g = (np.multiply(lx, y[0], out=y[0]),)
+                np.negative(xa, out=b.y)
+                _x_over_expm1(b.ya, b.e2, b.m2)
+                phi = b.e1
+                dlog_g = (np.multiply(lx, b.e0, out=b.e0),)
             if both:
-                d = np.add(_ONE, xa, out=out[0])
+                d = np.add(_ONE, xa, out=b.dgp[0])
                 d *= lx
                 dlog_gp = (np.add(1.0 / s1, d, out=d),)
         else:  # gtb12: G = log(1 + x^alpha), alpha*log(x) where x^alpha overflows
-            s1lx = np.multiply(s1, lx)
-            xa = np.exp(s1lx)
-            big = np.isinf(xa)
-            G = np.log1p(xa, out=out[-2] if grad else None)
+            s1lx = np.multiply(s1, lx, out=b.g0)
+            xa = np.exp(s1lx, out=b.g1)
+            big = np.isinf(xa, out=b.m)
+            G = np.log1p(xa, out=b.y)
             np.copyto(G, s1lx, where=big)
-            a = np.multiply(beta, G, out=a_out)
+            a = np.multiply(beta, G, out=b.a)
             if lgp:
-                log_gp = np.multiply(s1 - 1.0, lx)
+                log_gp = np.multiply(s1 - 1.0, lx, out=b.lgp)
                 np.add(np.log(s1), log_gp, out=log_gp)
                 log_gp -= G
             if grad:
                 # x^alpha / G = expm1(G) / G, and d log G / d alpha = 1/alpha
                 # where G = alpha*log(x)
-                y = _x_over_expm1(out[-2:])
-                phi = y[1]
-                opx = np.add(_ONE, xa)
-                d = np.multiply(opx, y[0], out=y[0])
+                _x_over_expm1(b.ya, b.e2, b.m2)
+                phi = b.e1
+                opx = np.add(_ONE, xa, out=b.g2)
+                d = np.multiply(opx, b.e0, out=b.e0)
                 np.divide(lx, d, out=d)
                 np.copyto(d, 1.0 / s1, where=big)
                 dlog_g = (d,)
             if both:
-                d = np.divide(lx, opx, out=out[0])
+                d = np.divide(lx, opx, out=b.dgp[0])
                 dlog_gp = (np.add(d, 1.0 / s1, out=d),)
     elif fam == 6:  # gtl: G = log(1 + x/alpha)
-        G = np.divide(x, s1, out=out[-2] if grad else None)
+        G = np.divide(x, s1, out=b.y)
         np.log1p(G, out=G)
-        a = np.multiply(beta, G, out=a_out)
+        a = np.multiply(beta, G, out=b.a)
         if lgp or grad:
-            r = np.add(s1, x)
+            r = np.add(s1, x, out=b.g0)
         if lgp:
-            log_gp = np.log(r)
+            log_gp = np.log(r, out=b.lgp)
             np.negative(log_gp, out=log_gp)
         if grad:
             # x / alpha = expm1(G)
-            y = _x_over_expm1(out[-2:])
-            phi = y[1]
-            d = np.multiply(r, y[0], out=y[0])
+            _x_over_expm1(b.ya, b.e2, b.m2)
+            phi = b.e1
+            d = np.multiply(r, b.e0, out=b.e0)
             dlog_g = (np.divide(-1.0, d, out=d),)
         if both:
-            dlog_gp = (np.divide(-1.0, r, out=out[0]),)
+            dlog_gp = (np.divide(-1.0, r, out=b.dgp[0]),)
     elif fam == 7:  # gtp1: G = log(x/alpha), support (alpha, inf)
-        G = np.divide(x, s1)
+        G = np.divide(x, s1, out=b.e0)
         np.log(G, out=G)
-        a = np.multiply(beta, G, out=a_out)
+        a = np.multiply(beta, G, out=b.a)
         if lgp:
-            log_gp = np.negative(np.log(x) if lx is None else lx)
+            log_gp = np.negative(np.log(x) if lx is None else lx, out=b.lgp)
         if grad:
             G *= s1
             dlog_g = (np.divide(-1.0, G, out=G),)
         if both:
-            out[0] = 0.0
-            dlog_gp = (out[0],)
+            b.dgp[0].fill(0.0)
+            dlog_gp = b.dgp
     else:
         raise ValueError(f"unknown family id {fam}")
     if grad and phi is None:
-        phi = _x_over_expm1(a)
+        phi = _x_over_expm1(a, b.e1, b.m)
     return a, log_gp, dlog_g, dlog_gp, phi
 
 
@@ -425,10 +506,12 @@ def _log_gp_inverse(fam, s1, s2, y, x):
     raise ValueError(f"unknown family id {fam}")
 
 
-def _quantile_core(fam, s1, s2, beta, theta, lam, p, lv=None, log_f=False):
+def _quantile_core(fam, s1, s2, beta, theta, lam, p, lv=None, log_f=False, q=None):
     """Q at the levels p, followed by Q(1 - v) at the survival levels v of
     log ``lv`` if given, on float arrays under the caller's errstate; with
-    ``log_f``, the pair (Q, log f(Q)).
+    ``log_f``, the pair (Q, log f(Q)).  ``q``, if given, is Q on those
+    levels, as this core returned it: it is returned as Q, and no G^-1 is
+    solved again.
 
     Q = G^-1(-log(1 - y) / beta), where the inner level y = u solves
     F = (1 + lam) A - lam A^2 with A = y^theta; a Q past the float range is
@@ -463,7 +546,7 @@ def _quantile_core(fam, s1, s2, beta, theta, lam, p, lv=None, log_f=False):
             ly = np.concatenate([ly, ly_v])
             tail = np.concatenate([tail, (1.0 - lam) + 2.0 * lam * W])
     g = -l1y / beta
-    x = _g_inverse(fam, s1, s2, g)
+    x = _g_inverse(fam, s1, s2, g) if q is None else q
     if not log_f:
         return x
     lgp = _log_gp_inverse(fam, s1, s2, g, x)
@@ -568,75 +651,71 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     k = _N_SHAPES[fam]
     ml = method == 0
     clamps = 0
+    b = plan.bufs
+    if b is None:
+        b = plan.bufs = _Buffers(n, k, method)
     plan.scalars[:] = (
         beta, theta, theta - 1.0, 2.0 * lam, 1.0 + lam, 2.0 * lam * theta, lam, n,
         np.log(theta * beta) if ml else 0.0,
     )
     beta_, theta_, theta1_, lam2_, lam1_, lam2theta_, lam_, n_, log_tb_ = plan.scalar_views
-    block = None
-    if want_grad:
-        # ml: [log f terms, d log G'/d psi (k rows), scratch, a, L,
-        # d log f/d lam, 2 lam theta v / tail], all summed; else
-        # [scratch, a]
-        block = np.empty((k + 6, n) if ml else (2, n))
     a, log_gp, dlog_g, dlog_gp, phi = _g_parts(
-        fam, s1, s2, beta_, plan.xs, plan.lx, ml, want_grad,
-        block[1:k + 3] if ml and want_grad else block,
+        fam, s1, s2, beta_, plan.xs, plan.lx, ml, want_grad, b
     )
-    log_u = _log_u(a, block[k + 3] if ml and want_grad else None)
-    tl = np.multiply(theta_, log_u)
+    log_u = _log_u(a, b.L, b.g0, b.m)
+    tl = np.multiply(theta_, log_u, out=b.tl)
     if ml:  # negative log-likelihood
         v = np.exp(tl, out=tl)
-        tail = np.multiply(lam2_, v)
+        tail = np.multiply(lam2_, v, out=b.g1)
         np.subtract(lam1_, tail, out=tail)
-        terms = np.add(log_tb_, log_gp, out=block[0] if want_grad else None)
+        terms = np.add(log_tb_, log_gp, out=b.terms)
         terms -= a
-        t = np.multiply(theta1_, log_u)
+        t = np.multiply(theta1_, log_u, out=b.g2)
         terms += t
         terms += np.log(tail, out=t)
         if want_grad:
-            over_tail = block[k + 4:]
-            T, D = over_tail
+            T, D = b.T, b.D
             np.multiply(_TWO, v, out=T)
             np.subtract(_ONE, T, out=T)
             np.multiply(lam2theta_, v, out=D)
-            over_tail /= tail
-            sums = block.sum(axis=1)
+            # row by row: a (2, n) block over a broadcast row takes a
+            # buffered loop, which allocates
+            T /= tail
+            D /= tail
+            sums = np.add.reduce(b.summed, axis=1, out=b.sums)
             value = -sums[0]
         else:
             value = -terms.sum()
     else:
-        v = np.exp(tl)
-        lv = np.multiply(lam_, v)
+        v = np.exp(tl, out=b.v)
+        lv = np.multiply(lam_, v, out=b.g0)
         if method < 4:  # ols, wls, cvm
-            F = np.subtract(lam1_, lv)
+            F = np.subtract(lam1_, lv, out=b.F)
             F *= v
             resid = np.subtract(F, plan.target, out=F)
-            sq = np.square(resid)
+            sq = np.square(resid, out=b.g1)
             if method == 2:  # wls
                 sq *= plan.w
             value = sq.sum()
             if method == 3:  # cvm
                 value = 1.0 / (12.0 * n) + value
         else:  # ad, rtad
-            FS = np.empty((2, n))
-            F, S = FS
+            FS, F, S = b.FS, b.F, b.S
             np.subtract(lam1_, lv, out=F)
             F *= v
-            one_minus_v = np.expm1(tl)
+            one_minus_v = np.expm1(tl, out=b.omv)
             np.negative(one_minus_v, out=one_minus_v)
             np.subtract(_ONE, lv, out=lv)
             np.multiply(one_minus_v, lv, out=S)  # (1 - v)(1 - lam v)
-            clamps = int(np.count_nonzero(np.less(FS, _CLAMP_0D)))
-            FSc = np.maximum(FS, _CLAMP_0D)
-            Fc, Sc = FSc
+            clamps = int(np.count_nonzero(np.less(FS, _CLAMP_0D, out=b.m2)))
+            FSc = np.maximum(FS, _CLAMP_0D, out=b.FSc)
+            # the reversed view in, a fresh row out: the loop of log(Sc[::-1])
+            t = np.log(b.Sc_rev, out=b.g1)
             if method == 4:  # ad
-                t = np.log(Sc[::-1])
-                t += np.log(Fc)
+                t += np.log(b.Fc, out=b.g2)
                 t *= plan.w
                 value = -n - t.sum() / n
             else:  # rtad
-                t = np.log(Sc[::-1])
                 t *= plan.w
                 value = n / 2.0 - 2.0 * F.sum() - t.sum() / n
     if not math.isfinite(value):
@@ -644,22 +723,23 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     if not want_grad:
         return value, clamps, None
 
-    chain = np.zeros((k + 2, n))
+    chain, rows = b.chain, b.chain_rows
+    chain.fill(0.0)
     if k:
         # phi = 0 where e^-a underflows (gtwe's G = inf among them), and
         # there d log u / d psi vanishes however large d log G / d psi is
-        pos = np.greater(phi, _ZERO)
+        pos = np.greater(phi, _ZERO, out=b.m)
         for j in range(k):
-            np.multiply(phi, dlog_g[j], out=chain[j], where=pos)
-    np.divide(phi, beta_, out=chain[k])
+            np.multiply(phi, dlog_g[j], out=rows[j], where=pos)
+    np.divide(phi, beta_, out=rows[k])
     # log u = -inf only where u = 0, where every term's theta derivative
     # (a multiple of u^theta log u) vanishes; a finite ml value has no
     # such point (nor a NaN log u), so ml takes every point
-    np.divide(log_u, theta_, out=chain[k + 1], where=ml or np.greater(a, _ZERO))
+    np.divide(log_u, theta_, out=rows[k + 1], where=ml or np.greater(a, _ZERO, out=b.m))
     if ml:
         # d log f / dL = (theta - 1) - 2 lam theta v / tail
         dL = np.subtract(theta1_, D, out=D)
-        g = (chain @ dL).tolist()
+        g = np.matmul(chain, dL, out=b.cv).tolist()
         s = sums.tolist()
         for j in range(k):
             g[j] += s[1 + j] - float(a @ dlog_g[j])
@@ -667,31 +747,33 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
         g[k + 1] += (n + s[k + 3]) / theta
         g.append(s[k + 4])
         return value, clamps, [-gj for gj in g]
-    dF_dL = np.multiply(lam2_, v)
+    dF_dL = np.multiply(lam2_, v, out=b.dFdL)
     np.subtract(lam1_, dF_dL, out=dF_dL)
     dF_dL *= theta_
     dF_dL *= v
     if method < 4:  # d sum(w resid^2) = 2 sum(w resid dF)
-        dF_dlam = np.expm1(tl)
+        dF_dlam = np.expm1(tl, out=b.dFdlam)
         np.negative(dF_dlam, out=dF_dlam)
         dF_dlam *= v
-        wr = np.multiply(plan.w, resid) if method == 2 else resid
-        q = np.multiply(_TWO, wr)
+        wr = np.multiply(plan.w, resid, out=b.g0) if method == 2 else resid
+        q = np.multiply(_TWO, wr, out=b.q)
     else:
-        dF_dlam = np.multiply(v, one_minus_v)
+        dF_dlam = np.multiply(v, one_minus_v, out=b.dFdlam)
         # -sum(w_i log S_{n+1-i}) / n weighs log S_j by -w_{n+1-j} / n;
         # clamped terms have no derivative
         if method == 4:  # ad: q = w_rev / (n S) - w / (n F)
-            r = np.zeros((2, n))
-            np.divide(plan.ww, FSc, out=r, where=np.greater_equal(FS, _CLAMP_0D))
+            r = b.r2
+            r.fill(0.0)
+            np.divide(plan.ww, FSc, out=r, where=np.greater_equal(FS, _CLAMP_0D, out=b.m2))
             r /= n_
-            q = np.subtract(r[1], r[0])
+            q = np.subtract(b.r1, b.r0, out=b.q)
         else:  # rtad
-            q = np.zeros(n)
-            np.divide(plan.w_rev, Sc, out=q, where=np.greater_equal(S, _CLAMP_0D))
+            q = b.q
+            q.fill(0.0)
+            np.divide(plan.w_rev, b.Sc, out=q, where=np.greater_equal(S, _CLAMP_0D, out=b.m))
             q /= n_
             q -= _TWO
     dF_dL *= q
-    grad = (chain @ dF_dL).tolist()
+    grad = np.matmul(chain, dF_dL, out=b.cv).tolist()
     grad.append(float(q @ dF_dlam))
     return value, clamps, grad
