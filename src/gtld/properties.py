@@ -202,16 +202,17 @@ def _quantiles(key, args, p, s, lv, log_f):
     ``_memo_entry``, keyed on ``key`` and the parts' identities; an entry
     holds the parts, so that neither id can be reused while it lives.  A
     miss computes what the caller asks for, log f only where asked; a
-    caller that asks for log f where an entry holds Q alone computes both
-    and upgrades the entry.  The arrays are read-only.  Threads may fill
-    one entry at once, with the same bits; a Q-only fill leaves log f as
-    it finds it, so it never undoes an upgrade.
+    caller that asks for log f where an entry holds Q alone computes log f
+    on the entry's Q, with no second solve of Q, and upgrades the entry.
+    The arrays are read-only.  Threads may fill one entry at once, with
+    the same bits; a Q-only fill leaves log f as it finds it, so it never
+    undoes an upgrade.
     """
     entry = _memo_entry(key, id(p), id(s))
     q, lf = entry[2], entry[3]
     if q is None or (log_f and lf is None):
         if log_f:
-            q, lf = _kernels._quantile_core(*args, p, lv, True)
+            q, lf = _kernels._quantile_core(*args, p, lv, True, q)
             lf.setflags(write=False)
         else:
             q = _kernels._quantile_core(*args, p, lv)

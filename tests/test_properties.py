@@ -893,25 +893,34 @@ class TestQuantileMemo:
         assert len(memo) == (entries if shared else 2 * entries) < properties._QUANTILE_MEMO
 
     def test_repeated_call_solves_no_quantile(self, memo, monkeypatch):
-        core = _kernels._quantile_core
+        core, inverse = _kernels._quantile_core, _kernels._g_inverse
         seen = []
+        solves = []
 
         def counting(*args):
-            seen.append(args[-1] is True)  # whether log f was asked for
+            seen.append(len(args) > 8 and args[8] is True)  # whether log f was asked for
             return core(*args)
 
+        def solving(*args):
+            solves.append(args[0])
+            return inverse(*args)
+
         monkeypatch.setattr(_kernels, "_quantile_core", counting)
+        monkeypatch.setattr(_kernels, "_g_inverse", solving)
         properties.raw_moment(BENCH_MODEL, 1)
         assert seen == [False]  # a miss computes Q alone
+        assert len(solves) == 1
         properties.pwm(BENCH_MODEL, 1, 1)
         properties.mgf(BENCH_MODEL, -0.5)
         assert seen == [False]
         properties.renyi_entropy(BENCH_MODEL, 0.5)
         assert seen == [False, True]  # which upgrades the entry
+        assert len(solves) == 1  # on the Q it holds, with no second solve
         properties.q_entropy(BENCH_MODEL, 2.0)
         properties.cigf(BENCH_MODEL, 1, 1)
         properties.raw_moment(BENCH_MODEL, 1)
         assert seen == [False, True]
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("log_f", [False, True])
     @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
