@@ -8,6 +8,14 @@ such a block with the same pairwise summation as a 1-D sum.  A NumPy
 upgrade that breaks this, or the equality of ``np.dot`` and ``@`` on
 vectors, fails here instead of silently moving the study tables.
 
+A plan's evaluations write every per-point array into the plan's own
+buffers (``out=``) where they once took fresh arrays: rows of one
+C-contiguous block, two-row slices of it, a bool block, and small outputs
+for ``np.add.reduce`` and ``np.matmul``.  That keeps their bytes only
+while a ufunc, the reduction and the matrix product give the same bytes
+into such an ``out`` as into the fresh array they would make: no loop may
+depend on where in memory its operands sit.
+
 The property integrals evaluate the kernels' quantile core once on the
 concatenated nodes of their two ranges of levels, p and the log survival
 level.  That gives each range the bytes of separate calls only while the
@@ -63,6 +71,70 @@ def test_dot_equals_matmul_on_vectors(n, seed, spread):
     rng = np.random.default_rng(seed)
     a, b = _values(rng, n, spread), _values(rng, n, spread)
     assert np.dot(a, b).tobytes() == (a @ b).tobytes(), n
+
+
+def _specials(rng, n):
+    """Values over 2 * 30 decades of both signs, with zeros of both signs,
+    infinities, NaN and subnormals among them."""
+    x = _values(rng, n, 30.0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.0, 709.8, 745.2])
+    at = rng.random(n) < 0.2
+    x[at] = rng.choice(special, int(at.sum()))
+    return x
+
+
+_UNARY = (np.exp, np.log, np.log1p, np.expm1, np.negative, np.square, np.isinf)
+_BINARY = (np.add, np.subtract, np.multiply, np.divide, np.maximum, np.fmax, np.less,
+           np.greater, np.greater_equal, np.equal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hs.integers(1, 3000), rows=hs.integers(2, 9), seed=hs.integers(0, 2**32 - 1))
+def test_ufuncs_into_block_rows_equal_fresh_arrays(n, rows, seed):
+    # each ufunc the kernels call, into a row and into a two-row slice of a
+    # C-contiguous block at every offset, against its fresh result; its
+    # inputs rows of blocks, a reversed row, a 0-d array or a float
+    rng = np.random.default_rng(seed)
+    x, y = _specials(rng, (rows, n)), _specials(rng, (rows, n))
+    at = int(rng.integers(rows - 1))
+    block = np.empty((rows, n))
+    mask = np.empty((rows, n), dtype=bool)
+    zero_d = np.array(rng.choice([0.0, 1.0, 0.6931471805599453, 1e-300, -2.5]))
+    with np.errstate(all="ignore"):
+        for f in _UNARY:
+            out = (mask if f is np.isinf else block)
+            for arg, into in ((x[at], out[at]), (x[at][::-1], out[at]),
+                              (x[at:at + 2], out[at:at + 2])):
+                assert f(arg, out=into).tobytes() == f(arg).tobytes(), (f, n, at)
+        for f in _BINARY:
+            out = mask if f in (np.less, np.greater, np.greater_equal, np.equal) else block
+            for args in ((x[at], y[at]), (zero_d, x[at]), (x[at], zero_d), (1.5, x[at]),
+                         (x[at:at + 2], y[at:at + 2]), (x[at:at + 2], zero_d)):
+                into = out[at] if args[-1].ndim < 2 and np.ndim(args[0]) < 2 else out[at:at + 2]
+                assert f(*args, out=into).tobytes() == f(*args).tobytes(), (f, n, at)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=hs.integers(1, 5000),
+    rows=hs.integers(1, 9),
+    seed=hs.integers(0, 2**32 - 1),
+    spread=hs.floats(0.0, 30.0),
+)
+def test_reduce_and_matmul_into_buffers_equal_fresh_arrays(n, rows, seed, spread):
+    # ml's row sums, np.add.reduce into a plan's sums; a row's 1-D sum
+    # against that of a fresh copy; and chain @ v into a plan's output, the
+    # chain rows of a larger block and v a row of it
+    rng = np.random.default_rng(seed)
+    block = _values(rng, (rows + 3, n), spread)
+    summed = block[:rows]
+    sums = np.empty(rows + 2)[1:rows + 1]
+    assert np.add.reduce(summed, axis=1, out=sums).tobytes() == summed.sum(axis=1).tobytes()
+    assert block[1].sum().tobytes() == block[1].copy().sum().tobytes()
+    chain, v = block[1:rows + 1], block[rows + 2]
+    out = np.empty(rows + 1)[1:]
+    assert np.matmul(chain, v, out=out).tobytes() == (chain @ v).tobytes(), (n, rows)
+    assert np.matmul(chain.copy(), v.copy()).tobytes() == (chain @ v).tobytes(), (n, rows)
 
 
 def _level_parts(m):

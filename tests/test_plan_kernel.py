@@ -9,6 +9,9 @@ for every family, method and sample size, at the numerical extremes, and
 through whole fits.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -354,6 +357,144 @@ def test_plan_for_another_objective_is_refused():
     for method in (-1, 6):
         with pytest.raises(ValueError, match="unknown method"):
             Plan(np.array([1.0]), 0, method)
+
+
+# -- plan buffers: one plan through many evaluations ---------------------------
+
+# moves of the walk, each applied to the kernel arguments [s1, s2, beta,
+# theta, lam]: the numerical extremes, each of them more than once, among
+# jitters and fresh comfortable points
+_EXTREME_MOVES = {
+    "beta-negative": lambda a: a.__setitem__(2, -1.5),  # a < 0: the sentinel
+    "beta-large": lambda a: a.__setitem__(2, 1e8),  # S clamped, e^-a underflowing
+    "beta-subnormal": lambda a: a.__setitem__(2, 5e-324),  # a = 0, so u = 0
+    "theta-large": lambda a: a.__setitem__(3, 40.0),  # F clamped at x = 1e-8
+    "lam-edge": lambda a: a.__setitem__(4, float(np.sign(a[4]) or 1.0)),
+    "alpha-large": lambda a: a.__setitem__(0, 130.0),  # gtwe's G = inf, and u = 0
+    "alpha-huge": lambda a: a.__setitem__(0, 600.0),
+}
+
+
+def _walk(family, rng, xs, steps):
+    """Kernel arguments along a seeded walk, each extreme move taken at
+    least three times; gtp1's alpha stays below the sample but where a
+    move sets it."""
+    fam = FAMILY_IDS[family]
+    moves = [*_EXTREME_MOVES] * 3
+    moves += ["fresh" if rng.random() < 0.3 else "jitter" for _ in range(steps - len(moves))]
+    moves = ["fresh"] + [moves[i] for i in rng.permutation(len(moves))]
+    args = None
+    for move in moves:
+        if move == "fresh":
+            args = list(kernel_args(random_params(family, rng)))
+            if family == "gtp1":
+                args[0] = float(xs[0] * rng.uniform(0.2, 0.99))
+        elif move == "jitter":
+            args[2:4] = [x * math.exp(rng.normal(0.0, 0.3)) for x in args[2:4]]
+            args[4] = math.tanh(math.atanh(max(-0.999, min(0.999, args[4]))) + rng.normal(0.0, 0.3))
+            if _kernels._N_SHAPES[fam]:
+                args[0] *= math.exp(rng.normal(0.0, 0.3))
+        else:
+            _EXTREME_MOVES[move](args)
+        yield move, tuple(args)
+
+
+def _poison(bufs):
+    """Fill every buffer of a plan with what no evaluation writes there."""
+    for arr in (bufs.block, bufs.cv, getattr(bufs, "sums", bufs.cv)):
+        arr.fill(np.nan)
+    bufs.m.fill(True)
+    bufs.m2.fill(True)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_plan_buffers_keep_no_state(family, method):
+    # one plan along a walk of parameters, value and gradient calls
+    # interleaved, against a fresh plan at every step: whatever a call
+    # leaves in the plan's buffers (a sentinel's half-written rows, the
+    # rows a where= leaves unwritten, masks, sums) must not reach the next;
+    # at some steps the buffers are poisoned first, which no call may read
+    fam, mid = FAMILY_IDS[family], METHOD_IDS[method]
+    rng = np.random.default_rng([fam, mid, 28])
+    m = model_from_params(family, random_params(family, rng))
+    xs = np.sort(np.r_[m.sample(40, seed=int(rng.integers(2**31))), 1e-8, 0.9, 1.2, 3.0])
+    if family == "gtp1":  # the Pareto sample lies above its alpha; 1e-8 does too
+        xs = np.sort(np.r_[xs, m.params.shape["alpha"] * 1.5])
+    plan = Plan(xs, fam, mid)
+    seen = {"sentinel": 0, "clamped": 0, "phi=0": 0, "u=0": 0}
+    for move, args in _walk(family, rng, xs, 60):
+        for want_grad in rng.permutation([False, True]) if rng.random() < 0.5 else [rng.random() < 0.5]:
+            want_grad = bool(want_grad)
+            if plan.bufs is not None and rng.random() < 0.3:
+                _poison(plan.bufs)
+            with np.errstate(all="ignore"):
+                got = _kernels._objective(mid, fam, *args, plan, want_grad)
+                want = _kernels._objective(mid, fam, *args, Plan(xs, fam, mid), want_grad)
+                a = args[2] * _g_parts(fam, args[0], args[1], xs, 0)
+                phi = _x_over_expm1(a)
+            assert_same(
+                [got[0], got[1], None if got[2] is None else np.array(got[2])],
+                [want[0], want[1], None if want[2] is None else np.array(want[2])],
+            )
+            seen["sentinel"] += got[0] == _BIG
+            seen["clamped"] += got[1] > 0
+            seen["phi=0"] += bool(np.any(phi == 0.0) and want_grad)
+            seen["u=0"] += bool(np.any(a == 0.0))
+    assert seen["sentinel"] > 0, seen
+    if method in ("ad", "rtad"):
+        assert seen["clamped"] > 0, seen
+    if family == "gtwe":  # the overflow window
+        assert seen["phi=0"] > 0 and seen["u=0"] > 0, seen
+
+
+def test_plan_makes_its_buffers_once():
+    xs = np.array([0.5, 1.0, 2.0, 3.0])
+    plan = Plan(xs, FAMILY_IDS["gtwe"], METHOD_IDS["ad"])
+    assert plan.bufs is None  # lazily, at the first evaluation
+    _kernels.objective_grad(METHOD_IDS["ad"], 4, 2.5, 0.0, 3.0, 0.5, 0.2, plan)
+    bufs = plan.bufs
+    assert bufs.block.flags.c_contiguous and bufs.block.shape[1] == len(xs)
+    _kernels.objective(METHOD_IDS["ad"], 4, 2.5, 0.0, 3.0, 0.5, 0.2, plan)
+    assert plan.bufs is bufs
+
+
+_PEAK_ARGS = {  # (s1, s2, beta, theta, lam): inside the support of _PEAK_XS
+    "gte": (0.0, 0.0, 1.5, 0.8, 0.2),
+    "gtr": (0.0, 0.0, 1.5, 0.8, 0.2),
+    "gtw": (1.5, 0.0, 1.5, 0.8, 0.2),
+    "gtmw": (1.2, 0.3, 1.5, 0.8, 0.2),
+    "gtwe": (2.5, 0.0, 3.0, 0.5, 0.2),
+    "gtb12": (2.0, 0.0, 1.5, 0.8, 0.2),
+    "gtl": (1.5, 0.0, 1.5, 0.8, 0.2),
+    "gtp1": (0.04, 0.0, 1.5, 0.8, 0.2),
+}
+_PEAK_XS = np.sort(np.random.default_rng(400).weibull(1.4, size=400) + 0.05)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_evaluation_allocates_no_sample_sized_array(family, method):
+    # the peak of what a warm evaluation allocates, at n = 400, stays
+    # below one float array of the sample's size
+    fam, mid = FAMILY_IDS[family], METHOD_IDS[method]
+    args = _PEAK_ARGS[family]
+    n = len(_PEAK_XS)
+    plan = Plan(_PEAK_XS, fam, mid)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for want_grad in (False, True):
+            with np.errstate(all="ignore"):
+                value = _kernels._objective(mid, fam, *args, plan, want_grad)[0]
+                assert value != _BIG
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                _kernels._objective(mid, fam, *args, plan, want_grad)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < n * 8, (want_grad, peak)
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 # -- fit level -----------------------------------------------------------------
