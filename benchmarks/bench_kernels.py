@@ -5,10 +5,11 @@ Layer 1: the six fitting objectives and the array cdf/logpdf evaluations
 on a synthetic sample, which is exactly the workload the simulation harness
 hammers (thousands of quasi-Newton objective evaluations), and the
 objectives' value-and-gradient kernel; the objectives take the per-fit
-``Plan`` that ``fit`` builds once.  The value-and-gradient kernel is also
-timed for every family and method at n = 50 and 400 (us per call), so that
-a family the Monte Carlo study does not fit (the real-data fits use gtw,
-gte and gtl) cannot slow down unseen.  It also times three property integrals
+``Plan`` that ``fit`` builds once.  The value-only kernel, which the
+Nelder-Mead rescue calls, and the value-and-gradient kernel are also timed
+for every family and method at n = 50 and 400 (us per call), so that a
+family the Monte Carlo study does not fit (the real-data fits use gtw, gte
+and gtl) cannot slow down unseen.  It also times three property integrals
 on gtw and on gtmw (ms per call), and counts the integrand calls that their
 quadrature makes, through ``numerics.integrate_ranges``, which every
 quadrature runs on: the first call covers the tanh-sinh levels h = 1 ...
@@ -269,22 +270,24 @@ print_rows(
      for mid, m in enumerate(METHODS)]
 )
 
-print(f"value and gradient, every family ({batches}, us/call):")
-print(f"  {'family':<6} {'n':>4}" + "".join(f"{m:>8}" for m in METHODS))
-cells = []
-for n in GRAD_SIZES:
-    # the synthetic sample's law at size n, its own seed
-    xs_n = np.sort(np.random.default_rng(n).weibull(1.4, size=n) + 0.05)
-    for fname, args in FAMILY_ARGS.items():
-        for mid in range(len(METHODS)):
-            plan = _kernels.Plan(xs_n, args[0], mid)
-            assert _kernels.objective(mid, *args, plan)[0] != _kernels._BIG, (fname, mid)
-            cells.append(plan_call(_kernels.objective_grad, mid, args, xs_n))
-times = iter(best_times(cells, BATCH))
-for n in GRAD_SIZES:
-    for fname in FAMILY_ARGS:
-        row = [next(times) * 1e6 for _ in METHODS]
-        print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
+for title, kernel in (("value only", _kernels.objective),
+                      ("value and gradient", _kernels.objective_grad)):
+    print(f"{title}, every family ({batches}, us/call):")
+    print(f"  {'family':<6} {'n':>4}" + "".join(f"{m:>8}" for m in METHODS))
+    cells = []
+    for n in GRAD_SIZES:
+        # the synthetic sample's law at size n, its own seed
+        xs_n = np.sort(np.random.default_rng(n).weibull(1.4, size=n) + 0.05)
+        for fname, args in FAMILY_ARGS.items():
+            for mid in range(len(METHODS)):
+                plan = _kernels.Plan(xs_n, args[0], mid)
+                assert _kernels.objective(mid, *args, plan)[0] != _kernels._BIG, (fname, mid)
+                cells.append(plan_call(kernel, mid, args, xs_n))
+    times = iter(best_times(cells, BATCH))
+    for n in GRAD_SIZES:
+        for fname in FAMILY_ARGS:
+            row = [next(times) * 1e6 for _ in METHODS]
+            print(f"  {fname:<6} {n:>4}" + "".join(f"{t:8.1f}" for t in row))
 
 prop_batch = max(1, REPEATS // 10 // BATCHES)
 print(f"properties, integrals by quadrature (best of {BATCHES} batches of {prop_batch} calls):")

@@ -43,12 +43,17 @@ A^2 each build their plan.
 
 At the sample sizes a fit sees, an evaluation's cost is NumPy's per-call
 overhead, so ``_objective`` makes as few calls as it can, each on the
-operands the per-point formulas name: arrays written in place, scalars
-passed as 0-d arrays (the plan's slots), one ``_x_over_expm1`` call for the
-chain rule and the family's own derivative, and, for the ml gradient, one
-``sum(axis=1)`` over a C-contiguous block of every row it sums.  Values,
-clamp counts and gradients have the same bytes as the formulas evaluated
-one array at a time (``tests/test_plan_kernel.py`` holds that oracle).
+operands the per-point formulas name, and allocates no sample-sized
+array: the plan holds every array its evaluations write (``_Buffers``),
+and each per-point array is written into them; scalars are passed as 0-d
+arrays (the plan's slots); one ``_x_over_expm1`` call serves the chain
+rule and the family's own derivative; and the ml gradient reduces every
+row it sums with one ``np.add.reduce`` over a C-contiguous block.  A plan
+therefore serves one thread at a time.  Callers without a plan (the
+cdf, sf and log-density cores, ``default_init``) have each ufunc make its
+result.  Values, clamp counts and gradients have the same bytes as the
+formulas evaluated one array at a time (``tests/test_plan_kernel.py``
+holds that oracle).
 """
 
 from __future__ import annotations
@@ -632,15 +637,19 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     log G', a, log beta and log theta are added on their own.
 
     Each evaluation makes as few NumPy calls as it can.  Per-point arrays
-    are written in place (``out=``); the scalar operands are 0-d arrays, the
+    are written into the plan's buffers (``out=``, ``_Buffers``), which are
+    made at its first evaluation; the scalar operands are 0-d arrays, the
     plan's slots and module constants; and ml's gradient writes every
     per-point row it sums (the log f terms, the d log G' / d psi, a, L and
-    d log f / d lam) into one C-contiguous block that a single
-    ``sum(axis=1)`` reduces, each row's sum having the bytes of its own 1-D
-    sum, and assembles the gradient from those sums on Python floats.  Every
-    operation is the one the per-point formulas name, on operands of the
-    same layout: a transcendental ufunc can round differently on a strided
-    view (log of a reversed array is not the reversed log, bit for bit).
+    d log f / d lam) into the head of the block, which a single
+    ``np.add.reduce`` sums into ``sums``, each row's sum having the bytes of
+    its own 1-D sum, and assembles the gradient from those sums on Python
+    floats.  Every operation is the one the per-point formulas name, on
+    operands of the same layout: a transcendental ufunc can round
+    differently on a strided view (log of a reversed array is not the
+    reversed log, bit for bit).  Rows that a ``where=`` leaves partly
+    unwritten (``chain``, ad's r, rtad's q) are reset first, and what is
+    returned is read out of the buffers as Python or NumPy scalars.
     """
     if plan.fam != fam or plan.method != method:
         raise ValueError(
