@@ -59,6 +59,7 @@ holds that oracle).
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,8 +70,11 @@ _LOG_CLAMP = 1e-300
 _BIG = 1e10
 _Y_CLIP = 1.0 - 1e-16  # clamp on the inner level y from p, before log1p at p -> 1
 _LOG2 = 0.6931471805599453
-# scalar slots of one evaluation (their order is set in _objective)
+# scalar slots of one evaluation (their order is set in _objective), and
+# their writer: packing floats into the slots' buffer costs a third of an
+# array assignment from a tuple, with the same bytes
 _N_SLOTS = 9
+_PACK_SLOTS = struct.Struct(f"{_N_SLOTS}d").pack_into
 
 
 def _const(value):
@@ -663,9 +667,9 @@ def _objective(method, fam, s1, s2, beta, theta, lam, plan, want_grad):
     b = plan.bufs
     if b is None:
         b = plan.bufs = _Buffers(n, k, method)
-    plan.scalars[:] = (
-        beta, theta, theta - 1.0, 2.0 * lam, 1.0 + lam, 2.0 * lam * theta, lam, n,
-        np.log(theta * beta) if ml else 0.0,
+    _PACK_SLOTS(
+        plan.scalars, 0, beta, theta, theta - 1.0, 2.0 * lam, 1.0 + lam, 2.0 * lam * theta, lam,
+        n, np.log(theta * beta) if ml else 0.0,
     )
     beta_, theta_, theta1_, lam2_, lam1_, lam2theta_, lam_, n_, log_tb_ = plan.scalar_views
     a, log_gp, dlog_g, dlog_gp, phi = _g_parts(
