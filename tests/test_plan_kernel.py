@@ -361,26 +361,26 @@ def test_plan_for_another_objective_is_refused():
 
 # -- plan buffers: one plan through many evaluations ---------------------------
 
-# moves of the walk, each applied to the kernel arguments [s1, s2, beta,
-# theta, lam]: the numerical extremes, each of them more than once, among
-# jitters and fresh comfortable points
-_EXTREME_MOVES = {
-    "beta-negative": lambda a: a.__setitem__(2, -1.5),  # a < 0: the sentinel
-    "beta-large": lambda a: a.__setitem__(2, 1e8),  # S clamped, e^-a underflowing
-    "beta-subnormal": lambda a: a.__setitem__(2, 5e-324),  # a = 0, so u = 0
-    "theta-large": lambda a: a.__setitem__(3, 40.0),  # F clamped at x = 1e-8
-    "lam-edge": lambda a: a.__setitem__(4, float(np.sign(a[4]) or 1.0)),
-    "alpha-large": lambda a: a.__setitem__(0, 130.0),  # gtwe's G = inf, and u = 0
-    "alpha-huge": lambda a: a.__setitem__(0, 600.0),
+# the extremes a walk moves to, as (index into the kernel arguments
+# [s1, s2, beta, theta, lam], value)
+_EXTREMES = {
+    "beta-negative": (2, -1.5),  # a < 0: the sentinel
+    "beta-large": (2, 1e8),  # S clamped, e^-a underflowing
+    "beta-subnormal": (2, 5e-324),  # a = 0, so u = 0
+    "theta-large": (3, 40.0),  # F clamped at x = 1e-8
+    "lam-low": (4, -1.0),
+    "lam-high": (4, 1.0),
+    "alpha-large": (0, 130.0),  # gtwe's G = inf, and u = 0
+    "alpha-huge": (0, 600.0),
 }
 
 
 def _walk(family, rng, xs, steps):
-    """Kernel arguments along a seeded walk, each extreme move taken at
-    least three times; gtp1's alpha stays below the sample but where a
-    move sets it."""
+    """Kernel arguments along a seeded walk: fresh comfortable points
+    (gtp1's alpha below the sample), jitters, and each extreme at least
+    three times, in a seeded order."""
     fam = FAMILY_IDS[family]
-    moves = [*_EXTREME_MOVES] * 3
+    moves = [*_EXTREMES] * 3
     moves += ["fresh" if rng.random() < 0.3 else "jitter" for _ in range(steps - len(moves))]
     moves = ["fresh"] + [moves[i] for i in rng.permutation(len(moves))]
     args = None
@@ -395,8 +395,9 @@ def _walk(family, rng, xs, steps):
             if _kernels._N_SHAPES[fam]:
                 args[0] *= math.exp(rng.normal(0.0, 0.3))
         else:
-            _EXTREME_MOVES[move](args)
-        yield move, tuple(args)
+            i, value = _EXTREMES[move]
+            args[i] = value
+        yield tuple(args)
 
 
 def _poison(bufs):
@@ -418,13 +419,10 @@ def test_plan_buffers_keep_no_state(family, method):
     rng = np.random.default_rng([fam, mid, 28])
     m = model_from_params(family, random_params(family, rng))
     xs = np.sort(np.r_[m.sample(40, seed=int(rng.integers(2**31))), 1e-8, 0.9, 1.2, 3.0])
-    if family == "gtp1":  # the Pareto sample lies above its alpha; 1e-8 does too
-        xs = np.sort(np.r_[xs, m.params.shape["alpha"] * 1.5])
     plan = Plan(xs, fam, mid)
     seen = {"sentinel": 0, "clamped": 0, "phi=0": 0, "u=0": 0}
-    for move, args in _walk(family, rng, xs, 60):
-        for want_grad in rng.permutation([False, True]) if rng.random() < 0.5 else [rng.random() < 0.5]:
-            want_grad = bool(want_grad)
+    for args in _walk(family, rng, xs, 60):
+        for want_grad in map(bool, rng.random(rng.integers(1, 3)) < 0.5):  # one or two calls
             if plan.bufs is not None and rng.random() < 0.3:
                 _poison(plan.bufs)
             with np.errstate(all="ignore"):
