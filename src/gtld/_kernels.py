@@ -216,10 +216,7 @@ class _Buffers:
     )
 
     def __init__(self, n, k, method):
-        if method == 0:
-            own = k + 7
-        else:
-            own = 12 if method >= 4 else 8
+        own = k + 7 if method == 0 else (12 if method >= 4 else 8)  # the rows named per method
         self.block = block = np.zeros((own + 6 + k + 2, n))
         rows = list(block)
         self.tl, self.e0, self.e1, self.g0, self.g1, self.g2 = rows[own:own + 6]

@@ -2,19 +2,19 @@
 
 The ml gradient writes the per-point rows it sums (the log f terms, the
 d log G' / d psi, a, log u and d log f / d lam) into one C-contiguous
-(rows, n) block and reduces them with a single ``sum(axis=1)``.  That gives
-the bytes of the separate 1-D sums only while NumPy reduces each row of
-such a block with the same pairwise summation as a 1-D sum.  A NumPy
-upgrade that breaks this, or the equality of ``np.dot`` and ``@`` on
-vectors, fails here instead of silently moving the study tables.
+(rows, n) block and reduces them with a single ``np.add.reduce`` over
+axis 1.  That gives the bytes of the separate 1-D sums only while NumPy
+reduces each row of such a block with the same pairwise summation as a
+1-D sum.  A NumPy upgrade that breaks this, or the equality of ``np.dot``
+and ``@`` on vectors, fails here instead of silently moving the study
+tables.
 
 A plan's evaluations write every per-point array into the plan's own
-buffers (``out=``) where they once took fresh arrays: rows of one
-C-contiguous block, two-row slices of it, a bool block, and small outputs
-for ``np.add.reduce`` and ``np.matmul``.  That keeps their bytes only
-while a ufunc, the reduction and the matrix product give the same bytes
-into such an ``out`` as into the fresh array they would make: no loop may
-depend on where in memory its operands sit.
+buffers (``out=``): rows of one C-contiguous block, two-row slices of it,
+a bool block, and small outputs for ``np.add.reduce`` and ``np.matmul``.
+That keeps their bytes only while a ufunc, the reduction and the matrix
+product give the same bytes into such an ``out`` as into the fresh array
+they would make: no loop may depend on where in memory its operands sit.
 
 The property integrals evaluate the kernels' quantile core once on the
 concatenated nodes of their two ranges of levels, p and the log survival
@@ -73,12 +73,12 @@ def test_dot_equals_matmul_on_vectors(n, seed, spread):
     assert np.dot(a, b).tobytes() == (a @ b).tobytes(), n
 
 
-def _specials(rng, n):
+def _specials(rng, shape):
     """Values over 2 * 30 decades of both signs, with zeros of both signs,
     infinities, NaN and subnormals among them."""
-    x = _values(rng, n, 30.0)
+    x = _values(rng, shape, 30.0)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.0, 709.8, 745.2])
-    at = rng.random(n) < 0.2
+    at = rng.random(shape) < 0.2
     x[at] = rng.choice(special, int(at.sum()))
     return x
 
@@ -102,7 +102,7 @@ def test_ufuncs_into_block_rows_equal_fresh_arrays(n, rows, seed):
     zero_d = np.array(rng.choice([0.0, 1.0, 0.6931471805599453, 1e-300, -2.5]))
     with np.errstate(all="ignore"):
         for f in _UNARY:
-            out = (mask if f is np.isinf else block)
+            out = mask if f is np.isinf else block
             for arg, into in ((x[at], out[at]), (x[at][::-1], out[at]),
                               (x[at:at + 2], out[at:at + 2])):
                 assert f(arg, out=into).tobytes() == f(arg).tobytes(), (f, n, at)
@@ -110,7 +110,7 @@ def test_ufuncs_into_block_rows_equal_fresh_arrays(n, rows, seed):
             out = mask if f in (np.less, np.greater, np.greater_equal, np.equal) else block
             for args in ((x[at], y[at]), (zero_d, x[at]), (x[at], zero_d), (1.5, x[at]),
                          (x[at:at + 2], y[at:at + 2]), (x[at:at + 2], zero_d)):
-                into = out[at] if args[-1].ndim < 2 and np.ndim(args[0]) < 2 else out[at:at + 2]
+                into = out[at:at + 2] if max(map(np.ndim, args)) == 2 else out[at]
                 assert f(*args, out=into).tobytes() == f(*args).tobytes(), (f, n, at)
 
 
